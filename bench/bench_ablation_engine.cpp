@@ -7,29 +7,18 @@
 // one ingredient on the
 // full Buckets workload and reports the solver cache hit rate; a final
 // JSON line carries the per-configuration solver-layer statistics.
-//
-// A second block ablates the *path-selection strategy* (DESIGN.md §4e):
-// for each strategy it sweeps the per-test path budget geometrically and
-// reports the smallest budget (and its wall time) that reaches full
-// achievable branch coverage on a Buckets target, and that finds the
-// first seeded bug in the buggy Collections library. --quick skips the
-// sweep (CI's strategy matrix only validates the JSON shape); --strategy
-// selects the strategy of the "parallel" row.
+// --quick runs only the full and parallel rows.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench_common.h"
-#include "mc/compiler.h"
-#include "mc/memory.h"
 #include "mjs/compiler.h"
 #include "mjs/memory.h"
 #include "obs/coverage.h"
 #include "obs/json_writer.h"
 #include "targets/buckets_mjs.h"
-#include "targets/collections_mc.h"
 #include "targets/suite_runner.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -81,54 +70,6 @@ RunResult runAll(const EngineOptions &Opts, bool AllowAlarms = false) {
   return Res;
 }
 
-/// One strategy's sweep result on one target.
-struct SweepPoint {
-  bool Reached = false;    ///< goal reached within the budget ceiling
-  uint64_t Budget = 0;     ///< smallest per-test MaxPaths that reached it
-  uint64_t Paths = 0;      ///< paths actually recorded at that budget
-  double Seconds = 0;      ///< wall time of the reaching run
-};
-
-/// Runs \p P's suite under \p S at one worker with per-test path budget
-/// \p Budget, from cold caches and fresh coverage.
-template <SymbolicMemoryModel M>
-SuiteResult budgetedRun(std::string_view Name, const Prog &P,
-                        SelectionStrategy S, uint64_t Budget,
-                        double &SecondsOut) {
-  bench::coldStart();
-  obs::BranchCoverage::instance().reset();
-  EngineOptions O;
-  O.Scheduler.Strategy = S;
-  O.Scheduler.Workers = 1; // deterministic: strategy order, no task races
-  O.MaxPaths = Budget;
-  auto T0 = std::chrono::steady_clock::now();
-  SuiteResult R = runSuite<M>(Name, P, O);
-  SecondsOut = bench::seconds(T0);
-  return R;
-}
-
-/// Sweeps the per-test path budget geometrically until \p Reached says
-/// the goal is met (full coverage, or a bug found).
-template <SymbolicMemoryModel M, typename ReachedFn>
-SweepPoint sweepBudget(std::string_view Name, const Prog &P,
-                       SelectionStrategy S, uint64_t MaxBudget,
-                       ReachedFn Reached) {
-  SweepPoint Out;
-  for (uint64_t B = 1; B <= MaxBudget; B *= 2) {
-    double Sec = 0;
-    SuiteResult R = budgetedRun<M>(Name, P, S, B, Sec);
-    if (Reached(R)) {
-      Out.Reached = true;
-      Out.Budget = B;
-      Out.Paths = R.PathsExplored + R.BoundedPaths;
-      Out.Seconds = Sec;
-      return Out;
-    }
-  }
-  Out.Budget = MaxBudget;
-  return Out;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -144,6 +85,7 @@ int main(int argc, char **argv) {
     }
     argc = Out;
   }
+  bench::rejectLeftoverArgs(argc, argv);
   bench::setupObs(Args);
   struct Config {
     const char *Name;
@@ -216,7 +158,6 @@ int main(int argc, char **argv) {
        [&Args] {
          EngineOptions O;
          O.Scheduler.Workers = Args.Workers;
-         O.Scheduler.Strategy = Args.Strategy;
          O.Solver.AsyncSolvers = Args.Async ? Args.Async : 2;
          return O;
        }},
@@ -226,19 +167,8 @@ int main(int argc, char **argv) {
        [&Args] {
          EngineOptions O;
          O.Scheduler.Workers = Args.Workers;
-         O.Scheduler.Strategy = Args.Strategy;
          O.Solver.UseNative = Args.Native;
          O.Solver.AsyncSolvers = Args.Async;
-         return O;
-       }},
-      // The coverage-guided frontier at the same worker count — the
-      // strategy ablation row of this PR's tentpole, kept in the main
-      // table so one run shows its end-to-end cost next to oldest-first.
-      {"parallel coverage-guided", false,
-       [&Args] {
-         EngineOptions O;
-         O.Scheduler.Workers = Args.Workers;
-         O.Scheduler.Strategy = SelectionStrategy::CoverageGuided;
          return O;
        }},
   };
@@ -273,7 +203,6 @@ int main(int argc, char **argv) {
     obs::JsonWriter Row;
     Row.beginObject();
     Row.field("name", C.Name);
-    Row.field("strategy", strategyName(O.Scheduler.Strategy));
     Row.field("workers", static_cast<uint64_t>(
                              O.Scheduler.Workers ? O.Scheduler.Workers : 1));
     Row.field("spurious_alarms", R.SpuriousAlarms);
@@ -286,104 +215,6 @@ int main(int argc, char **argv) {
     ConfigsJson += Row.take();
   }
 
-  // Strategy ablation: smallest per-test path budget reaching (a) full
-  // achievable branch coverage on a Buckets target and (b) the first
-  // seeded bug in the buggy Collections library — the discovery-order
-  // metrics the EXPERIMENTS.md table reports. Skipped under --quick.
-  std::string StrategyJson;
-  std::string BucketsTargetName, BugTargetName;
-  if (!Quick) {
-    // Buckets target: bst when present — the front suite (array)
-    // reaches full coverage at budget 1 under every strategy, leaving
-    // the sweep nothing to separate; bst needs several paths per test.
-    const std::vector<BucketsSuite> &AllBuckets = bucketsSuites();
-    auto BIt = std::find_if(
-        AllBuckets.begin(), AllBuckets.end(),
-        [](const BucketsSuite &S) { return S.Name == "bst"; });
-    const BucketsSuite &BS =
-        BIt != AllBuckets.end() ? *BIt : AllBuckets.front();
-    BucketsTargetName = std::string(BS.Name);
-    std::string BSrc =
-        std::string(bucketsLibrary()) + "\n" + std::string(BS.Source);
-    Result<Prog> BP = mjs::compileMjsSource(BSrc);
-    if (!BP) {
-      std::fprintf(stderr, "compile error: %s\n", BP.error().c_str());
-      return 1;
-    }
-    // Achievable coverage: unbounded oldest-first run.
-    uint64_t Achievable = 0, AchTotal = 0;
-    {
-      double Sec = 0;
-      budgetedRun<mjs::MjsSMem>(BS.Name, *BP, SelectionStrategy::OldestFirst,
-                                0, Sec);
-      obs::BranchCoverage::instance().totals(Achievable, AchTotal);
-    }
-    // Bug target: the first buggy-Collections suite that reports a bug
-    // on an unbounded run.
-    Result<Prog> GP = Err("no buggy suite found");
-    for (const CollectionsSuite &CS : collectionsSuites()) {
-      std::string Src = std::string(collectionsBuggyLibrary()) + "\n" +
-                        std::string(CS.Source);
-      Result<Prog> P = mc::compileMcSource(Src);
-      if (!P)
-        continue;
-      double Sec = 0;
-      SuiteResult R = budgetedRun<mc::McSMem>(
-          CS.Name, *P, SelectionStrategy::OldestFirst, 0, Sec);
-      if (!R.Bugs.empty()) {
-        GP = std::move(P);
-        BugTargetName = std::string(CS.Name);
-        break;
-      }
-    }
-
-    std::printf("\nStrategy ablation (one worker, geometric per-test path "
-                "budget sweep)\n");
-    std::printf("  Buckets target '%s': %llu achievable branch outcomes; "
-                "bug target '%s'\n",
-                BucketsTargetName.c_str(),
-                static_cast<unsigned long long>(Achievable),
-                BugTargetName.c_str());
-    std::printf("%-10s %12s %10s %12s %10s\n", "Strategy", "CovBudget",
-                "CovTime", "BugBudget", "BugTime");
-    const SelectionStrategy Strategies[] = {
-        SelectionStrategy::OldestFirst, SelectionStrategy::RandomPath,
-        SelectionStrategy::SubtreeSize, SelectionStrategy::CoverageGuided};
-    for (SelectionStrategy S : Strategies) {
-      SweepPoint Cov = sweepBudget<mjs::MjsSMem>(
-          BS.Name, *BP, S, 4096, [&](const SuiteResult &R) {
-            uint64_t C = 0, T = 0;
-            (void)R;
-            obs::BranchCoverage::instance().totals(C, T);
-            return C >= Achievable;
-          });
-      SweepPoint Bug;
-      if (GP)
-        Bug = sweepBudget<mc::McSMem>(
-            BugTargetName, *GP, S, 4096,
-            [](const SuiteResult &R) { return !R.Bugs.empty(); });
-      std::printf("%-10s %12llu %9.3fs %12llu %9.3fs%s\n", strategyName(S),
-                  static_cast<unsigned long long>(Cov.Budget), Cov.Seconds,
-                  static_cast<unsigned long long>(Bug.Budget), Bug.Seconds,
-                  Cov.Reached && Bug.Reached ? "" : "  [goal not reached]");
-      obs::JsonWriter Row;
-      Row.beginObject();
-      Row.field("strategy", strategyName(S));
-      Row.field("coverage_budget", Cov.Budget);
-      Row.field("coverage_paths", Cov.Paths);
-      Row.field("coverage_time_s", Cov.Seconds, 6);
-      Row.field("coverage_reached", Cov.Reached);
-      Row.field("bug_budget", Bug.Budget);
-      Row.field("bug_paths", Bug.Paths);
-      Row.field("bug_time_s", Bug.Seconds, 6);
-      Row.field("bug_found", Bug.Reached);
-      Row.endObject();
-      if (!StrategyJson.empty())
-        StrategyJson += ",";
-      StrategyJson += Row.take();
-    }
-  }
-
   std::printf("\nPaper shape check: the legacy configuration is the "
               "slowest (§4.1 credits simplification and caching for the "
               "J2 -> GJS speedup). In our engine the solver result cache "
@@ -393,22 +224,12 @@ int main(int argc, char **argv) {
     obs::JsonWriter W;
     W.beginObject();
     W.field("bench", "ablation_engine");
-    W.field("strategy", strategyName(Args.Strategy));
     W.field("workers", static_cast<uint64_t>(Args.Workers));
     W.field("quick", Quick);
     W.key("configs");
     W.beginArray();
     W.raw(ConfigsJson);
     W.endArray();
-    W.key("strategy_ablation");
-    W.beginObject();
-    W.field("buckets_target", BucketsTargetName);
-    W.field("bug_target", BugTargetName);
-    W.key("rows");
-    W.beginArray();
-    W.raw(StrategyJson);
-    W.endArray();
-    W.endObject();
     W.key("coverage");
     W.raw(obs::BranchCoverage::instance().json());
     W.key("obs");

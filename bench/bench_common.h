@@ -11,9 +11,6 @@
 ///   --workers=N / --workers N   worker count of the parallel
 ///                               configurations (default 4, the acceptance
 ///                               target's core count)
-///   --strategy=NAME             path-selection strategy of the parallel
-///                               configurations: oldest (default), random,
-///                               subtree, coverage — see DESIGN.md §4e
 ///   --json / --no-json          emit / suppress the trailing
 ///                               machine-readable JSON line (default on)
 ///   --trace-out=FILE            enable the flight recorder and write a
@@ -49,7 +46,9 @@
 ///                               inspect with tools/gillian-inspect
 ///
 /// Arguments the parser consumes are removed from argv, so drivers built
-/// on google-benchmark can hand the remainder to benchmark::Initialize.
+/// on google-benchmark can hand the remainder to benchmark::Initialize;
+/// the other drivers call rejectLeftoverArgs so a mistyped flag exits 2
+/// instead of silently running with the defaults.
 ///
 /// Drivers call setupObs(Args) once after parsing and finishObs(Args)
 /// once before exiting; JSON lines are built with obs::JsonWriter (the
@@ -61,7 +60,6 @@
 #ifndef GILLIAN_BENCH_BENCH_COMMON_H
 #define GILLIAN_BENCH_BENCH_COMMON_H
 
-#include "engine/scheduler/scheduler_options.h"
 #include "engine/summary/summary_store.h"
 #include "obs/exporters.h"
 #include "obs/introspect/introspect_server.h"
@@ -91,10 +89,6 @@ namespace gillian::bench {
 
 struct BenchArgs {
   uint32_t Workers = 4; ///< worker count of the parallel configurations
-  /// Path-selection strategy of the parallel configurations; drivers
-  /// echo strategyName(Strategy) into their JSON lines so downstream
-  /// tooling can tell ablation rows apart.
-  SelectionStrategy Strategy = SelectionStrategy::OldestFirst;
   /// Native theory layer of the default configurations (--no-native turns
   /// it off; the ablation driver also toggles it per row).
   bool Native = true;
@@ -137,15 +131,6 @@ inline BenchArgs parseBenchArgs(int &argc, char **argv) {
     }
     return argv[++In];
   };
-  auto parseStrategyArg = [](const char *Value) -> SelectionStrategy {
-    if (auto S = parseStrategy(Value))
-      return *S;
-    std::fprintf(stderr,
-                 "invalid --strategy value: %s "
-                 "(want oldest|random|subtree|coverage)\n",
-                 Value);
-    std::exit(2);
-  };
   auto parseMs = [](const char *Flag, const char *Value) -> uint64_t {
     char *End = nullptr;
     unsigned long long N = std::strtoull(Value, &End, 10);
@@ -162,10 +147,6 @@ inline BenchArgs parseBenchArgs(int &argc, char **argv) {
       Args.Workers = parseWorkers(A + 10);
     } else if (std::strcmp(A, "--workers") == 0) {
       Args.Workers = parseWorkers(nextValue(In, "--workers"));
-    } else if (std::strncmp(A, "--strategy=", 11) == 0) {
-      Args.Strategy = parseStrategyArg(A + 11);
-    } else if (std::strcmp(A, "--strategy") == 0) {
-      Args.Strategy = parseStrategyArg(nextValue(In, "--strategy"));
     } else if (std::strcmp(A, "--no-native") == 0) {
       Args.Native = false;
     } else if (std::strcmp(A, "--no-summaries") == 0) {
@@ -223,6 +204,14 @@ inline BenchArgs parseBenchArgs(int &argc, char **argv) {
   argc = Out;
   argv[argc] = nullptr;
   return Args;
+}
+
+/// Exits 2 on the first argument no parser consumed (argv[0] aside).
+inline void rejectLeftoverArgs(int argc, char **argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "%s: unknown argument: %s\n", argv[0], argv[1]);
+    std::exit(2);
+  }
 }
 
 /// The cache file coldStart() re-seeds from (set by setupObs).

@@ -63,10 +63,9 @@ std::string deadCodeProgram(int L) {
   return Src;
 }
 
-SymbolicTestResult
-runProgram(const std::string &Src, uint32_t Workers = 1,
-           SelectionStrategy Strategy = SelectionStrategy::OldestFirst,
-           bool Native = true, uint32_t Async = 0, bool Summaries = true) {
+SymbolicTestResult runProgram(const std::string &Src, uint32_t Workers = 1,
+                              bool Native = true, uint32_t Async = 0,
+                              bool Summaries = true) {
   Result<Prog> P = compileWhileSource(Src);
   if (!P)
     std::abort();
@@ -74,7 +73,6 @@ runProgram(const std::string &Src, uint32_t Workers = 1,
   Opts.UseSummaries = Summaries;
   Opts.LoopBound = 64;
   Opts.Scheduler.Workers = Workers;
-  Opts.Scheduler.Strategy = Strategy;
   Opts.Solver.UseNative = Native;
   Opts.Solver.AsyncSolvers = Async;
   Solver Slv(Opts.Solver);
@@ -175,9 +173,8 @@ int main(int argc, char **argv) {
   for (uint32_t Workers : Sweep) {
     bench::coldStart(); // cold per count: same starting state for all
     auto T0 = std::chrono::steady_clock::now();
-    SymbolicTestResult R = runProgram(Src, Workers, Args.Strategy,
-                                      Args.Native, Args.Async,
-                                      Args.Summaries);
+    SymbolicTestResult R =
+        runProgram(Src, Workers, Args.Native, Args.Async, Args.Summaries);
     double Sec = bench::seconds(T0);
     if (Workers == 1)
       BaseSec = Sec;
@@ -203,7 +200,6 @@ int main(int argc, char **argv) {
   W.field("bench", "engine_scaling");
   W.field("workload", "diamond_10");
   W.field("paths", 1024);
-  W.field("strategy", strategyName(Args.Strategy));
   W.field("summaries", Args.Summaries);
   W.key("worker_sweep");
   W.beginArray();

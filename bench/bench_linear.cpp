@@ -39,9 +39,9 @@ using bench::seconds;
 
 int main(int argc, char **argv) {
   const bench::BenchArgs Args = bench::parseBenchArgs(argc, argv);
+  bench::rejectLeftoverArgs(argc, argv);
   bench::setupObs(Args);
   const uint32_t ParWorkers = Args.Workers;
-  const SelectionStrategy ParStrategy = Args.Strategy;
   std::printf("Linear-memory instantiation: GIL symbolic test suites "
               "(Gillian-Linear)\n");
   std::printf("%-10s %4s %12s %10s %10s %8s %9s\n", "Name", "#T", "GIL Cmds",
@@ -69,7 +69,6 @@ int main(int argc, char **argv) {
     EngineOptions ParOpts;
     ParOpts.UseSummaries = Args.Summaries;
     ParOpts.Scheduler.Workers = ParWorkers;
-    ParOpts.Scheduler.Strategy = ParStrategy;
     ParOpts.Solver.UseNative = Args.Native;
     ParOpts.Solver.AsyncSolvers = Args.Async;
     T0 = std::chrono::steady_clock::now();
@@ -90,7 +89,6 @@ int main(int argc, char **argv) {
     Row.field("time_s", Sec, 6);
     Row.field("time_par_s", SecPar, 6);
     Row.field("par_workers", ParWorkers);
-    Row.field("par_strategy", strategyName(ParStrategy));
     Row.key("solver");
     Row.raw(solverStatsJson(R.Solver));
     Row.endObject();
@@ -143,7 +141,6 @@ int main(int argc, char **argv) {
     obs::JsonWriter W;
     W.beginObject();
     W.field("bench", "linear");
-    W.field("strategy", strategyName(ParStrategy));
     W.field("summaries", Args.Summaries);
     W.key("suites");
     W.beginArray();
@@ -156,7 +153,6 @@ int main(int argc, char **argv) {
     W.field("time_s", TotalTime, 6);
     W.field("time_par_s", TotalTimePar, 6);
     W.field("par_workers", ParWorkers);
-    W.field("par_strategy", strategyName(ParStrategy));
     W.field("seeded_bugs", SeededBugs);
     W.key("solver");
     W.raw(solverStatsJson(TotalSolver));

@@ -351,9 +351,6 @@ int main(int argc, char **argv) {
   W.beginObject();
   W.field("bench", "solver_micro");
   W.field("workload", "prefix_chain_24");
-  // No exploration happens here, but every driver's JSON line carries the
-  // strategy label so downstream row joins never special-case this one.
-  W.field("strategy", gillian::strategyName(Args.Strategy));
   W.key("inc_off");
   W.raw(solverStatsJson(Off));
   W.key("inc_on");

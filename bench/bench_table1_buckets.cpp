@@ -56,8 +56,6 @@ using bench::seconds;
 /// Worker count of the parallel configuration; set from --workers
 /// (default 4, the acceptance target's core count).
 uint32_t ParWorkers = 4;
-/// Path-selection strategy of the parallel configuration (--strategy).
-SelectionStrategy ParStrategy = SelectionStrategy::OldestFirst;
 /// Native theory layer of the parallel configuration (--no-native).
 bool ParNative = true;
 /// Async solver service threads of the parallel configuration (--async).
@@ -73,7 +71,6 @@ std::string rowJson(const Row &R) {
   W.field("time_gjs_s", R.TimeGjs, 6);
   W.field("time_par_s", R.TimePar, 6);
   W.field("par_workers", ParWorkers);
-  W.field("par_strategy", strategyName(ParStrategy));
   W.field("par_native", ParNative);
   W.field("par_async", static_cast<uint64_t>(ParAsync));
   W.key("solver_j2");
@@ -100,9 +97,9 @@ void addInto(obs::SpanSnapshot &Acc, const obs::SpanSnapshot &D) {
 
 int main(int argc, char **argv) {
   const bench::BenchArgs Args = bench::parseBenchArgs(argc, argv);
+  bench::rejectLeftoverArgs(argc, argv);
   bench::setupObs(Args);
   ParWorkers = Args.Workers;
-  ParStrategy = Args.Strategy;
   ParNative = Args.Native;
   ParAsync = Args.Async;
   std::printf("Table 1: Buckets.js-style symbolic test suites "
@@ -152,7 +149,6 @@ int main(int argc, char **argv) {
     EngineOptions Par;
     Par.UseSummaries = Args.Summaries;
     Par.Scheduler.Workers = ParWorkers;
-    Par.Scheduler.Strategy = ParStrategy;
     Par.Solver.UseNative = ParNative;
     Par.Solver.AsyncSolvers = ParAsync;
     T0 = std::chrono::steady_clock::now();
@@ -342,7 +338,6 @@ int main(int argc, char **argv) {
     obs::JsonWriter W;
     W.beginObject();
     W.field("bench", "table1_buckets");
-    W.field("strategy", strategyName(ParStrategy));
     W.field("summaries", Args.Summaries);
     W.key("suites");
     W.beginArray();

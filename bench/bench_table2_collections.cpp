@@ -45,12 +45,11 @@ Result<Prog> compileSuite(std::string_view Library,
 
 int main(int argc, char **argv) {
   const bench::BenchArgs Args = bench::parseBenchArgs(argc, argv);
+  bench::rejectLeftoverArgs(argc, argv);
   bench::setupObs(Args);
   // Worker count of the parallel configuration (--workers; default 4, the
   // acceptance target's core count).
   const uint32_t ParWorkers = Args.Workers;
-  // Path-selection strategy of the parallel configuration (--strategy).
-  const SelectionStrategy ParStrategy = Args.Strategy;
   std::printf("Table 2: Collections-C-style symbolic test suites "
               "(Gillian-C / MC)\n");
   std::printf("%-8s %4s %12s %10s %10s %8s %9s\n", "Name", "#T", "GIL Cmds",
@@ -79,7 +78,6 @@ int main(int argc, char **argv) {
     EngineOptions ParOpts;
     ParOpts.UseSummaries = Args.Summaries;
     ParOpts.Scheduler.Workers = ParWorkers;
-    ParOpts.Scheduler.Strategy = ParStrategy;
     ParOpts.Solver.UseNative = Args.Native;
     ParOpts.Solver.AsyncSolvers = Args.Async;
     T0 = std::chrono::steady_clock::now();
@@ -100,7 +98,6 @@ int main(int argc, char **argv) {
     Row.field("time_s", Sec, 6);
     Row.field("time_par_s", SecPar, 6);
     Row.field("par_workers", ParWorkers);
-    Row.field("par_strategy", strategyName(ParStrategy));
     Row.key("solver");
     Row.raw(solverStatsJson(R.Solver));
     Row.endObject();
@@ -158,7 +155,6 @@ int main(int argc, char **argv) {
     obs::JsonWriter W;
     W.beginObject();
     W.field("bench", "table2_collections");
-    W.field("strategy", strategyName(ParStrategy));
     W.field("summaries", Args.Summaries);
     W.key("suites");
     W.beginArray();
@@ -171,7 +167,6 @@ int main(int argc, char **argv) {
     W.field("time_s", TotalTime, 6);
     W.field("time_par_s", TotalTimePar, 6);
     W.field("par_workers", ParWorkers);
-    W.field("par_strategy", strategyName(ParStrategy));
     W.key("solver");
     W.raw(solverStatsJson(TotalSolver));
     W.endObject();

@@ -90,7 +90,6 @@ def record(args, results):
         "commit": git_head(),
         "runs": len(results),
         "paths": r0.get("paths"),
-        "strategy": r0.get("strategy"),
         "wall_s": medians(results),
     }
 

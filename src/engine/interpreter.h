@@ -199,34 +199,6 @@ public:
     return C;
   }
 
-  /// The IfGoto site control will reach from \p C without branching or
-  /// transferring control: scans forward from C.I over straight-line
-  /// commands (assignments, symbol allocations) in the current procedure
-  /// and returns the first IfGoto as (procedure id, command index), or
-  /// nullopt if a call/return/action/terminal comes first. Pure
-  /// inspection — no evaluation, no solver queries — so path-selection
-  /// strategies (the coverage-guided frontier) can score a configuration
-  /// without stepping it.
-  std::optional<std::pair<uint32_t, uint32_t>>
-  nextBranchSite(const Config &C) const {
-    const Proc *Cur = P.find(C.CurProc);
-    if (!Cur)
-      return std::nullopt;
-    for (size_t I = C.I; I < Cur->Body.size(); ++I) {
-      switch (Cur->Body[I].Kind) {
-      case CmdKind::IfGoto:
-        return std::make_pair(C.CurProc.id(), static_cast<uint32_t>(I));
-      case CmdKind::Assign:
-      case CmdKind::USym:
-      case CmdKind::ISym:
-        continue; // straight-line: cannot branch or leave the procedure
-      default:
-        return std::nullopt;
-      }
-    }
-    return std::nullopt;
-  }
-
   /// Runs procedure \p Entry with argument \p Arg from state \p Init,
   /// exploring all paths with the sequential depth-first worklist.
   /// Err(...) reports engine-level misuse (unknown entry procedure);
@@ -919,8 +891,10 @@ private:
       const Proc *Cur = P.find(C.CurProc);
       assert(Cur && "current procedure disappeared");
       const Cmd &Command = Cur->Body[C.I]; // still the Call command
-      C.Replay.reset();
+      // N lives in the entry: once the store has replaced or cleared it,
+      // C.Replay may be its last owner, so read N before the reset.
       C.State.setVar(Command.X, N.Val);
+      C.Replay.reset();
       ++C.I;
       S.cont(std::move(C));
       return;
@@ -931,8 +905,7 @@ private:
       OutcomeKind K = N.Kind == SummaryNodeKind::Error ? OutcomeKind::Error
                                                        : OutcomeKind::Vanish;
       journalEnd(C, K, obs::journal::BudgetKind::None);
-      C.Replay.reset();
-      finish(S, K, N.Val, std::move(C.State));
+      finish(S, K, N.Val, std::move(C.State)); // C.Replay keeps N alive
       return;
     }
     }

@@ -24,16 +24,12 @@
 /// program and the state model — not on thread scheduling. Running the
 /// same exploration at any worker count yields the same result sequence.
 ///
-/// Strategies. The SelectionStrategy decides which configuration runs
-/// next — which successor a worker keeps stepping after a branch, what
-/// its frontier hands back, and what thieves take (frontier.h) — but
-/// never *whether* a configuration runs: exploration stays exhaustive, so
-/// the outcome set and the branch-trace-sorted result sequence are
-/// strategy-independent. What a strategy changes is discovery order,
-/// which is exactly what budgets, time-to-first-bug, and
-/// time-to-full-coverage observe. Priorities are computed here (the
-/// scheduler knows the interpreter and the coverage signals); the
-/// frontier only orders by them.
+/// Order. At a branch point a task keeps stepping its *last* successor
+/// (matching the sequential worklist's pop-from-the-back) and spawns the
+/// others onto its worker's deque; the pool pops LIFO and steals FIFO
+/// (thread_pool.h). That is the one exploration order: without a budget
+/// every path is explored regardless of order, and the result sequence is
+/// branch-trace sorted, so order only shows under MaxSteps/MaxPaths.
 ///
 /// Budgets. MaxSteps/MaxPaths are enforced from relaxed atomic counters:
 /// a task that observes an exhausted budget finishes Bound, with the
@@ -52,16 +48,13 @@
 #define GILLIAN_ENGINE_SCHEDULER_EXPLORATION_SCHEDULER_H
 
 #include "engine/interpreter.h"
-#include "engine/scheduler/frontier.h"
 #include "engine/scheduler/scheduler_options.h"
 #include "engine/scheduler/thread_pool.h"
-#include "obs/coverage.h"
 #include "obs/journal/journal.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -85,12 +78,8 @@ public:
     obs::Span ExploreSpan(obs::SpanKind::Explore, &I.stats().EngineNs);
     size_t N = SOpts.Workers ? SOpts.Workers : 1;
     LocalResults.assign(N, {});
-    RngStates.assign(N, 0);
-    for (size_t W = 0; W < N; ++W)
-      RngStates[W] = mixSeed(SOpts.Seed, 0xC0FFEE + W) | 1;
 
-    ThreadPool<PathTask> Pool(N, SOpts.StealBatch, SOpts.Strategy,
-                              SOpts.Seed);
+    ThreadPool<PathTask> Pool(N);
     Pool.inject(PathTask{std::move(Init), {}});
     Pool.run([this](PathTask T, typename ThreadPool<PathTask>::Worker &W) {
       runTask(std::move(T), W);
@@ -171,71 +160,11 @@ private:
     return BudgetKind::None;
   }
 
-  /// The strategy score of \p T — higher runs earlier. Only the priority
-  /// strategies look at it; the frontier ignores it otherwise.
-  ///
-  ///  * SubtreeSize: (remaining loop budget + 1) / (branch depth + 1),
-  ///    fixed-point — a shallow fork with loop budget to burn heads a
-  ///    larger unexplored subtree than a deep one near its bound.
-  ///  * CoverageGuided: the same estimate, plus a dominating boost when
-  ///    the next reachable IfGoto of the configuration still has an
-  ///    uncovered outcome (fed live from obs::BranchCoverage, the PR 5
-  ///    signal) — frontier entries that can extend coverage run before
-  ///    everything that cannot.
-  uint64_t priorityOf(const PathTask &T) const {
-    switch (SOpts.Strategy) {
-    case SelectionStrategy::OldestFirst:
-    case SelectionStrategy::RandomPath:
-      return 0;
-    case SelectionStrategy::SubtreeSize:
-      return subtreeEstimate(T);
-    case SelectionStrategy::CoverageGuided: {
-      // Depth as the base, not the subtree estimate: early on every
-      // branch site is uncovered and the boost bit ties, so the
-      // tie-break decides the shape of the search. Depth keeps it
-      // DFS-like — completing whole paths (and therefore covering whole
-      // outcome chains) as fast as oldest-first — while the boost bit
-      // redirects the frontier to uncovered sites once coverage
-      // accumulates.
-      uint64_t Pri = uint64_t(T.Id.size());
-      if (auto Site = I.nextBranchSite(T.C))
-        if (obs::BranchCoverage::instance().hasUncoveredOutcome(
-                Site->first, Site->second))
-          Pri |= uint64_t(1) << 62; // dominates every depth
-      return Pri;
-    }
-    }
-    return 0;
-  }
-
-  uint64_t subtreeEstimate(const PathTask &T) const {
-    uint32_t Bound = I.options().LoopBound;
-    uint64_t RemLoop =
-        T.C.Backjumps < Bound ? uint64_t(Bound - T.C.Backjumps) : 0;
-    if (RemLoop > (uint64_t(1) << 20))
-      RemLoop = uint64_t(1) << 20; // keep the estimate below the boost bit
-    return ((RemLoop + 1) << 32) / (T.Id.size() + 1);
-  }
-
-  /// Deterministic per-worker generator (seeded from SchedulerOptions)
-  /// used by RandomPath to choose which successor to keep stepping.
-  uint64_t nextRandom(size_t WIdx, size_t Bound) {
-    uint64_t X = RngStates[WIdx];
-    X ^= X >> 12;
-    X ^= X << 25;
-    X ^= X >> 27;
-    RngStates[WIdx] = X;
-    return (X * 0x2545F4914F6CDD1Dull) % Bound;
-  }
-
   /// Executes one task to completion: steps inline while there is a
   /// single successor (no queue churn on straight-line code), and at
-  /// branch points keeps one successor — which one is the strategy's
-  /// call: the *last* (matching the sequential worklist's
-  /// pop-from-the-back) for OldestFirst, a seeded random pick for
-  /// RandomPath, the best-scored one for the priority strategies — while
-  /// spawning the others, tagged with their scores, for the frontier to
-  /// order and thieves to take.
+  /// branch points keeps the *last* successor (matching the sequential
+  /// worklist's pop-from-the-back) while spawning the others for the
+  /// worker's deque and for thieves.
   void runTask(PathTask T, typename ThreadPool<PathTask>::Worker &W) {
     while (true) {
       BudgetKind Cut = overBudget();
@@ -268,9 +197,8 @@ private:
       }
 
       bool Multi = Outs.size() >= 2;
-      // Record finished paths and collect the live successors (with
-      // their branch-trace ids assigned from production order — the id
-      // scheme never depends on the strategy).
+      // Record finished paths and collect the live successors, with
+      // their branch-trace ids assigned from production order.
       std::vector<PathTask> Live;
       uint32_t K = 0;
       for (auto &O : Outs) {
@@ -290,41 +218,14 @@ private:
       if (Live.empty())
         return; // every output finished
 
-      // The strategy keeps one successor hot; the rest go to the
-      // frontier, scored.
-      size_t Keep = Live.size() - 1; // OldestFirst: depth-first worklist
-      switch (SOpts.Strategy) {
-      case SelectionStrategy::OldestFirst:
-        break;
-      case SelectionStrategy::RandomPath:
-        Keep = Live.size() > 1 ? nextRandom(W.index(), Live.size())
-                               : Live.size() - 1;
-        break;
-      case SelectionStrategy::SubtreeSize:
-      case SelectionStrategy::CoverageGuided: {
-        uint64_t Best = 0;
-        for (size_t J = 0; J < Live.size(); ++J) {
-          uint64_t Pri = priorityOf(Live[J]);
-          // >= : ties keep the *last* successor, the jump side — into
-          // the loop, like OldestFirst — so equal scores degrade to
-          // depth-first completion instead of draining short exits.
-          if (J == 0 || Pri >= Best) {
-            Best = Pri;
-            Keep = J;
-          }
-        }
-        break;
-      }
-      }
-      for (size_t J = 0; J < Live.size(); ++J) {
-        if (J == Keep)
-          continue;
-        uint64_t Pri = priorityOf(Live[J]);
+      // Keep the last successor hot; the rest go to the deque.
+      size_t Keep = Live.size() - 1;
+      for (size_t J = 0; J < Keep; ++J) {
         if (obs::journal::enabled())
           obs::journal::emitSpawn(Live[J].C.JPath, Live[J].C.JSteps,
                                   Live[J].C.CurProc.id(),
-                                  static_cast<uint32_t>(Live[J].C.I), Pri);
-        W.spawn(std::move(Live[J]), Pri);
+                                  static_cast<uint32_t>(Live[J].C.I));
+        W.spawn(std::move(Live[J]));
       }
       T = std::move(Live[Keep]);
     }
@@ -337,22 +238,17 @@ private:
   /// One result buffer per worker; merged after quiescence. Indexed by
   /// worker id, so no locking.
   std::vector<std::vector<std::pair<PathId, TraceResult<St>>>> LocalResults;
-  /// One RandomPath generator state per worker (exclusive access by that
-  /// worker; seeded deterministically from SOpts.Seed).
-  std::vector<uint64_t> RngStates;
 };
 
-/// Entry point used by the test runner and benches: dispatches between
-/// the classic sequential worklist (bit-identical results, including
-/// order) and the strategy-aware scheduler, per \p I's SchedulerOptions
-/// (a non-default SelectionStrategy engages the scheduler even at one
-/// worker).
+/// Entry point used by the test runner and benches: one worker runs the
+/// classic sequential worklist (bit-identical results, including order),
+/// more run the work-stealing scheduler.
 template <StateModel St>
 Result<std::vector<TraceResult<St>>>
 runExploration(Interpreter<St> &I, InternedString Entry,
                typename St::ValueT Arg, St Init) {
   const SchedulerOptions &S = I.options().Scheduler;
-  if (!S.parallel())
+  if (S.Workers <= 1)
     return I.run(Entry, std::move(Arg), std::move(Init));
   Result<typename Interpreter<St>::Config> Start =
       I.makeInitialConfig(Entry, std::move(Arg), std::move(Init));

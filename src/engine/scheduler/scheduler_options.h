@@ -15,61 +15,8 @@
 #define GILLIAN_ENGINE_SCHEDULER_SCHEDULER_OPTIONS_H
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace gillian {
-
-/// Which configuration a worker explores next — the engine-level search
-/// strategy, a first-class swappable component as in the Gillian and
-/// Soteria platform papers. The strategy owns the per-worker frontier
-/// container (engine/scheduler/frontier.h): what push/pop/steal mean is
-/// defined per strategy.
-enum class SelectionStrategy : uint8_t {
-  /// Depth-first with oldest-first steals: each worker's frontier is a
-  /// deque (LIFO pop for locality, FIFO steal of the shallowest forks).
-  /// The default, bit-identical to the pre-strategy scheduler.
-  OldestFirst,
-  /// KLEE-style random-path selection: pop and steal pick uniformly at
-  /// random from the frontier, from a deterministic per-worker generator
-  /// seeded by SchedulerOptions::Seed — runs are reproducible.
-  RandomPath,
-  /// Priority by estimated remaining subtree size: shallow branch traces
-  /// with plenty of loop budget left head the largest unexplored
-  /// subtrees and are picked (and stolen) first.
-  SubtreeSize,
-  /// Coverage-guided: configurations whose next reachable IfGoto outcome
-  /// is still uncovered (per obs::BranchCoverage, fed live by the
-  /// interpreter) are boosted ahead of everything else; ties fall back to
-  /// the subtree-size estimate. Requires obs coverage (on by default).
-  CoverageGuided,
-};
-
-/// Stable lower-case names used by --strategy=, bench JSON and /metrics.
-constexpr const char *strategyName(SelectionStrategy S) {
-  switch (S) {
-  case SelectionStrategy::OldestFirst: return "oldest";
-  case SelectionStrategy::RandomPath: return "random";
-  case SelectionStrategy::SubtreeSize: return "subtree";
-  case SelectionStrategy::CoverageGuided: return "coverage";
-  }
-  return "oldest";
-}
-
-/// Parses a strategy name as accepted by --strategy= (the strategyName()
-/// spellings plus a few aliases); nullopt on anything else.
-inline std::optional<SelectionStrategy>
-parseStrategy(std::string_view Name) {
-  if (Name == "oldest" || Name == "dfs" || Name == "oldest-first")
-    return SelectionStrategy::OldestFirst;
-  if (Name == "random" || Name == "random-path")
-    return SelectionStrategy::RandomPath;
-  if (Name == "subtree" || Name == "subtree-size")
-    return SelectionStrategy::SubtreeSize;
-  if (Name == "coverage" || Name == "coverage-guided")
-    return SelectionStrategy::CoverageGuided;
-  return std::nullopt;
-}
 
 struct SchedulerOptions {
   /// Number of exploration workers. 1 (the default) runs the classic
@@ -78,41 +25,6 @@ struct SchedulerOptions {
   /// configurations on a work-stealing pool of N threads and merges
   /// results in branch-trace order (deterministic, schedule-independent).
   uint32_t Workers = 1;
-
-  /// How many configurations a thief moves from a victim's frontier per
-  /// steal: the first is executed immediately, the rest seed the thief's
-  /// own frontier so it does not come back for every configuration of a
-  /// freshly forked subtree.
-  uint32_t StealBatch = 4;
-
-  /// With Workers <= 1, run the worklist inline on the calling thread
-  /// (no pool, no result re-ordering) instead of a one-worker pool.
-  /// Disable only to exercise the pool machinery itself in tests.
-  bool SequentialFallback = true;
-
-  /// Path-selection strategy. Every strategy yields the same *set* of
-  /// outcomes and the same branch-trace-sorted result sequence (the
-  /// exploration is exhaustive and the merge order is strategy-
-  /// independent); what changes is the order paths are *discovered* in,
-  /// which matters under budgets (MaxPaths/MaxSteps) and for
-  /// time-to-first-bug / time-to-full-coverage. A non-default strategy
-  /// engages the strategy-aware scheduler even at Workers = 1.
-  SelectionStrategy Strategy = SelectionStrategy::OldestFirst;
-
-  /// Seed of the deterministic per-worker generators used by RandomPath
-  /// (mixed with the worker index). Same options => same exploration
-  /// order at Workers = 1; at higher worker counts the steal schedule
-  /// still races, but the outcome set does not depend on it.
-  uint64_t Seed = 0x9E3779B97F4A7C15ull;
-
-  /// True when this configuration runs the strategy-aware scheduler
-  /// (thread pool + frontiers) rather than the inline sequential
-  /// worklist. Any non-default strategy needs the frontier machinery, so
-  /// it forces the scheduler on even for one worker.
-  bool parallel() const {
-    return Workers > 1 || !SequentialFallback ||
-           Strategy != SelectionStrategy::OldestFirst;
-  }
 };
 
 } // namespace gillian

@@ -10,17 +10,14 @@
 /// after a branch point produces *path-disjoint* configurations; each is a
 /// task, and stepping a task may spawn more tasks (its branch successors).
 ///
-/// Topology: one strategy-owned frontier per worker (engine/scheduler/
-/// frontier.h) plus a global injection queue for roots. What push, pop and
-/// steal mean is a property of the SelectionStrategy: the OldestFirst
-/// default is the classic LIFO-pop / FIFO-steal deque (a worker pops its
-/// newest fork for depth-first locality; thieves take the oldest —
-/// shallowest — forks, which head the largest untapped subtrees), while
-/// the random/priority strategies pick per their own rules. Steals move up
-/// to `StealBatch` configurations so a thief seeds itself instead of
-/// returning for every successor; the batch is adaptive — it halves while
-/// the victim's frontier is shorter than it (see stealCount), so a
-/// nearly-drained victim is not stripped bare. Frontiers are mutex-striped
+/// Topology: one mutex-striped deque per worker plus a global injection
+/// queue for roots. A worker pops its own deque LIFO (its newest fork:
+/// depth-first locality, bounded frontier); thieves take FIFO (the oldest,
+/// shallowest forks, which head the largest untapped subtrees). Steals
+/// move up to `TasksPerSteal` configurations so a thief seeds itself instead
+/// of returning for every successor; the batch is adaptive — it halves
+/// while the victim's deque is shorter than it (see stealCount), so a
+/// nearly-drained victim is not stripped bare. Deques are mutex-striped
 /// rather than lock-free: exploration tasks are heavyweight (each step
 /// runs solver queries), so queue transfer cost is noise — predictable
 /// correctness wins.
@@ -29,20 +26,20 @@
 /// incremented before a task becomes visible and decremented only after
 /// its body (including any spawns) completes, so it can only reach zero
 /// when no task exists or can ever exist again. Idle workers sleep on a
-/// condition variable versioned by a work epoch — the epoch is read before
-/// scanning and bumped under the same mutex by every push, which makes the
-/// classic scan/sleep lost-wakeup race impossible. Every newly visible
-/// task wakes a peer, and a surplus of more than one (batch steals, burst
-/// injection) wakes everyone: a single notify_one for k new tasks used to
-/// leave k-1 sleepers parked until the next epoch bump.
+/// condition variable whose predicate (work epoch changed, or Pending is
+/// zero) is read under `IdleMu`; every change a sleeper waits for — an
+/// epoch bump by a push, or the final decrement to zero — is signalled
+/// while holding `IdleMu`, so no worker can check the predicate, miss the
+/// change and then block. Every newly visible task wakes a peer, and a
+/// surplus of more than one (batch steals, burst injection) wakes
+/// everyone: a single notify_one for k new tasks used to leave k-1
+/// sleepers parked until the next epoch bump.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GILLIAN_ENGINE_SCHEDULER_THREAD_POOL_H
 #define GILLIAN_ENGINE_SCHEDULER_THREAD_POOL_H
 
-#include "engine/scheduler/frontier.h"
-#include "engine/scheduler/scheduler_options.h"
 #include "obs/progress.h"
 #include "obs/sched_counters.h"
 #include "obs/trace_ring.h"
@@ -58,17 +55,19 @@
 
 namespace gillian {
 
+/// How many tasks a thief moves from a victim's deque per steal: the first
+/// is executed immediately, the rest seed the thief's own deque so it does
+/// not come back for every configuration of a freshly forked subtree.
+inline constexpr size_t TasksPerSteal = 4;
+
 template <typename Task> class ThreadPool {
 public:
   /// Handle passed to the task body: identifies the executing worker and
-  /// lets the body spawn successor tasks onto that worker's own frontier,
-  /// with the strategy priority the caller computed for them.
+  /// lets the body spawn successor tasks onto that worker's own deque.
   class Worker {
   public:
     size_t index() const { return Idx; }
-    void spawn(Task T, uint64_t Priority = 0) {
-      Pool.pushLocal(Idx, std::move(T), Priority);
-    }
+    void spawn(Task T) { Pool.pushLocal(Idx, std::move(T)); }
 
   private:
     friend class ThreadPool;
@@ -77,21 +76,14 @@ public:
     size_t Idx;
   };
 
-  ThreadPool(size_t NumWorkers, size_t StealBatch,
-             SelectionStrategy Strategy = SelectionStrategy::OldestFirst,
-             uint64_t Seed = 0)
-      : Workers_(NumWorkers ? NumWorkers : 1),
-        StealBatch(StealBatch ? StealBatch : 1) {
-    for (size_t I = 0; I < Workers_; ++I)
-      Frontiers.emplace_back(Strategy, mixSeed(Seed, I));
+  explicit ThreadPool(size_t NumWorkers)
+      : Workers_(NumWorkers ? NumWorkers : 1), Queues(Workers_) {
     // Publish the pool shape for the live-introspection gauges. One pool
     // is live at a time (explore() constructs, runs, destroys), so the
     // process-wide gauges describe "the" pool.
     obs::SchedCounters &SC = obs::schedCounters();
     SC.PoolWorkers.set(workers());
-    SC.Strategy.set(static_cast<uint64_t>(Strategy));
     SC.FrontierSize.set(0); // fresh pool: mirror of Pending restarts at 0
-    obs::setScheduleStrategyLabel(strategyName(Strategy));
     obs::WorkerDepthGauges::instance().configure(
         static_cast<uint32_t>(workers()));
   }
@@ -101,15 +93,15 @@ public:
 
   size_t workers() const { return Workers_; }
 
-  /// Tasks a thief takes from a victim whose frontier holds \p QueueLen
-  /// tasks, with configured batch \p Batch: the batch halves while it
-  /// exceeds the victim's queue (adaptive — a short frontier is not
-  /// stolen bare, leaving the victim its local work), and the result is
-  /// clamped to the queue length. Static so the clamp is unit-testable.
-  static size_t stealCount(size_t QueueLen, size_t Batch) {
+  /// Tasks a thief takes from a victim whose deque holds \p QueueLen
+  /// tasks: TasksPerSteal, halved while it exceeds the victim's queue
+  /// (adaptive — a short deque is not stolen bare, leaving the victim its
+  /// local work), and clamped to the queue length. Static so the clamp is
+  /// unit-testable.
+  static size_t stealCount(size_t QueueLen) {
     if (QueueLen == 0)
       return 0;
-    size_t B = Batch ? Batch : 1;
+    size_t B = TasksPerSteal;
     while (B > 1 && QueueLen < B)
       B /= 2;
     return B < QueueLen ? B : QueueLen;
@@ -141,37 +133,34 @@ public:
   }
 
 private:
-  using Entry = typename Frontier<Task>::Entry;
-
-  struct GlobalQueue {
+  /// A deque plus its stripe lock, cache-line padded so two workers' hot
+  /// locks do not false-share.
+  struct alignas(64) LockedQueue {
     std::mutex Mu;
     std::deque<Task> Q;
   };
-  /// A worker's frontier plus its stripe lock, cache-line padded so two
-  /// workers' hot locks do not false-share.
-  struct alignas(64) WorkerFrontier {
-    WorkerFrontier(SelectionStrategy S, uint64_t Seed) : F(S, Seed) {}
-    std::mutex Mu;
-    Frontier<Task> F;
-  };
 
-  void pushLocal(size_t Idx, Task T, uint64_t Pri) {
+  void pushLocal(size_t Idx, Task T) {
     Pending.fetch_add(1, std::memory_order_acq_rel);
     obs::schedCounters().FrontierSize.add(1);
     ++obs::schedCounters().TasksSpawned;
     {
-      std::lock_guard<std::mutex> Lock(Frontiers[Idx].Mu);
-      Frontiers[Idx].F.push(std::move(T), Pri);
-      obs::WorkerDepthGauges::instance().set(Idx, Frontiers[Idx].F.size());
+      std::lock_guard<std::mutex> Lock(Queues[Idx].Mu);
+      Queues[Idx].Q.push_back(std::move(T));
+      obs::WorkerDepthGauges::instance().set(Idx, Queues[Idx].Q.size());
     }
     signalWork(1);
   }
 
+  /// LIFO: the worker's newest fork, for depth-first locality.
   std::optional<Task> popLocal(size_t Idx) {
-    std::lock_guard<std::mutex> Lock(Frontiers[Idx].Mu);
-    std::optional<Task> T = Frontiers[Idx].F.pop();
-    if (T)
-      obs::WorkerDepthGauges::instance().set(Idx, Frontiers[Idx].F.size());
+    std::lock_guard<std::mutex> Lock(Queues[Idx].Mu);
+    std::deque<Task> &Q = Queues[Idx].Q;
+    if (Q.empty())
+      return std::nullopt;
+    Task T = std::move(Q.back());
+    Q.pop_back();
+    obs::WorkerDepthGauges::instance().set(Idx, Q.size());
     return T;
   }
 
@@ -184,25 +173,26 @@ private:
     return T;
   }
 
-  /// Scans the other workers' frontiers round-robin from our right-hand
-  /// neighbour; takes up to stealCount(len, StealBatch) tasks from the
-  /// first non-empty victim, with *which* tasks defined by the strategy
-  /// (oldest for the DFS deque, random picks, or the top of the priority
-  /// heap). The first stolen task is returned for execution, the rest
-  /// land on our own frontier with their priorities preserved.
+  /// Scans the other workers' deques round-robin from our right-hand
+  /// neighbour; takes the stealCount(len) oldest tasks (FIFO) of the
+  /// first non-empty victim. The first stolen task is returned for
+  /// execution, the rest land on our own deque.
   std::optional<Task> steal(size_t Idx) {
     size_t N = workers();
     for (size_t Off = 1; Off < N; ++Off) {
       size_t Victim = (Idx + Off) % N;
-      std::vector<Entry> Batch;
+      std::vector<Task> Batch;
       size_t VictimDepth = 0;
       {
-        std::lock_guard<std::mutex> Lock(Frontiers[Victim].Mu);
-        Frontier<Task> &F = Frontiers[Victim].F;
-        VictimDepth = F.size();
-        F.stealInto(stealCount(F.size(), StealBatch), Batch);
+        std::lock_guard<std::mutex> Lock(Queues[Victim].Mu);
+        std::deque<Task> &Q = Queues[Victim].Q;
+        VictimDepth = Q.size();
+        for (size_t K = stealCount(Q.size()); K > 0; --K) {
+          Batch.push_back(std::move(Q.front()));
+          Q.pop_front();
+        }
         if (!Batch.empty())
-          obs::WorkerDepthGauges::instance().set(Victim, F.size());
+          obs::WorkerDepthGauges::instance().set(Victim, Q.size());
       }
       if (Batch.empty())
         continue;
@@ -215,19 +205,18 @@ private:
                                  VictimDepth);
       if (Batch.size() > 1) {
         {
-          std::lock_guard<std::mutex> Lock(Frontiers[Idx].Mu);
+          std::lock_guard<std::mutex> Lock(Queues[Idx].Mu);
           for (size_t K = 1; K < Batch.size(); ++K)
-            Frontiers[Idx].F.push(std::move(Batch[K].T), Batch[K].Pri);
-          obs::WorkerDepthGauges::instance().set(Idx,
-                                                 Frontiers[Idx].F.size());
+            Queues[Idx].Q.push_back(std::move(Batch[K]));
+          obs::WorkerDepthGauges::instance().set(Idx, Queues[Idx].Q.size());
         }
-        // The surplus is now visible in our frontier: wake enough peers
-        // to drain it. A single notify_one here used to park the other
+        // The surplus is now visible in our deque: wake enough peers to
+        // drain it. A single notify_one here used to park the other
         // sleepers until the next epoch bump — lost parallelism after
         // every batch steal.
         signalWork(Batch.size() - 1);
       }
-      return std::move(Batch.front().T);
+      return std::move(Batch.front());
     }
     return std::nullopt;
   }
@@ -270,8 +259,14 @@ private:
         // stale frontier sizes to /progress and /metrics.
         uint64_t Before = Pending.fetch_sub(1, std::memory_order_acq_rel);
         obs::schedCounters().FrontierSize.sub(1);
-        if (Before == 1)
+        if (Before == 1) {
+          // Notify under IdleMu: a peer that read Pending != 0 in its
+          // wait predicate still holds IdleMu until it blocks, so taking
+          // the lock here orders this wakeup after that peer is asleep.
+          // Without it the peer could miss the notify and sleep forever.
+          std::lock_guard<std::mutex> Lock(IdleMu);
           IdleCv.notify_all();
+        }
         continue;
       }
       std::unique_lock<std::mutex> Lock(IdleMu);
@@ -285,11 +280,8 @@ private:
   }
 
   size_t Workers_;
-  /// deque, not vector: WorkerFrontier holds a mutex (immovable), and
-  /// deque::emplace_back constructs in place without requiring moves.
-  std::deque<WorkerFrontier> Frontiers;
-  GlobalQueue Global; ///< injection queue (roots)
-  size_t StealBatch;
+  std::vector<LockedQueue> Queues; ///< one per worker, sized once
+  LockedQueue Global;              ///< injection queue (roots)
   /// Tasks queued or executing; zero <=> quiescent.
   std::atomic<uint64_t> Pending{0};
   std::mutex IdleMu;

@@ -404,16 +404,19 @@ bool readEntry(std::istream &In, const std::string &Header, SummaryKey &K,
             Colon == std::string::npos ? Colon : Ev.find(':', Colon + 1);
         if (Colon == std::string::npos || Colon2 == std::string::npos)
           return false;
+        // Named, not temporaries: End points into them when checked.
+        const std::string CmdIdxS = Ev.substr(0, Colon);
+        const std::string BitsS = Ev.substr(Colon + 1, Colon2 - Colon - 1);
+        const std::string CmdsAtS = Ev.substr(Colon2 + 1);
         SummaryCovEvent CE;
-        CE.CmdIdx = static_cast<uint32_t>(
-            std::strtoul(Ev.substr(0, Colon).c_str(), &End, 10));
+        CE.CmdIdx =
+            static_cast<uint32_t>(std::strtoul(CmdIdxS.c_str(), &End, 10));
         if (!End || *End)
           return false;
-        CE.Bits = static_cast<uint32_t>(std::strtoul(
-            Ev.substr(Colon + 1, Colon2 - Colon - 1).c_str(), &End, 10));
+        CE.Bits = static_cast<uint32_t>(std::strtoul(BitsS.c_str(), &End, 10));
         if (!End || *End)
           return false;
-        CE.CmdsAt = std::strtoull(Ev.substr(Colon2 + 1).c_str(), &End, 10);
+        CE.CmdsAt = std::strtoull(CmdsAtS.c_str(), &End, 10);
         if (!End || *End)
           return false;
         N.Cov.push_back(CE);

@@ -27,17 +27,6 @@ void BranchCoverage::recordImpl(uint32_t ProcId, uint32_t CmdIdx,
   S.Procs[ProcId].Mask[CmdIdx] |= Bits;
 }
 
-uint8_t BranchCoverage::coveredBits(uint32_t ProcId,
-                                    uint32_t CmdIdx) const {
-  const Shard &S = shardFor(ProcId);
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  auto PIt = S.Procs.find(ProcId);
-  if (PIt == S.Procs.end())
-    return 0;
-  auto MIt = PIt->second.Mask.find(CmdIdx);
-  return MIt == PIt->second.Mask.end() ? 0 : MIt->second;
-}
-
 std::vector<BranchCoverage::ProcCoverage> BranchCoverage::snapshot() const {
   std::vector<ProcCoverage> Out;
   for (const Shard &S : Shards) {

@@ -66,18 +66,6 @@ public:
     instance().recordImpl(ProcId, CmdIdx, Bits);
   }
 
-  /// Outcome bits recorded so far at site (\p ProcId, \p CmdIdx): 0,
-  /// BranchFalseBit, BranchTrueBit, or their union. One shard-mutex
-  /// acquisition and a hash lookup — cheap enough for the coverage-guided
-  /// selection strategy to score every spawned configuration with it.
-  uint8_t coveredBits(uint32_t ProcId, uint32_t CmdIdx) const;
-
-  /// True when some outcome of the site is still uncovered (including
-  /// sites never recorded at all).
-  bool hasUncoveredOutcome(uint32_t ProcId, uint32_t CmdIdx) const {
-    return coveredBits(ProcId, CmdIdx) != (BranchFalseBit | BranchTrueBit);
-  }
-
   /// One procedure's coverage snapshot.
   struct ProcCoverage {
     std::string Proc;
@@ -116,9 +104,6 @@ private:
   Shard &shardFor(uint32_t ProcId) {
     return Shards[(static_cast<uint64_t>(ProcId) * 0x9E3779B97F4A7C15ull) >>
                   60];
-  }
-  const Shard &shardFor(uint32_t ProcId) const {
-    return const_cast<BranchCoverage *>(this)->shardFor(ProcId);
   }
 
   static constexpr size_t NumShards = 16;

@@ -47,7 +47,7 @@ bool writeChromeTrace(const std::string &Path);
 /// GILLIAN_TRACE_OUT=path: enables the flight recorder now and registers
 /// an atexit writer for the chrome trace — the env-var twin of the bench
 /// drivers' --trace-out=, for processes without a CLI (ctest suite runs,
-/// like GILLIAN_SERVE / GILLIAN_STRATEGY). Checked once per process.
+/// like GILLIAN_SERVE). Checked once per process.
 void maybeEnableEnvTrace();
 
 /// The unified observability object: {"spans":{...},"actions":{...},

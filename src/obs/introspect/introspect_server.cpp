@@ -78,12 +78,6 @@ std::string gillian::obs::metricsExposition() {
   // Execution journal self-accounting (DESIGN.md §4i).
   counterSetInto(W, journal::journalStats());
 
-  // The active path-selection strategy, info-metric style: the numeric
-  // gillian_scheduler_strategy gauge above carries the enum value; this
-  // series carries the human-readable name as a label, value always 1.
-  W.gauge("gillian_scheduler_strategy_info", uint64_t(1),
-          {{"strategy", scheduleStrategyLabel()}});
-
   // Per-worker deque depths — a dynamic gauge family.
   WorkerDepthGauges &D = WorkerDepthGauges::instance();
   uint32_t Tracked = D.tracked();
@@ -157,7 +151,6 @@ std::string gillian::obs::progressJson(RateTracker &Rates) {
   W.field("tests_started", P.TestsStarted.load());
   W.field("frontier_size", Sched.FrontierSize.load());
   W.field("pool_workers", Sched.PoolWorkers.load());
-  W.field("strategy", scheduleStrategyLabel());
   W.key("workers");
   W.beginArray();
   uint32_t Tracked = D.tracked();

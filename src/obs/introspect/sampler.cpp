@@ -88,7 +88,6 @@ void HeartbeatSampler::writeLine(const Snapshot &Prev, const Snapshot &Now) {
   W.field("window_ms", metricsWindowMs());
   W.field("frontier_size", Sched.FrontierSize.load());
   W.field("pool_workers", Sched.PoolWorkers.load());
-  W.field("strategy", scheduleStrategyLabel());
   W.key("workers");
   W.beginArray();
   uint32_t Tracked = D.tracked();

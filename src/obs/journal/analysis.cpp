@@ -312,8 +312,7 @@ std::string renderEvent(const JournalData &D, const Event &E) {
     return Out + siteOf(D, E) + "  summary replay (" +
            (E.A ? "hit" : "recorded") + ")";
   case EventKind::Spawn:
-    return Out + siteOf(D, E) + "  spawned to frontier (priority " +
-           std::to_string(E.Aux) + ")";
+    return Out + siteOf(D, E) + "  spawned to frontier";
   case EventKind::PathEnd:
     Out += siteOf(D, E) + "  end " + pathOutcomeName(E.A);
     if (E.B)
@@ -701,7 +700,7 @@ std::string canonicalTreeSignature(const JournalData &D) {
         Out += "S " + std::to_string(E.Step) + " " + siteOf(D, E) + "\n";
         break;
       case EventKind::Spawn:
-        break; // frontier membership is strategy-dependent
+        break; // frontier membership is schedule-dependent
       case EventKind::PathEnd:
         Out += "E " + std::to_string(E.Step) + " " +
                pathOutcomeName(E.A) + " " +

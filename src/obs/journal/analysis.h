@@ -9,11 +9,11 @@
 /// reconstruction with wall/solver/prune rollups along edges, per-path
 /// provenance replay (`gillian-inspect why`), branch-trace-aligned run
 /// diffing (`gillian-inspect diff`), and the canonical tree signature the
-/// invariance property test compares across worker counts and strategies.
+/// invariance property test compares across worker counts.
 ///
 /// Nodes are aligned across runs by *branch trace* — the sequence of
 /// production indices from the root — which the scheduler guarantees is
-/// worker- and strategy-invariant, not by the run-dependent node ids.
+/// worker-count invariant, not by the run-dependent node ids.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,9 +89,9 @@ std::string diffJson(const JournalData &A, const JournalData &B, size_t Top);
 /// allocation (= test) order, children in branch-index order, per-node
 /// events canonicalised to their semantic content (site, side, taken,
 /// PC delta, action, outcome, step) — excluding the run-dependent fields
-/// (node ids, verdict layer, wall time, spawn priorities, summary
-/// hit/miss). Two runs of the same suites produce equal signatures at any
-/// worker count and strategy; the invariance test pins this down.
+/// (node ids, verdict layer, wall time, spawns, summary hit/miss). Two
+/// runs of the same suites produce equal signatures at any worker count;
+/// the invariance test pins this down.
 std::string canonicalTreeSignature(const JournalData &D);
 
 } // namespace gillian::obs::journal

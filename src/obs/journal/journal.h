@@ -10,8 +10,8 @@
 /// journal keeps every event of a run: one compact record per branch
 /// decision (site, taken/pruned side, PC-conjunct delta, solver verdict
 /// and the layer that decided it, solver wall), per memory action, per
-/// summary replay splice, per frontier spawn (with the strategy priority),
-/// and per path termination (outcome, budget kind, cumulative steps).
+/// summary replay splice, per frontier spawn, and per path termination
+/// (outcome, budget kind, cumulative steps).
 ///
 /// Storage is per-thread chunked append: the emitting thread writes the
 /// event slot and then publishes it with one release store of the chunk
@@ -50,7 +50,7 @@ enum class EventKind : uint8_t {
   Branch = 1,  ///< one side of a branch decision (IfGoto / action / replay)
   Action = 2,  ///< one memory-action execution
   Summary = 3, ///< a summary-cache consult that armed a replay
-  Spawn = 4,   ///< a successor handed to the frontier, with its priority
+  Spawn = 4,   ///< a successor handed to the frontier
   PathEnd = 5, ///< a path termination (outcome + budget kind)
 };
 
@@ -106,7 +106,7 @@ const char *pathOutcomeName(uint8_t K);
 ///   Branch   parent id   child id or 0   solver ns decision site PC delta side idx   taken    verdict<<4|layer
 ///   Action   node id     child base or 0 0         action site   act name n branches n errors 0
 ///   Summary  node id     0               0         call site     0        hit        0        0
-///   Spawn    node id     priority        0         current site  0        0          0        0
+///   Spawn    node id     0               0         current site  0        0          0        0
 ///   PathEnd  node id     0               0         end site      0        outcome    budget   0
 ///
 /// Proc (and X of Action events) hold interned-string ids in the live
@@ -245,11 +245,10 @@ inline void emitSummary(uint64_t Path, uint32_t Step, uint32_t Proc,
 }
 
 inline void emitSpawn(uint64_t Path, uint32_t Step, uint32_t Proc,
-                      uint32_t Cmd, uint64_t Priority) {
+                      uint32_t Cmd) {
   Event E;
   E.Kind = static_cast<uint8_t>(EventKind::Spawn);
   E.Path = Path;
-  E.Aux = Priority;
   E.Step = Step;
   E.Proc = Proc;
   E.Cmd = Cmd;

@@ -44,31 +44,12 @@ struct SchedCounters : CounterSet<SchedCounters> {
   Gauge FrontierSize{*this, "frontier_size", "scheduler"};
   /// Sampled worker count of the live (or last) pool.
   Gauge PoolWorkers{*this, "pool_workers", "scheduler"};
-  /// Numeric SelectionStrategy id of the live (or last) pool; the
-  /// human-readable name is published via scheduleStrategyLabel().
-  Gauge Strategy{*this, "strategy", "scheduler"};
 };
 
 /// The process-wide instance the thread pool records into.
 inline SchedCounters &schedCounters() {
   static SchedCounters C;
   return C;
-}
-
-/// The human-readable selection-strategy name of the live (or last)
-/// exploration pool — a pointer to a string literal, so a relaxed atomic
-/// pointer is a safe process-wide slot. Set by the pool constructor (the
-/// engine layer owns the strategy names; obs only republishes the label
-/// on /metrics and /progress).
-inline std::atomic<const char *> &scheduleStrategyLabelSlot() {
-  static std::atomic<const char *> L{"oldest"};
-  return L;
-}
-inline void setScheduleStrategyLabel(const char *Name) {
-  scheduleStrategyLabelSlot().store(Name, std::memory_order_relaxed);
-}
-inline const char *scheduleStrategyLabel() {
-  return scheduleStrategyLabelSlot().load(std::memory_order_relaxed);
 }
 
 } // namespace gillian::obs

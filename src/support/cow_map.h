@@ -14,9 +14,8 @@
 #ifndef GILLIAN_SUPPORT_COW_MAP_H
 #define GILLIAN_SUPPORT_COW_MAP_H
 
-#include <cassert>
+#include <ext/atomicity.h>
 #include <map>
-#include <memory>
 #include <utility>
 
 namespace gillian {
@@ -26,30 +25,57 @@ namespace gillian {
 /// Reads never copy. The first mutation after a copy clones the underlying
 /// std::map; subsequent mutations on the same (unshared) instance are as
 /// cheap as on a plain std::map.
+///
+/// Copies may live on different threads (exploration workers share
+/// branch-forked states). A writer that finds itself the sole owner
+/// mutates in place, so it reads the reference count with acquire
+/// ordering: a former co-owner may have been copying the map until its
+/// release decrement, and that copy must happen-before the write.
+/// shared_ptr::use_count() is a relaxed load and gives no such ordering,
+/// hence the count is kept here. It is updated with the primitives
+/// libstdc++'s shared_ptr uses — plain arithmetic while the process has
+/// one thread, acq_rel read-modify-writes once it has more — so copies
+/// cost what they cost with shared_ptr.
 template <typename K, typename V, typename Cmp = std::less<K>> class CowMap {
   using MapT = std::map<K, V, Cmp>;
+
+  struct Rep {
+    Rep() = default;
+    explicit Rep(const MapT &M) : Map(M) {}
+    _Atomic_word Refs = 1;
+    MapT Map;
+  };
 
 public:
   using const_iterator = typename MapT::const_iterator;
   using value_type = typename MapT::value_type;
 
-  CowMap() : Impl(std::make_shared<MapT>()) {}
+  CowMap() : R(new Rep) {}
+  CowMap(const CowMap &O) : R(O.R) {
+    __gnu_cxx::__atomic_add_dispatch(&R->Refs, 1);
+  }
+  CowMap(CowMap &&O) noexcept : R(std::exchange(O.R, nullptr)) {}
+  CowMap &operator=(CowMap O) noexcept {
+    std::swap(R, O.R);
+    return *this;
+  }
+  ~CowMap() { release(); }
 
   /// Returns the value bound to \p Key, or null if absent. The pointer is
   /// invalidated by any mutation of this map.
   const V *lookup(const K &Key) const {
-    auto It = Impl->find(Key);
-    return It == Impl->end() ? nullptr : &It->second;
+    auto It = R->Map.find(Key);
+    return It == R->Map.end() ? nullptr : &It->second;
   }
 
-  bool contains(const K &Key) const { return Impl->count(Key) != 0; }
-  size_t size() const { return Impl->size(); }
-  bool empty() const { return Impl->empty(); }
+  bool contains(const K &Key) const { return R->Map.count(Key) != 0; }
+  size_t size() const { return R->Map.size(); }
+  bool empty() const { return R->Map.empty(); }
 
   /// Binds \p Key to \p Val, overwriting any previous binding.
   void set(const K &Key, V Val) {
     detach();
-    (*Impl)[Key] = std::move(Val);
+    R->Map[Key] = std::move(Val);
   }
 
   /// Removes the binding for \p Key if present; returns whether it was.
@@ -57,31 +83,41 @@ public:
     if (!contains(Key))
       return false;
     detach();
-    Impl->erase(Key);
+    R->Map.erase(Key);
     return true;
   }
 
-  void clear() { Impl = std::make_shared<MapT>(); }
+  void clear() { *this = CowMap(); }
 
-  const_iterator begin() const { return Impl->begin(); }
-  const_iterator end() const { return Impl->end(); }
+  const_iterator begin() const { return R->Map.begin(); }
+  const_iterator end() const { return R->Map.end(); }
 
   /// Structural equality (element-wise); fast path when storage is shared.
   friend bool operator==(const CowMap &A, const CowMap &B) {
-    return A.Impl == B.Impl || *A.Impl == *B.Impl;
+    return A.R == B.R || A.R->Map == B.R->Map;
   }
 
   /// True if this instance currently shares storage with another copy.
   /// Exposed for tests of the copy-on-write behaviour.
-  bool sharesStorage() const { return Impl.use_count() > 1; }
-
-private:
-  void detach() {
-    if (Impl.use_count() > 1)
-      Impl = std::make_shared<MapT>(*Impl);
+  bool sharesStorage() const {
+    return __atomic_load_n(&R->Refs, __ATOMIC_RELAXED) > 1;
   }
 
-  std::shared_ptr<MapT> Impl;
+private:
+  void release() {
+    if (R && __gnu_cxx::__exchange_and_add_dispatch(&R->Refs, -1) == 1)
+      delete R;
+  }
+
+  void detach() {
+    if (__atomic_load_n(&R->Refs, __ATOMIC_ACQUIRE) == 1)
+      return;
+    Rep *Copy = new Rep(R->Map);
+    release();
+    R = Copy;
+  }
+
+  Rep *R; ///< never null except in a moved-from map
 };
 
 } // namespace gillian

@@ -15,7 +15,6 @@
 #ifndef GILLIAN_TARGETS_SUITE_RUNNER_H
 #define GILLIAN_TARGETS_SUITE_RUNNER_H
 
-#include "engine/scheduler/scheduler_options.h"
 #include "engine/test_runner.h"
 #include "obs/exporters.h"
 #include "obs/introspect/introspect_server.h"
@@ -24,8 +23,6 @@
 #include "obs/trace_ring.h"
 #include "solver/solver_cache.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -72,19 +69,6 @@ SuiteResult runSuite(std::string_view Name, const Prog &P,
   // GILLIAN_JOURNAL=path likewise enables the lossless execution journal
   // and writes the binary journal file at process exit.
   obs::journal::maybeEnableEnvJournal();
-  // GILLIAN_STRATEGY=oldest|random|subtree|coverage overrides the
-  // exploration order the same way — e.g. running the whole ctest tier
-  // under a non-default strategy without recompiling.
-  EngineOptions EOpts = Opts;
-  if (const char *Env = std::getenv("GILLIAN_STRATEGY")) {
-    if (auto S = parseStrategy(Env))
-      EOpts.Scheduler.Strategy = *S;
-    else
-      std::fprintf(stderr,
-                   "[suite] ignoring unknown GILLIAN_STRATEGY=%s "
-                   "(want oldest|random|subtree|coverage)\n",
-                   Env);
-  }
   // The query cache is the process-wide shared instance: canonical path
   // conditions are program-independent facts, so warm re-runs of a suite
   // (and parallel workers within one) reuse each other's verdicts. Tests
@@ -99,7 +83,7 @@ SuiteResult runSuite(std::string_view Name, const Prog &P,
     obs::counterSetInto(W, Slv.stats(), L);
   });
   for (const std::string &T : testProcs(P)) {
-    SymbolicTestResult TR = runSymbolicTest<M>(P, T, EOpts, Slv);
+    SymbolicTestResult TR = runSymbolicTest<M>(P, T, Opts, Slv);
     ++R.Tests;
     R.GilCmds += TR.Stats.CmdsExecuted;
     R.PathsExplored += TR.Stats.PathsFinished + TR.Stats.PathsErrored +

@@ -1,16 +1,16 @@
 //===- tests/engine/scheduler_test.cpp ------------------------------------===//
 //
 // The parallel exploration scheduler: the work-stealing pool executes
-// every injected and spawned task exactly once; Workers = 1 dispatches to
-// the sequential worklist (bit-identical results, including order); the
-// pool-driven modes produce the same outcomes in a deterministic,
+// every injected and spawned task exactly once, owners pop newest-first
+// and thieves steal oldest-first, and it always quiesces; Workers = 1
+// dispatches to the sequential worklist (bit-identical results, including
+// order); the pool produces the same outcomes in a deterministic,
 // schedule-independent order at every worker count; and engine/solver
 // counters are schedule-independent modulo cache-hit attribution.
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/scheduler/exploration_scheduler.h"
-#include "engine/scheduler/frontier.h"
 #include "engine/scheduler/thread_pool.h"
 
 #include "engine/test_runner.h"
@@ -39,7 +39,7 @@ namespace {
 //===----------------------------------------------------------------------===//
 
 TEST(ThreadPool, ExecutesEveryInjectedTask) {
-  ThreadPool<int> Pool(4, 4);
+  ThreadPool<int> Pool(4);
   std::atomic<int> Sum{0};
   for (int I = 1; I <= 100; ++I)
     Pool.inject(I);
@@ -53,7 +53,7 @@ TEST(ThreadPool, SpawnedTasksAllComplete) {
   // Each task of depth d spawns two of depth d-1: a binary tree of
   // 2^(D+1) - 1 tasks from one root, all discovered dynamically.
   constexpr int D = 10;
-  ThreadPool<int> Pool(4, 2);
+  ThreadPool<int> Pool(4);
   std::atomic<uint64_t> Count{0};
   Pool.inject(D);
   Pool.run([&Count](int Depth, ThreadPool<int>::Worker &W) {
@@ -66,8 +66,8 @@ TEST(ThreadPool, SpawnedTasksAllComplete) {
   EXPECT_EQ(Count.load(), (1u << (D + 1)) - 1);
 }
 
-TEST(ThreadPool, SingleWorkerAndUnitStealBatchStillDrain) {
-  ThreadPool<int> Pool(1, 1);
+TEST(ThreadPool, SingleWorkerStillDrains) {
+  ThreadPool<int> Pool(1);
   std::atomic<int> Count{0};
   Pool.inject(5);
   Pool.run([&Count](int Depth, ThreadPool<int>::Worker &W) {
@@ -80,29 +80,59 @@ TEST(ThreadPool, SingleWorkerAndUnitStealBatchStillDrain) {
 
 TEST(ThreadPool, StealCountAdaptsToVictimQueueLength) {
   using Pool = ThreadPool<int>;
+  static_assert(TasksPerSteal == 4, "the cases below assume a batch of 4");
   // Victim has at least a batch queued: take the full batch.
-  EXPECT_EQ(Pool::stealCount(8, 4), 4u);
-  EXPECT_EQ(Pool::stealCount(4, 4), 4u);
-  EXPECT_EQ(Pool::stealCount(5, 4), 4u);
+  EXPECT_EQ(Pool::stealCount(8), 4u);
+  EXPECT_EQ(Pool::stealCount(5), 4u);
+  EXPECT_EQ(Pool::stealCount(4), 4u);
   // Short victim queue: halve the batch rather than draining it, so the
   // victim keeps local LIFO work.
-  EXPECT_EQ(Pool::stealCount(3, 4), 2u);
-  EXPECT_EQ(Pool::stealCount(2, 4), 2u);
-  EXPECT_EQ(Pool::stealCount(1, 4), 1u);
-  EXPECT_EQ(Pool::stealCount(1, 8), 1u);
-  EXPECT_EQ(Pool::stealCount(3, 16), 2u);
+  EXPECT_EQ(Pool::stealCount(3), 2u);
+  EXPECT_EQ(Pool::stealCount(2), 2u);
+  EXPECT_EQ(Pool::stealCount(1), 1u);
   // Nothing to steal.
-  EXPECT_EQ(Pool::stealCount(0, 4), 0u);
-  EXPECT_EQ(Pool::stealCount(0, 1), 0u);
-  // Degenerate batch values still make progress and never exceed the
-  // queue.
-  EXPECT_EQ(Pool::stealCount(5, 0), 1u);
-  EXPECT_EQ(Pool::stealCount(5, 1), 1u);
-  EXPECT_EQ(Pool::stealCount(2, 3), 1u);
+  EXPECT_EQ(Pool::stealCount(0), 0u);
+}
+
+TEST(ThreadPool, OwnerPopsNewestThievesStealOldest) {
+  // One worker: the root's spawns run newest-first (depth-first LIFO).
+  {
+    ThreadPool<int> Pool(1);
+    std::vector<int> Order;
+    Pool.inject(0);
+    Pool.run([&Order](int T, ThreadPool<int>::Worker &W) {
+      Order.push_back(T);
+      if (T == 0)
+        for (int I = 1; I <= 4; ++I)
+          W.spawn(I);
+    });
+    EXPECT_EQ(Order, (std::vector<int>{0, 4, 3, 2, 1}));
+  }
+  // Two workers: the root's worker holds its forks while the other one
+  // steals; the thief's first task is the oldest fork.
+  ThreadPool<int> Pool(2);
+  std::mutex Mu;
+  std::condition_variable Cv;
+  int FirstStolen = 0;
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  Pool.inject(0);
+  Pool.run([&](int T, ThreadPool<int>::Worker &W) {
+    std::unique_lock<std::mutex> Lock(Mu);
+    if (T == 0) {
+      for (int I = 1; I <= 8; ++I)
+        W.spawn(I);
+      Cv.wait_until(Lock, Deadline, [&] { return FirstStolen != 0; });
+    } else if (FirstStolen == 0) {
+      FirstStolen = T;
+      Cv.notify_all();
+    }
+  });
+  EXPECT_EQ(FirstStolen, 1) << "thieves take the oldest (shallowest) fork";
 }
 
 TEST(ThreadPool, QuiescesWithNoTasks) {
-  ThreadPool<int> Pool(4, 4);
+  ThreadPool<int> Pool(4);
   bool Ran = false;
   Pool.run([&Ran](int, ThreadPool<int>::Worker &) { Ran = true; });
   EXPECT_FALSE(Ran);
@@ -115,7 +145,7 @@ TEST(ThreadPool, AllWorkersParticipateAfterLargeBatchSpawn) {
   // sleepers. Each task blocks until all workers have executed at least
   // one task, so a stranded worker deadlocks the rest up to the deadline.
   constexpr size_t NWorkers = 4;
-  ThreadPool<int> Pool(NWorkers, 8);
+  ThreadPool<int> Pool(NWorkers);
   std::mutex Mu;
   std::condition_variable Cv;
   std::set<size_t> Seen;
@@ -140,7 +170,7 @@ TEST(ThreadPool, FrontierSizeGaugeReadsZeroAfterRun) {
   // Gauge-race regression: FrontierSize mirrors Pending with commutative
   // add/sub (a racing set(load-1) published stale values); at quiescence
   // the mirror must land exactly on zero.
-  ThreadPool<int> Pool(4, 4);
+  ThreadPool<int> Pool(4);
   for (int I = 0; I < 32; ++I)
     Pool.inject(3);
   Pool.run([](int Depth, ThreadPool<int>::Worker &W) {
@@ -148,74 +178,6 @@ TEST(ThreadPool, FrontierSizeGaugeReadsZeroAfterRun) {
       W.spawn(Depth - 1);
   });
   EXPECT_EQ(obs::schedCounters().FrontierSize.load(), 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Frontier
-//===----------------------------------------------------------------------===//
-
-TEST(Frontier, OldestFirstPopsLifoStealsFifo) {
-  Frontier<int> F(SelectionStrategy::OldestFirst, 0);
-  for (int I = 1; I <= 4; ++I)
-    F.push(I, 0);
-  std::vector<Frontier<int>::Entry> Stolen;
-  EXPECT_EQ(F.stealInto(2, Stolen), 2u);
-  ASSERT_EQ(Stolen.size(), 2u);
-  EXPECT_EQ(Stolen[0].T, 1); // FIFO: the oldest forks
-  EXPECT_EQ(Stolen[1].T, 2);
-  EXPECT_EQ(F.pop().value(), 4); // LIFO: the newest fork
-  EXPECT_EQ(F.pop().value(), 3);
-  EXPECT_FALSE(F.pop().has_value());
-}
-
-TEST(Frontier, PriorityStrategiesPopAndStealHighestFirst) {
-  for (SelectionStrategy S : {SelectionStrategy::SubtreeSize,
-                              SelectionStrategy::CoverageGuided}) {
-    Frontier<int> F(S, 0);
-    F.push(10, 10);
-    F.push(30, 30);
-    F.push(20, 20);
-    F.push(40, 40);
-    std::vector<Frontier<int>::Entry> Stolen;
-    EXPECT_EQ(F.stealInto(2, Stolen), 2u);
-    ASSERT_EQ(Stolen.size(), 2u);
-    EXPECT_EQ(Stolen[0].Pri, 40u) << "thieves take the best-ranked work";
-    EXPECT_EQ(Stolen[1].Pri, 30u);
-    EXPECT_EQ(F.pop().value(), 20);
-    EXPECT_EQ(F.pop().value(), 10);
-  }
-}
-
-TEST(Frontier, RandomPathSameSeedSamePopSequence) {
-  auto popAll = [](uint64_t Seed) {
-    Frontier<int> F(SelectionStrategy::RandomPath, Seed);
-    for (int I = 0; I < 16; ++I)
-      F.push(I, 0);
-    std::vector<int> Out;
-    while (auto T = F.pop())
-      Out.push_back(*T);
-    return Out;
-  };
-  EXPECT_EQ(popAll(42), popAll(42));
-  // A different seed permutes 16 elements differently (collision odds are
-  // 1/16! for an unbiased pick sequence; these two seeds were checked).
-  EXPECT_NE(popAll(42), popAll(43));
-}
-
-TEST(Frontier, StealPreservesPriorities) {
-  // The thief re-queues the surplus with the priorities the scheduler
-  // computed — a heap frontier rebuilt from stolen entries must rank them
-  // identically.
-  Frontier<int> Victim(SelectionStrategy::SubtreeSize, 0);
-  for (int I = 1; I <= 6; ++I)
-    Victim.push(I, static_cast<uint64_t>(I) * 7);
-  std::vector<Frontier<int>::Entry> Stolen;
-  Victim.stealInto(4, Stolen);
-  Frontier<int> Thief(SelectionStrategy::SubtreeSize, 1);
-  for (auto &E : Stolen)
-    Thief.push(E.T, E.Pri);
-  EXPECT_EQ(Thief.pop().value(), 6); // Pri 42: best of the stolen four
-  EXPECT_EQ(Thief.pop().value(), 5);
 }
 
 //===----------------------------------------------------------------------===//
@@ -248,15 +210,28 @@ constexpr const char *BranchySrc = R"(
 using St = SymbolicState<WhileSMem>;
 
 // Runs BranchySrc under \p Opts and renders each finished path as
-// "kind|value|path-condition", in the engine's result order.
+// "kind|value|path-condition", in the engine's result order. With \p Pool
+// the exploration runs on an ExplorationScheduler even at one worker,
+// where runExploration takes the sequential worklist.
 std::vector<std::string> traceSigs(const EngineOptions &Opts, Solver &Slv,
-                                   ExecStats &Stats) {
+                                   ExecStats &Stats, bool Pool = false) {
   Result<Prog> P = compileWhileSource(BranchySrc);
   EXPECT_TRUE(P.ok()) << (P.ok() ? "" : P.error());
   St Init(WhileSMem(), &Slv, &Opts);
   Interpreter<St> Interp(*P, Opts, Stats);
-  Result<std::vector<TraceResult<St>>> Traces = runExploration(
-      Interp, InternedString::get("main"), Expr::list({}), std::move(Init));
+  InternedString Main = InternedString::get("main");
+  Result<std::vector<TraceResult<St>>> Traces = Err("not run");
+  if (Pool) {
+    Result<Interpreter<St>::Config> Start =
+        Interp.makeInitialConfig(Main, Expr::list({}), std::move(Init));
+    if (Start.ok())
+      Traces = ExplorationScheduler<St>(Interp, Opts.Scheduler)
+                   .explore(Start.take());
+    else
+      Traces = Err(Start.error());
+  } else {
+    Traces = runExploration(Interp, Main, Expr::list({}), std::move(Init));
+  }
   EXPECT_TRUE(Traces.ok()) << (Traces.ok() ? "" : Traces.error());
   std::vector<std::string> Sigs;
   if (!Traces.ok())
@@ -268,16 +243,16 @@ std::vector<std::string> traceSigs(const EngineOptions &Opts, Solver &Slv,
   return Sigs;
 }
 
-std::vector<std::string> traceSigs(const EngineOptions &Opts) {
+std::vector<std::string> traceSigs(const EngineOptions &Opts,
+                                   bool Pool = false) {
   Solver Slv(Opts.Solver); // private cache: isolated from other tests
   ExecStats Stats;
-  return traceSigs(Opts, Slv, Stats);
+  return traceSigs(Opts, Slv, Stats, Pool);
 }
 
-EngineOptions withWorkers(uint32_t Workers, bool SequentialFallback = true) {
+EngineOptions withWorkers(uint32_t Workers) {
   EngineOptions O;
   O.Scheduler.Workers = Workers;
-  O.Scheduler.SequentialFallback = SequentialFallback;
   return O;
 }
 
@@ -285,7 +260,7 @@ TEST(ExplorationScheduler, WorkersOneIsBitIdenticalToSequential) {
   // Workers = 1 (the default) must take the classic sequential worklist:
   // same results, same order, same counters.
   EngineOptions Default;
-  ASSERT_FALSE(Default.Scheduler.parallel());
+  ASSERT_EQ(Default.Scheduler.Workers, 1u);
   std::vector<std::string> Seq = traceSigs(Default);
   std::vector<std::string> One = traceSigs(withWorkers(1));
   EXPECT_FALSE(Seq.empty());
@@ -306,9 +281,10 @@ TEST(ExplorationScheduler, PoolModeMatchesSequentialOutcomes) {
 
 TEST(ExplorationScheduler, ResultOrderIsScheduleIndependent) {
   // Branch-trace order depends only on the program: every pool
-  // configuration — including a one-worker pool (fallback disabled) —
-  // yields the same *sequence*, run after run.
-  std::vector<std::string> PoolOfOne = traceSigs(withWorkers(1, false));
+  // configuration — including a one-worker pool — yields the same
+  // *sequence*, run after run.
+  std::vector<std::string> PoolOfOne =
+      traceSigs(withWorkers(1), /*Pool=*/true);
   ASSERT_FALSE(PoolOfOne.empty());
   for (uint32_t Workers : {2u, 4u, 8u}) {
     std::vector<std::string> Par = traceSigs(withWorkers(Workers));
@@ -380,63 +356,11 @@ TEST(ExplorationScheduler, SymbolicTestRunnerHonorsSchedulerOptions) {
   EXPECT_EQ(Seq.hasConfirmedBug(), Par.hasConfirmedBug());
 }
 
-EngineOptions withStrategy(SelectionStrategy S, uint32_t Workers,
-                           uint64_t Seed = 0x9E3779B97F4A7C15ull) {
-  EngineOptions O;
-  O.Scheduler.Strategy = S;
-  O.Scheduler.Workers = Workers;
-  O.Scheduler.Seed = Seed;
-  // Always the pool: OldestFirst at one worker would otherwise take the
-  // sequential worklist, whose result order is the worklist's, not the
-  // branch-trace order these tests compare.
-  O.Scheduler.SequentialFallback = false;
-  return O;
-}
-
-constexpr SelectionStrategy AllStrategies[] = {
-    SelectionStrategy::OldestFirst, SelectionStrategy::RandomPath,
-    SelectionStrategy::SubtreeSize, SelectionStrategy::CoverageGuided};
-
-TEST(SelectionStrategies, ResultSequenceIsStrategyAndWorkerIndependent) {
-  // The strategy decides *when* each configuration runs, never *whether*:
-  // the branch-trace-sorted result sequence must be identical for every
-  // strategy at every worker count — bit-for-bit, not just as a multiset.
-  std::vector<std::string> Baseline = traceSigs(withWorkers(1, false));
-  ASSERT_FALSE(Baseline.empty());
-  for (SelectionStrategy S : AllStrategies)
-    for (uint32_t Workers : {1u, 2u, 8u})
-      EXPECT_EQ(Baseline, traceSigs(withStrategy(S, Workers)))
-          << "strategy=" << strategyName(S) << " workers=" << Workers;
-}
-
-TEST(SelectionStrategies, NonDefaultStrategyEngagesPoolAtOneWorker) {
-  // --strategy=random --workers=1 must run the strategy-aware pool (a
-  // pool of one), not silently fall back to the sequential worklist.
-  EXPECT_FALSE(withWorkers(1).Scheduler.parallel());
-  for (SelectionStrategy S :
-       {SelectionStrategy::RandomPath, SelectionStrategy::SubtreeSize,
-        SelectionStrategy::CoverageGuided})
-    EXPECT_TRUE(withStrategy(S, 1).Scheduler.parallel());
-}
-
-TEST(SelectionStrategies, SeededRandomPathIsReproducible) {
-  // Sorted results mask the exploration order, so observe it through a
-  // path budget: which paths finish before the cut depends on the pick
-  // sequence, and a seeded one-worker run must reproduce it exactly.
-  EngineOptions A = withStrategy(SelectionStrategy::RandomPath, 1, 42);
-  A.MaxPaths = 6;
-  EngineOptions B = withStrategy(SelectionStrategy::RandomPath, 1, 42);
-  B.MaxPaths = 6;
-  std::vector<std::string> First = traceSigs(A);
-  ASSERT_FALSE(First.empty());
-  EXPECT_EQ(First, traceSigs(B)) << "same seed, same exploration order";
-}
-
 TEST(ExplorationScheduler, BudgetCutNamesTheStepBudget) {
-  EngineOptions O = withWorkers(1, false);
+  EngineOptions O = withWorkers(1);
   O.MaxSteps = 10;
   bool SawStep = false;
-  for (const std::string &Sig : traceSigs(O)) {
+  for (const std::string &Sig : traceSigs(O, /*Pool=*/true)) {
     SawStep |= Sig.find("step budget exhausted") != std::string::npos;
     EXPECT_EQ(Sig.find("path budget exhausted"), std::string::npos) << Sig;
   }
@@ -444,29 +368,68 @@ TEST(ExplorationScheduler, BudgetCutNamesTheStepBudget) {
 }
 
 TEST(ExplorationScheduler, BudgetCutNamesThePathBudget) {
-  // Both the pool (strategy scheduler) and the classic sequential
-  // worklist must attribute a MaxPaths cut to the path budget — the old
-  // message blamed the step budget for every cut.
-  for (bool SequentialFallback : {false, true}) {
-    EngineOptions O = withWorkers(1, SequentialFallback);
+  // Both the pool and the classic sequential worklist must attribute a
+  // MaxPaths cut to the path budget — the old message blamed the step
+  // budget for every cut.
+  for (bool Pool : {true, false}) {
+    EngineOptions O = withWorkers(1);
     O.MaxPaths = 3;
     bool SawPath = false;
-    for (const std::string &Sig : traceSigs(O)) {
+    for (const std::string &Sig : traceSigs(O, Pool)) {
       SawPath |= Sig.find("path budget exhausted") != std::string::npos;
       EXPECT_EQ(Sig.find("step budget exhausted"), std::string::npos)
           << Sig;
     }
-    EXPECT_TRUE(SawPath) << "sequential=" << SequentialFallback;
+    EXPECT_TRUE(SawPath) << "pool=" << Pool;
   }
 }
 
-TEST(SelectionStrategies, ExplorationFrontierGaugeReadsZeroAfterRun) {
-  // End-to-end mirror check: after any strategy's exploration drains,
-  // the process-wide frontier gauge is back to exactly zero.
-  for (SelectionStrategy S : AllStrategies) {
-    traceSigs(withStrategy(S, 4));
-    EXPECT_EQ(obs::schedCounters().FrontierSize.load(), 0u)
-        << "strategy=" << strategyName(S);
+TEST(ExplorationScheduler, FrontierGaugeReadsZeroAfterRun) {
+  // End-to-end mirror check: after an exploration drains, the
+  // process-wide frontier gauge is back to exactly zero.
+  traceSigs(withWorkers(4));
+  EXPECT_EQ(obs::schedCounters().FrontierSize.load(), 0u);
+}
+
+TEST(ExplorationScheduler, HundredsOfTinyExplorationsAllQuiesce) {
+  // Lost-wakeup regression: a quiescence notify sent without IdleMu can
+  // reach a worker between its wait-predicate check and blocking, which
+  // then sleeps forever and explore() never returns. Many short,
+  // oversubscribed explorations make that window likely; each must
+  // finish with the sequential path count. A hang fails this test by its
+  // ctest TIMEOUT.
+  Result<Prog> P = compileWhileSource(R"(
+    function main() {
+      a := fresh_int();
+      b := fresh_int();
+      s := 0;
+      if (a < 0) { s := s + 1; } else { s := s + 2; }
+      if (b < 0) { s := s + 10; } else { s := s + 20; }
+      return s;
+    })");
+  ASSERT_TRUE(P.ok()) << P.error();
+  InternedString Main = InternedString::get("main");
+  // No Z3: every pool starts fresh threads, and each would build a cold
+  // thread-local Z3 context for the Unknown typeof queries of fresh_int.
+  // Unknown keeps both sides feasible; the path count stays deterministic.
+  EngineOptions Opts = withWorkers(8);
+  Opts.Solver.UseZ3 = false;
+  EngineOptions SeqOpts = Opts;
+  SeqOpts.Scheduler.Workers = 1;
+  Solver Slv(Opts.Solver); // shared: warm verdicts keep every run tiny
+  ExecStats Stats;
+  auto explore = [&](const EngineOptions &O) {
+    Interpreter<St> Interp(*P, O, Stats);
+    return runExploration(Interp, Main, Expr::list({}),
+                          St(WhileSMem(), &Slv, &O));
+  };
+  Result<std::vector<TraceResult<St>>> Seq = explore(SeqOpts);
+  ASSERT_TRUE(Seq.ok()) << Seq.error();
+  ASSERT_GT(Seq->size(), 1u);
+  for (int Run = 0; Run < 400; ++Run) {
+    Result<std::vector<TraceResult<St>>> Par = explore(Opts);
+    ASSERT_TRUE(Par.ok()) << Par.error();
+    ASSERT_EQ(Par->size(), Seq->size()) << "run " << Run;
   }
 }
 

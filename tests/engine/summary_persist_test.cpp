@@ -135,6 +135,54 @@ TEST(SummaryPersistTest, SolverResetCacheColdsTheSummaryStore) {
   EXPECT_EQ(Store.size(), 0u);
 }
 
+TEST(SummaryPersistTest, ReplayOutlivesItsStoreEntry) {
+  // A replaying configuration can be the last owner of its entry: a
+  // racing worker replaced it, or the store was cleared. Clear the store
+  // as soon as a replay is armed; the replay must finish without reading
+  // the entry after letting go of it (the ASan job catches such a read).
+  Result<Prog> P = compileWhileSource(R"(
+    function main() {
+      x := fresh_int();
+      r := inc(x);
+      return r;
+    }
+    function inc(v) { return v + 1; })");
+  ASSERT_TRUE(P.ok()) << P.error();
+  ProcedureSummaryStore::process().clear();
+  EngineOptions Opts;
+  Solver Slv(Opts.Solver);
+  ExecStats Stats;
+  using Config = Interpreter<St>::Config;
+  Interpreter<St> Interp(*P, Opts, Stats);
+  Result<Config> Start =
+      Interp.makeInitialConfig(InternedString::get("main"), Expr::list({}),
+                               St(WhileSMem(), &Slv, &Opts));
+  ASSERT_TRUE(Start.ok()) << Start.error();
+  struct Worklist {
+    std::vector<Config> Work;
+    std::vector<std::string> Returned;
+    void cont(Config C) { Work.push_back(std::move(C)); }
+    void done(OutcomeKind K, Expr V, St) {
+      if (K == OutcomeKind::Return)
+        Returned.push_back(V.toString());
+    }
+  } W;
+  W.Work.push_back(Start.take());
+  bool Cleared = false;
+  while (!W.Work.empty()) {
+    Config C = std::move(W.Work.back());
+    W.Work.pop_back();
+    if (C.Replay && !Cleared) {
+      ProcedureSummaryStore::process().clear();
+      Cleared = true;
+    }
+    Interp.step(std::move(C), W);
+  }
+  ASSERT_TRUE(Cleared) << "no replay was armed: the test exercised nothing";
+  ASSERT_EQ(W.Returned.size(), 1u);
+  EXPECT_NE(W.Returned[0].find("+ 1"), std::string::npos) << W.Returned[0];
+}
+
 TEST(SummaryPersistTest, LoadSkipsGarbageAndMissingFilesFail) {
   ProcedureSummaryStore &Store = ProcedureSummaryStore::process();
   Store.clear();

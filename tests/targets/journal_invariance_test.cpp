@@ -5,9 +5,10 @@
 // the evaluation workloads (MJS Buckets, MC Collections) the reconstructed
 // path forest — roots in test order, children by branch index, per-node
 // events canonicalised to semantic content — must be identical across
-// worker counts {1, 2, 8} and strategies {oldest, coverage}. Node ids,
-// verdict layers, wall times and spawn priorities are run-dependent and
-// excluded by canonicalTreeSignature; everything else must align exactly.
+// worker counts {1, 2, 8}: the sequential worklist and the work-stealing
+// pool. Node ids, verdict layers, wall times and spawns are run-dependent
+// and excluded by canonicalTreeSignature; everything else must align
+// exactly.
 //
 // Also pinned here, on journals from a real exploration rather than
 // hand-made events: the serialize→parse→serialize byte round-trip, and
@@ -43,18 +44,15 @@ using namespace gillian::obs::journal;
 
 namespace {
 
-/// Explores every `test_*` procedure of \p P under (strategy, workers)
-/// with the journal on and returns the captured journal. Tests run in
-/// declaration order on the calling thread, so root node ids are assigned
-/// in test order at every worker count.
-template <typename M>
-JournalData journalOf(const Prog &P, SelectionStrategy S, uint32_t Workers) {
+/// Explores every `test_*` procedure of \p P at \p Workers with the
+/// journal on and returns the captured journal. Tests run in declaration
+/// order on the calling thread, so root node ids are assigned in test
+/// order at every worker count.
+template <typename M> JournalData journalOf(const Prog &P, uint32_t Workers) {
   reset();
   setEnabled(true);
   EngineOptions Opts;
-  Opts.Scheduler.Strategy = S;
   Opts.Scheduler.Workers = Workers;
-  Opts.Scheduler.SequentialFallback = false;
   Solver Slv(Opts.Solver); // private cache: runs are independent
   ExecStats Stats;
   using St = SymbolicState<M>;
@@ -71,25 +69,14 @@ JournalData journalOf(const Prog &P, SelectionStrategy S, uint32_t Workers) {
   return D;
 }
 
-constexpr uint32_t WorkerCounts[] = {1, 2, 8};
-constexpr SelectionStrategy Strategies[] = {SelectionStrategy::OldestFirst,
-                                            SelectionStrategy::CoverageGuided};
-
 template <typename M>
 void expectJournalInvariant(const Prog &P, std::string_view Name) {
-  const JournalData Baseline =
-      journalOf<M>(P, SelectionStrategy::OldestFirst, 1);
+  const JournalData Baseline = journalOf<M>(P, 1);
   ASSERT_FALSE(Baseline.Events.empty()) << Name;
   const std::string BaseSig = canonicalTreeSignature(Baseline);
-
-  for (SelectionStrategy S : Strategies)
-    for (uint32_t W : WorkerCounts) {
-      if (S == SelectionStrategy::OldestFirst && W == 1)
-        continue; // the baseline itself
-      JournalData D = journalOf<M>(P, S, W);
-      EXPECT_EQ(BaseSig, canonicalTreeSignature(D))
-          << Name << " strategy=" << strategyName(S) << " workers=" << W;
-    }
+  for (uint32_t W : {2u, 8u})
+    EXPECT_EQ(BaseSig, canonicalTreeSignature(journalOf<M>(P, W)))
+        << Name << " workers=" << W;
 }
 
 Result<Prog> compileBuckets(const BucketsSuite &S) {
@@ -98,8 +85,7 @@ Result<Prog> compileBuckets(const BucketsSuite &S) {
 }
 
 /// Two structures per language: crosses both memory models while keeping
-/// the 6-configuration product per suite affordable (the same trade as
-/// strategy_determinism_test).
+/// three explorations per suite affordable.
 std::vector<BucketsSuite> bucketsSubset() {
   const std::vector<BucketsSuite> &All = bucketsSuites();
   return {All.begin(), All.begin() + std::min<size_t>(2, All.size())};
@@ -151,7 +137,6 @@ TEST(JournalRealRunTest, CaptureIsLosslessAndRoundTrips) {
   setEnabled(true);
   EngineOptions Opts;
   Opts.Scheduler.Workers = 4;
-  Opts.Scheduler.SequentialFallback = false;
   Solver Slv(Opts.Solver);
   ExecStats Stats;
   using St = SymbolicState<mjs::MjsSMem>;

@@ -5,8 +5,7 @@
 // like the pre-memlib implementations — same ordered sequence of
 // (outcome kind, outcome value, final path condition) signatures, same
 // engine-layer ExecStats — on the full evaluation workloads (Buckets,
-// Collections, object-heavy While programs), at workers ∈ {1, 4} under
-// the oldest-first and coverage-guided strategies.
+// Collections, object-heavy While programs), at workers ∈ {1, 4}.
 //
 // The old implementations are verbatim snapshots under tests/targets/
 // legacy/ (namespace gillian::legacy), compiled into this binary only.
@@ -50,11 +49,9 @@ struct RunOutcome {
 };
 
 template <typename M>
-RunOutcome suiteOutcome(const Prog &P, uint32_t Workers,
-                        SelectionStrategy Strategy) {
+RunOutcome suiteOutcome(const Prog &P, uint32_t Workers) {
   EngineOptions Opts;
   Opts.Scheduler.Workers = Workers;
-  Opts.Scheduler.Strategy = Strategy;
   Solver Slv(Opts.Solver);
   ExecStats Stats;
   using St = SymbolicState<M>;
@@ -84,34 +81,30 @@ RunOutcome suiteOutcome(const Prog &P, uint32_t Workers,
   return Out;
 }
 
-/// Runs \p P on the legacy model \p Old and the memlib model \p New under
-/// every (workers, strategy) configuration and asserts identity.
+/// Runs \p P on the legacy model \p Old and the memlib model \p New at
+/// every worker count and asserts identity.
 template <typename Old, typename New>
 void expectBitIdentical(const Prog &P, std::string_view Name) {
   for (uint32_t Workers : {1u, 4u}) {
-    for (SelectionStrategy Strategy : {SelectionStrategy::OldestFirst,
-                                       SelectionStrategy::CoverageGuided}) {
-      RunOutcome Legacy = suiteOutcome<Old>(P, Workers, Strategy);
-      RunOutcome Memlib = suiteOutcome<New>(P, Workers, Strategy);
-      std::string Where =
-          std::string(Name) + " at workers=" + std::to_string(Workers) +
-          " strategy=" + std::string(strategyName(Strategy));
-      EXPECT_FALSE(Legacy.Sigs.empty()) << Where;
-      EXPECT_GT(Legacy.ActionCalls, 0u)
-          << Where << ": workload executes no memory actions — the "
-                      "differential would be vacuous";
-      EXPECT_EQ(Legacy.Sigs, Memlib.Sigs)
-          << Where << ": the memlib model changed an outcome, a fault "
-                      "message, a path condition, or the branch order";
-      EXPECT_EQ(Legacy.Cmds, Memlib.Cmds) << Where;
-      EXPECT_EQ(Legacy.Branches, Memlib.Branches) << Where;
-      EXPECT_EQ(Legacy.ProcCalls, Memlib.ProcCalls) << Where;
-      EXPECT_EQ(Legacy.ActionCalls, Memlib.ActionCalls) << Where;
-      EXPECT_EQ(Legacy.Finished, Memlib.Finished) << Where;
-      EXPECT_EQ(Legacy.Errored, Memlib.Errored) << Where;
-      EXPECT_EQ(Legacy.Vanished, Memlib.Vanished) << Where;
-      EXPECT_EQ(Legacy.Bounded, Memlib.Bounded) << Where;
-    }
+    RunOutcome Legacy = suiteOutcome<Old>(P, Workers);
+    RunOutcome Memlib = suiteOutcome<New>(P, Workers);
+    std::string Where =
+        std::string(Name) + " at workers=" + std::to_string(Workers);
+    EXPECT_FALSE(Legacy.Sigs.empty()) << Where;
+    EXPECT_GT(Legacy.ActionCalls, 0u)
+        << Where << ": workload executes no memory actions — the "
+                    "differential would be vacuous";
+    EXPECT_EQ(Legacy.Sigs, Memlib.Sigs)
+        << Where << ": the memlib model changed an outcome, a fault "
+                    "message, a path condition, or the branch order";
+    EXPECT_EQ(Legacy.Cmds, Memlib.Cmds) << Where;
+    EXPECT_EQ(Legacy.Branches, Memlib.Branches) << Where;
+    EXPECT_EQ(Legacy.ProcCalls, Memlib.ProcCalls) << Where;
+    EXPECT_EQ(Legacy.ActionCalls, Memlib.ActionCalls) << Where;
+    EXPECT_EQ(Legacy.Finished, Memlib.Finished) << Where;
+    EXPECT_EQ(Legacy.Errored, Memlib.Errored) << Where;
+    EXPECT_EQ(Legacy.Vanished, Memlib.Vanished) << Where;
+    EXPECT_EQ(Legacy.Bounded, Memlib.Bounded) << Where;
   }
 }
 

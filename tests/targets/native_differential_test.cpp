@@ -3,13 +3,12 @@
 // Verdict-identity of the native theory layer and the async query service
 // on the evaluation workloads: every MJS (Buckets) and MC (Collections)
 // example suite, plus solver-shape-diverse While programs, explored with
-// the native layer ON and OFF, at workers ∈ {1, 4}, under the oldest-first
-// and coverage-guided strategies, yields the identical multiset of
-// (outcome kind, outcome value, final path condition) signatures — and the
-// same verified counter-models. Both are pure performance transforms: the
-// native layer answers Unknown (and delegates to Z3) on anything it cannot
-// decide with a proof or a verified model, and the async service only
-// moves where the same solve closure runs.
+// the native layer ON and OFF, at workers ∈ {1, 4}, yields the identical
+// multiset of (outcome kind, outcome value, final path condition)
+// signatures — and the same verified counter-models. Both are pure
+// performance transforms: the native layer answers Unknown (and delegates
+// to Z3) on anything it cannot decide with a proof or a verified model,
+// and the async service only moves where the same solve closure runs.
 //
 // A randomized differential rides along: equality/disequality walks over a
 // small variable universe, native verdict vs the cold Z3 backend — the
@@ -44,7 +43,6 @@ namespace {
 
 struct NativeRunConfig {
   uint32_t Workers = 1;
-  SelectionStrategy Strategy = SelectionStrategy::OldestFirst;
   bool Native = false;
   uint32_t Async = 0;
 };
@@ -62,7 +60,6 @@ template <typename M>
 RunTraces suiteTraces(const Prog &P, const NativeRunConfig &C) {
   EngineOptions Opts;
   Opts.Scheduler.Workers = C.Workers;
-  Opts.Scheduler.Strategy = C.Strategy;
   Opts.Solver.UseNative = C.Native;
   Opts.Solver.AsyncSolvers = C.Async;
   Solver Slv(Opts.Solver); // private cache: runs are independent
@@ -101,22 +98,17 @@ RunTraces suiteTraces(const Prog &P, const NativeRunConfig &C) {
 template <typename M>
 void expectNativeTransparent(const Prog &P, std::string_view Name) {
   for (uint32_t Workers : {1u, 4u}) {
-    for (SelectionStrategy Strategy : {SelectionStrategy::OldestFirst,
-                                       SelectionStrategy::CoverageGuided}) {
-      NativeRunConfig C;
-      C.Workers = Workers;
-      C.Strategy = Strategy;
-      C.Native = false;
-      RunTraces Off = suiteTraces<M>(P, C);
-      C.Native = true;
-      RunTraces On = suiteTraces<M>(P, C);
-      EXPECT_FALSE(Off.Sigs.empty()) << Name;
-      EXPECT_EQ(Off.Sigs, On.Sigs)
-          << Name << " at workers=" << Workers << " strategy="
-          << strategyName(Strategy)
-          << ": the native layer changed an outcome";
-      EXPECT_EQ(Off.NativeQueries, 0u) << Name;
-    }
+    NativeRunConfig C;
+    C.Workers = Workers;
+    C.Native = false;
+    RunTraces Off = suiteTraces<M>(P, C);
+    C.Native = true;
+    RunTraces On = suiteTraces<M>(P, C);
+    EXPECT_FALSE(Off.Sigs.empty()) << Name;
+    EXPECT_EQ(Off.Sigs, On.Sigs)
+        << Name << " at workers=" << Workers
+        << ": the native layer changed an outcome";
+    EXPECT_EQ(Off.NativeQueries, 0u) << Name;
   }
   // Async service transparency rides on the worker dimension: same
   // outcomes when undecided queries route through the service.

@@ -3,14 +3,13 @@
 // Transparency of the procedure summary cache (src/engine/summary/,
 // DESIGN.md §4g) on the evaluation workloads: every MJS (Buckets) and MC
 // (Collections) example suite, plus call-heavy While programs, explored
-// with summaries ON and OFF, at workers ∈ {1, 4}, under the oldest-first
-// and coverage-guided strategies, yields the identical *ordered* sequence
-// of (outcome kind, outcome value, final path condition) signatures and
-// identical engine-layer ExecStats. Replay re-emits the recorded branch
-// and coverage events of the memoised body, so result order, PathId
-// assignment, CmdsExecuted and Branches are all bit-identical to
-// re-execution; only solver-layer counters may differ (skipped queries
-// are the point of the cache).
+// with summaries ON and OFF, at workers ∈ {1, 4}, yields the identical
+// *ordered* sequence of (outcome kind, outcome value, final path
+// condition) signatures and identical engine-layer ExecStats. Replay
+// re-emits the recorded branch and coverage events of the memoised body,
+// so result order, PathId assignment, CmdsExecuted and Branches are all
+// bit-identical to re-execution; only solver-layer counters may differ
+// (skipped queries are the point of the cache).
 //
 // An engagement guard rides along: on the Buckets workload the MJS
 // runtime helpers (__mjs_truthy, __mjs_add, ...) are summary-eligible and
@@ -45,7 +44,6 @@ namespace {
 
 struct SummaryRunConfig {
   uint32_t Workers = 1;
-  SelectionStrategy Strategy = SelectionStrategy::OldestFirst;
   bool Summaries = true;
 };
 
@@ -67,7 +65,6 @@ RunOutcome suiteOutcome(const Prog &P, const SummaryRunConfig &C) {
   EngineOptions Opts;
   Opts.UseSummaries = C.Summaries;
   Opts.Scheduler.Workers = C.Workers;
-  Opts.Scheduler.Strategy = C.Strategy;
   Solver Slv(Opts.Solver);
   ExecStats Stats;
   using St = SymbolicState<M>;
@@ -100,30 +97,25 @@ RunOutcome suiteOutcome(const Prog &P, const SummaryRunConfig &C) {
 template <typename M>
 void expectSummariesTransparent(const Prog &P, std::string_view Name) {
   for (uint32_t Workers : {1u, 4u}) {
-    for (SelectionStrategy Strategy : {SelectionStrategy::OldestFirst,
-                                       SelectionStrategy::CoverageGuided}) {
-      SummaryRunConfig C;
-      C.Workers = Workers;
-      C.Strategy = Strategy;
-      C.Summaries = false;
-      RunOutcome Off = suiteOutcome<M>(P, C);
-      C.Summaries = true;
-      RunOutcome On = suiteOutcome<M>(P, C);
-      std::string Where =
-          std::string(Name) + " at workers=" + std::to_string(Workers) +
-          " strategy=" + std::string(strategyName(Strategy));
-      EXPECT_FALSE(Off.Sigs.empty()) << Where;
-      EXPECT_EQ(Off.Sigs, On.Sigs)
-          << Where << ": summary replay changed an outcome or its order";
-      EXPECT_EQ(Off.Cmds, On.Cmds) << Where << ": GIL command count drifted";
-      EXPECT_EQ(Off.Branches, On.Branches) << Where;
-      EXPECT_EQ(Off.ProcCalls, On.ProcCalls) << Where;
-      EXPECT_EQ(Off.ActionCalls, On.ActionCalls) << Where;
-      EXPECT_EQ(Off.Finished, On.Finished) << Where;
-      EXPECT_EQ(Off.Errored, On.Errored) << Where;
-      EXPECT_EQ(Off.Vanished, On.Vanished) << Where;
-      EXPECT_EQ(Off.Bounded, On.Bounded) << Where;
-    }
+    SummaryRunConfig C;
+    C.Workers = Workers;
+    C.Summaries = false;
+    RunOutcome Off = suiteOutcome<M>(P, C);
+    C.Summaries = true;
+    RunOutcome On = suiteOutcome<M>(P, C);
+    std::string Where =
+        std::string(Name) + " at workers=" + std::to_string(Workers);
+    EXPECT_FALSE(Off.Sigs.empty()) << Where;
+    EXPECT_EQ(Off.Sigs, On.Sigs)
+        << Where << ": summary replay changed an outcome or its order";
+    EXPECT_EQ(Off.Cmds, On.Cmds) << Where << ": GIL command count drifted";
+    EXPECT_EQ(Off.Branches, On.Branches) << Where;
+    EXPECT_EQ(Off.ProcCalls, On.ProcCalls) << Where;
+    EXPECT_EQ(Off.ActionCalls, On.ActionCalls) << Where;
+    EXPECT_EQ(Off.Finished, On.Finished) << Where;
+    EXPECT_EQ(Off.Errored, On.Errored) << Where;
+    EXPECT_EQ(Off.Vanished, On.Vanished) << Where;
+    EXPECT_EQ(Off.Bounded, On.Bounded) << Where;
   }
 }
 

@@ -13,7 +13,7 @@
 ///
 /// Journals come from `--journal-out=` on any bench driver or from
 /// GILLIAN_JOURNAL=path on a ctest suite run. A branch trace is
-/// "<entry-proc>[#k][:i.j.k]" — the worker/strategy-invariant path name.
+/// "<entry-proc>[#k][:i.j.k]" — the worker-count invariant path name.
 ///
 //===----------------------------------------------------------------------===//
 
