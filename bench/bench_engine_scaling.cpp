@@ -190,6 +190,10 @@ int main(int argc, char **argv) {
     Row.field("inc_mean_prefix_depth", R.Solver.meanPrefixDepth(), 2);
     Row.field("encode_memo_hits",
               static_cast<uint64_t>(R.Solver.EncodeMemoHits));
+    // Deterministic at 1 worker: scripts/bench_trend.py gates on them.
+    Row.field("z3_calls", static_cast<uint64_t>(R.Solver.Z3Calls));
+    Row.field("z3_unknown", static_cast<uint64_t>(R.Solver.Unknown));
+    Row.field("gil_cmds", static_cast<uint64_t>(R.Stats.CmdsExecuted));
     Row.endObject();
     if (!SweepJson.empty())
       SweepJson += ",";

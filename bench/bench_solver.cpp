@@ -10,6 +10,7 @@
 #include "bench_common.h"
 #include "gil/parser.h"
 #include "obs/json_writer.h"
+#include "solver/incremental_session.h"
 #include "solver/solver.h"
 
 #include <benchmark/benchmark.h>
@@ -257,6 +258,32 @@ static void BM_IncrementalPrefixChain(benchmark::State &State) {
                          benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_IncrementalPrefixChain)->Arg(0)->Arg(1);
+
+static void BM_ZeroSharingChurn(benchmark::State &State) {
+  // Single-conjunct queries over fresh variables, straight into a session
+  // pool: no query shares a conjunct with any of the pool's sessions, so
+  // once the pool is full every query evicts one, pops it back to its
+  // base scope and pushes the new conjunct. This is the shape of a
+  // vanish-edge slice; it measures what a session reset costs.
+  std::vector<std::pair<PathCondition, TypeEnv>> Queries;
+  for (int I = 0; I < 256; ++I) {
+    PathCondition PC;
+    PC.add(parse(("0 < #z" + std::to_string(I)).c_str()));
+    TypeEnv Types;
+    if (!inferTypes(PC.conjuncts(), Types))
+      std::abort();
+    Queries.emplace_back(std::move(PC), std::move(Types));
+  }
+  IncrementalSessionPool Pool;
+  SolverStats Stats;
+  size_t Q = 0;
+  for (auto _ : State) {
+    const auto &[PC, Types] = Queries[Q++ % Queries.size()];
+    benchmark::DoNotOptimize(Pool.checkSat(PC, Types, 0.25, Stats));
+  }
+  State.SetLabel("every query evicts a session");
+}
+BENCHMARK(BM_ZeroSharingChurn);
 
 static void BM_NativeDiseqChain(benchmark::State &State) {
   // The bst/pqueue outlier shape (EXPERIMENTS.md): Num-typed variables in

@@ -2,17 +2,23 @@
 """Performance-trend tracking and regression gate for bench_engine_scaling.
 
 Stdlib only. Three subcommands around the driver's trailing JSON line
-(the `worker_sweep` medians are the tracked series):
+(the `worker_sweep` rows are the tracked series):
 
   append   run the bench N times (or read saved JSON lines), take the
-           per-worker-count median wall, and append one dated record to
-           the trend file (BENCH_trend.json, a JSON array).
+           per-worker-count median wall and the deterministic counters of
+           the 1-worker row, and append one dated record to the trend
+           file (BENCH_trend.json, a JSON array).
   seed     same measurement, written as the committed baseline
            (BENCH_10.json) that `gate` compares against.
   gate     same measurement, compared against the baseline: exits 1 if
-           any worker count's median wall regressed more than
-           --tolerance (default 15%). Faster-than-baseline is never an
-           error (ratchet manually by re-seeding).
+           any counter of the 1-worker row (Z3 calls, Unknown verdicts,
+           GIL commands) differs from the baseline, or if any worker
+           count's median wall is more than --tolerance (default 100%)
+           above it. The counters are exact and machine-independent, so
+           they are the real gate; the wall, recorded on whatever machine
+           seeded the baseline, is only a loose trend check.
+           Faster-than-baseline wall is never an error; a counter change
+           in either direction is (re-seed when it is intended).
 
 Examples:
   scripts/bench_trend.py seed   --bench build/bench/bench_engine_scaling
@@ -60,6 +66,11 @@ def collect(args):
     return [run_bench_once(args.bench) for _ in range(args.runs)]
 
 
+# Deterministic per-run counters of the 1-worker sweep row: the same on
+# every run and every machine, so the gate compares them exactly.
+COUNTERS = ("z3_calls", "z3_unknown", "gil_cmds")
+
+
 def medians(results):
     """Per-worker-count median wall over the collected runs."""
     by_workers = {}
@@ -71,13 +82,32 @@ def medians(results):
     return {w: round(statistics.median(v), 6) for w, v in sorted(by_workers.items(), key=lambda kv: int(kv[0]))}
 
 
+def counters(results):
+    """The COUNTERS of the 1-worker row ({} when the runs lack them);
+    exits if two runs disagree, since they must not."""
+    seen = None
+    for r in results:
+        row = next((x for x in r["worker_sweep"] if x["workers"] == 1), {})
+        cur = {k: row[k] for k in COUNTERS if k in row}
+        if seen is not None and cur != seen:
+            sys.exit(f"error: 1-worker counters differ between runs: "
+                     f"{seen} vs {cur}")
+        seen = cur
+    return seen or {}
+
+
 def git_head():
+    """HEAD's short hash, with "-dirty" when tracked files differ from it
+    (a baseline seeded from uncommitted work is not HEAD's)."""
     try:
-        return subprocess.run(
+        head = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
             check=True, text=True,
         ).stdout.strip()
+        dirty = subprocess.run(["git", "diff", "--quiet", "HEAD"],
+                               stderr=subprocess.DEVNULL).returncode != 0
+        return head + ("-dirty" if dirty else "")
     except (OSError, subprocess.CalledProcessError):
         return None
 
@@ -90,6 +120,7 @@ def record(args, results):
         "commit": git_head(),
         "runs": len(results),
         "paths": r0.get("paths"),
+        "counters_w1": counters(results),
         "wall_s": medians(results),
     }
 
@@ -115,13 +146,24 @@ def cmd_seed(args):
     with open(args.out, "w") as f:
         json.dump(rec, f, indent=1)
         f.write("\n")
-    print(f"seeded baseline {args.out}: wall_s={rec['wall_s']}")
+    print(f"seeded baseline {args.out}: counters_w1={rec['counters_w1']} "
+          f"wall_s={rec['wall_s']}")
 
 
 def cmd_gate(args):
     with open(args.baseline) as f:
         base = json.load(f)
-    cur = medians(collect(args))
+    results = collect(args)
+    cur_counters = counters(results)
+    base_counters = base.get("counters_w1", {})
+    mismatched = []
+    for name in COUNTERS:
+        want, got = base_counters.get(name), cur_counters.get(name)
+        verdict = "ok" if want is not None and want == got else "MISMATCH"
+        print(f"workers=1 {name}: baseline {want}, current {got} {verdict}")
+        if verdict != "ok":
+            mismatched.append(name)
+    cur = medians(results)
     failed = []
     for workers, base_wall in base["wall_s"].items():
         if workers not in cur:
@@ -133,12 +175,18 @@ def cmd_gate(args):
               f"{cur[workers]:.3f}s ({ratio:.1%} of baseline) {verdict}")
         if verdict == "REGRESSED":
             failed.append(workers)
+    if mismatched:
+        print(f"FAIL: 1-worker counters {', '.join(mismatched)} differ from "
+              f"{args.baseline} (re-seed with 'bench_trend.py seed' if "
+              f"intentional)")
     if failed:
         print(f"FAIL: wall regression > {args.tolerance:.0%} at workers "
               f"{', '.join(failed)} (baseline {args.baseline}; re-seed with "
               f"'bench_trend.py seed' if intentional)")
+    if mismatched or failed:
         sys.exit(1)
-    print(f"PASS: all worker counts within {args.tolerance:.0%} of {args.baseline}")
+    print(f"PASS: 1-worker counters match and all worker counts within "
+          f"{args.tolerance:.0%} of {args.baseline}")
 
 
 def main():
@@ -164,10 +212,11 @@ def main():
     p.add_argument("--out", default=DEFAULT_BASELINE)
     p.set_defaults(fn=cmd_seed)
 
-    p = sub.add_parser("gate", help="fail on >tolerance wall regression vs the baseline")
+    p = sub.add_parser("gate", help="fail on a 1-worker counter change or a "
+                       ">tolerance wall regression vs the baseline")
     common(p)
     p.add_argument("--baseline", default=DEFAULT_BASELINE)
-    p.add_argument("--tolerance", type=float, default=0.15)
+    p.add_argument("--tolerance", type=float, default=1.0)
     p.set_defaults(fn=cmd_gate)
 
     args = ap.parse_args()

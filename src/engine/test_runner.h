@@ -27,7 +27,9 @@
 #include "engine/scheduler/exploration_scheduler.h"
 #include "obs/progress.h"
 #include "obs/query_profile.h"
+#include "obs/span.h"
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,6 +73,11 @@ SymbolicTestResult
 runSymbolicTest(const Prog &P, std::string_view Entry,
                 const EngineOptions &Opts, Solver &Slv,
                 M InitialMemory = M()) {
+  // The test's own work before and after the exploration is explore time
+  // too: set-up under one span, then the outcome loop and the destruction
+  // of the final states under another. Both are siblings of the
+  // exploration's span, never around it, so no kind counts twice.
+  std::optional<obs::Span> Own(std::in_place, obs::SpanKind::Explore);
   SymbolicTestResult R;
   R.Name = std::string(Entry);
   ++obs::progressCounters().TestsStarted;
@@ -90,8 +97,10 @@ runSymbolicTest(const Prog &P, std::string_view Entry,
   // Dispatches on Opts.Scheduler: the sequential worklist at Workers = 1
   // (bit-identical to the pre-scheduler engine), the work-stealing pool
   // with branch-trace-ordered results otherwise.
+  Own.reset();
   Result<std::vector<TraceResult<St>>> Traces = runExploration(
       Interp, InternedString::get(Entry), Expr::list({}), std::move(Init));
+  Own.emplace(obs::SpanKind::Explore); // declared first: destroyed last
   if (!Traces) {
     BugReport B;
     B.Message = "engine error: " + Traces.error();

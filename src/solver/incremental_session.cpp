@@ -73,7 +73,21 @@ struct IncrementalSession::Impl {
     return {Keep, Retained};
   }
 
-  void hardReset() {
+  /// Pops every frame above the first \p Keep; a reset is popTo(0), back
+  /// to the base scope of the same solver (see the header on why).
+  void popTo(size_t Keep) {
+    if (Keep == Frames.size())
+      return;
+    Solver.pop(static_cast<unsigned>(Frames.size() - Keep));
+    for (size_t F = Keep; F < Frames.size(); ++F)
+      for (const Expr &C : Frames[F].Conjuncts)
+        Asserted.erase(C);
+    Frames.resize(Keep);
+  }
+
+  /// Replaces the solver outright: only after a Z3 exception, when the
+  /// scope stack may no longer match the frames.
+  void rebuild() {
     Solver = z3::solver(threadZ3Context());
     Frames.clear();
     Asserted.clear();
@@ -89,7 +103,7 @@ size_t IncrementalSession::assertedConjuncts() const {
 }
 size_t IncrementalSession::encodeMemoSize() const { return P->Memo.size(); }
 
-void IncrementalSession::reset() { P->hardReset(); }
+void IncrementalSession::reset() { P->popTo(0); }
 
 size_t IncrementalSession::reusableConjuncts(const PathCondition &PC,
                                              const TypeEnv &Types) const {
@@ -108,9 +122,9 @@ SatResult IncrementalSession::checkSat(const PathCondition &PC,
     auto [Keep, Retained] = I.reusablePrefix(Query, Types);
 
     // Divergence: pop what no longer belongs. When the surviving share is
-    // below the threshold, re-asserting from scratch is cheaper than it
-    // looks (encoding is memoised) and sheds learnt clauses from the
-    // abandoned branch, so reset entirely.
+    // below the threshold, re-asserting from the base scope is cheaper
+    // than it looks (encoding is memoised) and sheds the abandoned
+    // branch's scopes, so reset: pop every frame.
     if (Keep < I.Frames.size() &&
         static_cast<double>(Retained) <
             ResetThreshold * static_cast<double>(PC.size())) {
@@ -122,15 +136,9 @@ SatResult IncrementalSession::checkSat(const PathCondition &PC,
       if (Keep == 0) {
         obs::TraceRecorder::record(obs::TraceEventKind::SessionReset, 0,
                                    static_cast<uint32_t>(Popped));
-        I.hardReset();
         Stats.IncResets.fetch_add(1, Relaxed);
-      } else {
-        I.Solver.pop(static_cast<unsigned>(Popped));
-        for (size_t F = Keep; F < I.Frames.size(); ++F)
-          for (const Expr &C : I.Frames[F].Conjuncts)
-            I.Asserted.erase(C);
-        I.Frames.resize(Keep);
       }
+      I.popTo(Keep);
     }
 
     std::vector<Expr> Delta;
@@ -185,7 +193,7 @@ SatResult IncrementalSession::checkSat(const PathCondition &PC,
     obs::TraceRecorder::record(obs::TraceEventKind::SessionReset, 0,
                                static_cast<uint32_t>(I.Frames.size()));
     try {
-      I.hardReset();
+      I.rebuild();
     } catch (...) {
     }
     return SatResult::Unknown;

@@ -17,8 +17,11 @@
 ///    conjuncts (one new scope) and re-checks;
 ///  - on divergence the frames that no longer belong to the query are
 ///    popped, and when the surviving share drops below a threshold the
-///    session resets entirely (fresh solver, shedding learnt clauses from
-///    abandoned branches);
+///    session resets: every frame pops back to the base scope. The Z3
+///    solver lives as long as the session (Z3's first push on a new
+///    solver costs milliseconds, pop/push/check on a live one tens of
+///    microseconds); only a Z3 exception, after which the scope stack may
+///    not match the frames, builds a new one;
 ///  - encoding reuse is independent of scope reuse: a per-session
 ///    Z3EncodingMemo hash-conses GIL→Z3 translation per (expression
 ///    identity, TypeEnv fingerprint), so re-encoding unchanged conjuncts
@@ -88,9 +91,9 @@ public:
   SatResult checkSat(const PathCondition &PC, const TypeEnv &Types,
                      double ResetThreshold, SolverStats &Stats);
 
-  /// Pops every frame and starts from a fresh solver (the encoding memo
-  /// survives — it is keyed on environment fingerprints, not on solver
-  /// state).
+  /// Pops every frame back to the base scope, keeping the solver (the
+  /// encoding memo survives too — it is keyed on environment
+  /// fingerprints, not on solver state).
   void reset();
 
   size_t depth() const;             ///< live frames (push scopes)

@@ -385,6 +385,28 @@ struct Analysis {
   }
 };
 
+/// Per logical variable, the types that `!(typeof(#x) == ^T)` conjuncts
+/// of \p PC exclude, as a bit set indexed by GilType.
+std::map<InternedString, unsigned> excludedTypes(const PathCondition &PC) {
+  std::map<InternedString, unsigned> Excluded;
+  for (const Expr &C : PC.conjuncts()) {
+    if (C.kind() != ExprKind::UnOp || C.unOpKind() != UnOpKind::Not)
+      continue;
+    const Expr &Eq = C.child(0);
+    if (Eq.kind() != ExprKind::BinOp || Eq.binOpKind() != BinOpKind::Eq)
+      continue;
+    for (size_t Side = 0; Side < 2; ++Side) {
+      const Expr &TypeOf = Eq.child(Side), &Lit = Eq.child(1 - Side);
+      if (TypeOf.kind() == ExprKind::UnOp &&
+          TypeOf.unOpKind() == UnOpKind::TypeOf && TypeOf.child(0).isLVar() &&
+          Lit.isLit() && Lit.litValue().isType())
+        Excluded[TypeOf.child(0).varName()] |=
+            1u << static_cast<unsigned>(Lit.litValue().asType());
+    }
+  }
+  return Excluded;
+}
+
 } // namespace
 
 std::vector<std::vector<Expr>>
@@ -554,6 +576,7 @@ std::optional<Model> gillian::proposeModelSyntactic(const PathCondition &PC) {
     }
   }
 
+  std::map<InternedString, unsigned> Excluded = excludedTypes(PC);
   Model M;
   uint32_t FreshSym = 0;
   // Distinct default integers per disequality-entangled class would need a
@@ -576,9 +599,20 @@ std::optional<Model> gillian::proposeModelSyntactic(const PathCondition &PC) {
       M.bind(X, *Bound);
       continue;
     }
-    GilType T = A.Types.lookup(X).value_or(GilType::Int);
+    // An untyped variable takes the first of Int/Num/Str/Bool that no
+    // `!(typeof(#x) == ^T)` conjunct excludes (Int when all four are):
+    // the witness the typed-symbol vanish edges of every frontend need.
+    std::optional<GilType> T = A.Types.lookup(X);
+    if (!T) {
+      auto Ex = Excluded.find(X);
+      unsigned Mask = Ex == Excluded.end() ? 0u : Ex->second;
+      for (GilType Cand :
+           {GilType::Int, GilType::Num, GilType::Str, GilType::Bool})
+        if (!T && !(Mask & (1u << static_cast<unsigned>(Cand))))
+          T = Cand;
+    }
     auto Sug = Suggested.find(ClassId);
-    switch (T) {
+    switch (T.value_or(GilType::Int)) {
     case GilType::Int: {
       int64_t Pick = 0;
       if (Sug != Suggested.end())

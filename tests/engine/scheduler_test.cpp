@@ -410,8 +410,8 @@ TEST(ExplorationScheduler, HundredsOfTinyExplorationsAllQuiesce) {
   ASSERT_TRUE(P.ok()) << P.error();
   InternedString Main = InternedString::get("main");
   // No Z3: every pool starts fresh threads, and each would build a cold
-  // thread-local Z3 context for the Unknown typeof queries of fresh_int.
-  // Unknown keeps both sides feasible; the path count stays deterministic.
+  // thread-local Z3 context for any query reaching it. An Unknown keeps
+  // both sides feasible; the path count stays deterministic.
   EngineOptions Opts = withWorkers(8);
   Opts.Solver.UseZ3 = false;
   EngineOptions SeqOpts = Opts;

@@ -109,12 +109,103 @@ TEST_F(IncrementalSessionTest, LowSharingTriggersFullReset) {
   check(S, pc({"typeof(#x) == ^Int", "0 <= #x", "#x < 10"}));
   ASSERT_EQ(S.depth(), 2u);
 
-  // Nothing shared: retained share 0 < threshold -> fresh solver.
+  // Nothing shared: retained share 0 < threshold -> pop to base scope.
   PathCondition Other = pc({"typeof(#y) == ^Int", "#y == 4"});
   EXPECT_EQ(check(S, Other), SatResult::Sat);
   EXPECT_EQ(Stats.IncResets, 1u);
   EXPECT_EQ(S.depth(), 1u);
   EXPECT_EQ(S.assertedConjuncts(), 2u);
+}
+
+TEST_F(IncrementalSessionTest, ThresholdResetBehavesLikeAFreshSession) {
+  // A reset pops back to the base scope of the session's long-lived
+  // solver; afterwards the session must be indistinguishable from a new
+  // one, in its frames and in how a pure extension lands.
+  IncrementalSession S, Fresh;
+  SolverStats Reused, New;
+  PathCondition X1 = pc({"typeof(#x) == ^Int", "0 <= #x"});
+  PathCondition X2 = pc({"typeof(#x) == ^Int", "0 <= #x", "#x < 10"});
+  S.checkSat(X1, typesOf(X1), 0.25, Reused);
+  S.checkSat(X2, typesOf(X2), 0.25, Reused);
+  ASSERT_EQ(S.depth(), 2u);
+
+  PathCondition Y1 = pc({"typeof(#y) == ^Int", "#y == 4"});
+  PathCondition Y2 = pc({"typeof(#y) == ^Int", "#y == 4", "#y < 3"});
+  EXPECT_EQ(S.checkSat(Y1, typesOf(Y1), 0.25, Reused),
+            Fresh.checkSat(Y1, typesOf(Y1), 0.25, New));
+  EXPECT_EQ(Reused.IncResets, 1u);
+  EXPECT_EQ(S.depth(), Fresh.depth());
+  EXPECT_EQ(S.depth(), 1u);
+  EXPECT_EQ(S.assertedConjuncts(), Fresh.assertedConjuncts());
+
+  uint64_t ExtendsBefore = Reused.IncExtends;
+  EXPECT_EQ(S.checkSat(Y2, typesOf(Y2), 0.25, Reused), SatResult::Unsat);
+  EXPECT_EQ(Fresh.checkSat(Y2, typesOf(Y2), 0.25, New), SatResult::Unsat);
+  EXPECT_EQ(Reused.IncExtends - ExtendsBefore, New.IncExtends.load())
+      << "the pure extension lands on the reset session as on a new one";
+  EXPECT_EQ(Reused.IncResets, 1u);
+  EXPECT_EQ(S.depth(), Fresh.depth());
+  EXPECT_EQ(S.depth(), 2u);
+  EXPECT_EQ(S.assertedConjuncts(), Fresh.assertedConjuncts());
+  EXPECT_EQ(S.reusableConjuncts(Y2, typesOf(Y2)),
+            Fresh.reusableConjuncts(Y2, typesOf(Y2)));
+}
+
+TEST_F(IncrementalSessionTest, ZeroSharingChurnMatchesFreshSessions) {
+  // Every query below shares no conjunct with anything asserted before
+  // it, so each one resets a lone session or, once the pool is full,
+  // evicts a pooled one. Each is followed by a pure extension, so a reset
+  // pops two frames. On every query the verdict must be a new session's.
+  const std::vector<std::vector<std::string>> Shapes = {
+      {"typeof(A) == ^Int", "0 < A"},
+      {"typeof(A) == ^Int", "A < 0", "0 < A"},
+      {"typeof(A) == ^Int", "typeof(B) == ^Int", "A + B == 10", "A - B == 4"},
+      {"typeof(A) == ^Int", "(A << 1) == 4"},
+      {"typeof(A) == ^Num", "0 < A", "A < 1"},
+      {"typeof(A) == ^Int", "0 < A", "A < 1"},
+  };
+  auto instantiate = [](const std::string &T, int I) {
+    std::string Out;
+    for (char Ch : T) {
+      if (Ch == 'A' || Ch == 'B')
+        Out += (Ch == 'A' ? "#a_" : "#b_") + std::to_string(I);
+      else
+        Out += Ch;
+    }
+    return parseGilExpr(Out).take();
+  };
+
+  IncrementalSession Lone;
+  IncrementalSessionPool Pool;
+  SolverStats LoneStats, PoolStats, FreshStats;
+  const int Queries = 210;
+  std::map<SatResult, int> Seen;
+  for (int I = 0; I < Queries; ++I) {
+    const std::vector<std::string> &Shape = Shapes[I % Shapes.size()];
+    PathCondition Q, Ext;
+    for (const std::string &T : Shape)
+      Q.add(instantiate(T, I));
+    Ext = Q;
+    Ext.add(instantiate("A < 100", I));
+
+    IncrementalSession Fresh;
+    for (const PathCondition *P : {&Q, &Ext}) {
+      TypeEnv Types = typesOf(*P);
+      SatResult Want = Fresh.checkSat(*P, Types, 0.25, FreshStats);
+      ASSERT_EQ(Lone.checkSat(*P, Types, 0.25, LoneStats), Want)
+          << "query " << I << ": " << P->toString();
+      ASSERT_EQ(Pool.checkSat(*P, Types, 0.25, PoolStats), Want)
+          << "query " << I << ": " << P->toString();
+      ++Seen[Want];
+    }
+  }
+  EXPECT_EQ(LoneStats.IncResets, static_cast<uint64_t>(Queries - 1))
+      << "every zero-sharing query after the first resets the session";
+  EXPECT_EQ(LoneStats.IncPoppedFrames, 2u * (Queries - 1));
+  EXPECT_EQ(Pool.sessions(), IncrementalSessionPool::MaxSessions);
+  EXPECT_EQ(PoolStats.IncResets, 0u)
+      << "eviction empties the session before the query reaches it";
+  EXPECT_EQ(Seen.size(), 3u) << "the churn covers Sat, Unsat and Unknown";
 }
 
 TEST_F(IncrementalSessionTest, EncodingMemoSurvivesReset) {

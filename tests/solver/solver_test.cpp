@@ -289,3 +289,15 @@ TEST_F(Z3Test, UnsupportedConjunctsDegradeToUnknownNotWrong) {
   PathCondition P = pc({"typeof(#x) == ^Int", "(#x << 1) == 4"});
   EXPECT_NE(S.checkSat(P), SatResult::Unsat);
 }
+
+TEST(SolverFacade, ExcludedTypeIsSatWithoutZ3) {
+  // The vanish edge of every typed symbolic input (MC symb_i64, While
+  // fresh_int(), typed MJS symbols): decided in-process by a verified
+  // witness of another type, and cached like any decided verdict.
+  Solver S;
+  PathCondition P = pc({"!(typeof(#x) == ^Int)"});
+  EXPECT_EQ(S.checkSat(P), SatResult::Sat);
+  EXPECT_EQ(S.checkSat(P), SatResult::Sat);
+  EXPECT_EQ(S.stats().Z3Calls, 0u);
+  EXPECT_EQ(S.stats().CacheHits, 1u);
+}

@@ -119,3 +119,48 @@ TEST(Syntactic, ModelPicksIntervalPoint) {
   EXPECT_GE(V->asInt(), 10);
   EXPECT_LE(V->asInt(), 12);
 }
+
+TEST(Syntactic, ExcludedTypeGetsAVerifiedWitnessOfAnother) {
+  // The vanish edge of a typed symbolic input: an untyped variable that
+  // is only constrained not to be an Int.
+  PathCondition P = pc({"!(typeof(#x) == ^Int)"});
+  std::optional<Model> M = proposeModelSyntactic(P);
+  ASSERT_TRUE(M.has_value());
+  EXPECT_TRUE(M->satisfies(P)) << M->toString();
+  const Value *V = M->lookup(InternedString::get("#x"));
+  ASSERT_NE(V, nullptr);
+  EXPECT_FALSE(V->isInt()) << V->toString();
+}
+
+TEST(Syntactic, WitnessSkipsEveryExcludedType) {
+  PathCondition P = pc({"!(typeof(#x) == ^Int)", "!(^Num == typeof(#x))"});
+  std::optional<Model> M = proposeModelSyntactic(P);
+  ASSERT_TRUE(M.has_value());
+  EXPECT_TRUE(M->satisfies(P)) << M->toString();
+  const Value *V = M->lookup(InternedString::get("#x"));
+  ASSERT_NE(V, nullptr);
+  EXPECT_TRUE(V->isStr()) << V->toString();
+}
+
+TEST(Syntactic, NoVerifiedWitnessWhenAllFourTypesAreExcluded) {
+  PathCondition P =
+      pc({"!(typeof(#x) == ^Int)", "!(typeof(#x) == ^Num)",
+          "!(typeof(#x) == ^Str)", "!(typeof(#x) == ^Bool)"});
+  std::optional<Model> M = proposeModelSyntactic(P);
+  EXPECT_FALSE(M && M->satisfies(P)) << M->toString();
+}
+
+TEST(Syntactic, PinnedAndExcludedTypeStaysUnsat) {
+  PathCondition P =
+      pc({"typeof(#x) == ^Int && !(typeof(#x) == ^Int)"});
+  EXPECT_EQ(checkSatSyntactic(P), SatResult::Unsat);
+  EXPECT_FALSE(proposeModelSyntactic(P).has_value());
+}
+
+TEST(Syntactic, ExcludedTypeNeverYieldsAFalseWitness) {
+  // `#x + 1 == 3` only holds for the Int 2, which the exclusion rules
+  // out: whatever is proposed must fail verification.
+  PathCondition P = pc({"!(typeof(#x) == ^Int)", "#x + 1 == 3"});
+  std::optional<Model> M = proposeModelSyntactic(P);
+  EXPECT_FALSE(M && M->satisfies(P)) << M->toString();
+}
