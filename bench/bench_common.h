@@ -13,8 +13,8 @@
 ///                               target's core count)
 ///   --json / --no-json          emit / suppress the trailing
 ///                               machine-readable JSON line (default on)
-///   --trace-out=FILE            enable the flight recorder and write a
-///                               chrome://tracing JSON file at exit
+///   --trace-out=FILE            enable the execution journal and write
+///                               its chrome://tracing view at exit
 ///   --obs-detail                enable the per-step / per-simplify detail
 ///                               spans (hot; off by default)
 ///   --cache-file=FILE           persist the canonical solver result cache
@@ -69,11 +69,6 @@
 #include "obs/json_writer.h"
 #include "obs/obs_config.h"
 #include "obs/span.h"
-#include "obs/trace_ring.h"
-#include "solver/incremental_session.h"
-#include "solver/native/native_session.h"
-#include "solver/native/query_service.h"
-#include "solver/simplifier.h"
 #include "solver/solver.h"
 #include "solver/solver_cache.h"
 
@@ -245,17 +240,15 @@ inline obs::HeartbeatSampler &processHeartbeat() {
 }
 
 /// Applies the observability and persistence flags: detail spans, the
-/// flight recorder, the live introspection server, the heartbeat sampler,
-/// and the warm-start cache load. Call once after parseBenchArgs.
+/// execution journal, the live introspection server, the heartbeat
+/// sampler, and the warm-start cache load. Call once after parseBenchArgs.
 inline void setupObs(const BenchArgs &Args) {
   if (Args.ObsDetail)
     obs::ObsConfig::setDetailedSpans(true);
   if (Args.MetricsWindowMs > 0)
     obs::setMetricsWindowMs(Args.MetricsWindowMs);
-  if (!Args.JournalOut.empty())
+  if (!Args.JournalOut.empty() || !Args.TraceOut.empty())
     obs::journal::setEnabled(true);
-  if (!Args.TraceOut.empty())
-    obs::TraceRecorder::instance().enable();
   if (!Args.Serve.empty())
     obs::startProcessIntrospection(Args.Serve);
   if (!Args.HeartbeatOut.empty()) {
@@ -285,12 +278,10 @@ inline void setupObs(const BenchArgs &Args) {
   }
 }
 
-/// Writes the chrome trace, saves the persisted cache, stops the
-/// heartbeat sampler, and rides out the --serve-linger-ms window (per
-/// Args). Call once before exiting.
-inline void finishObs(const BenchArgs &Args) {
-  if (!Args.HeartbeatOut.empty())
-    processHeartbeat().stop();
+/// Writes the journal's --journal-out file and its --trace-out chrome
+/// view, then clears both paths in \p Args so a later call writes
+/// nothing. Drivers that reset the journal before exiting call it first.
+inline void writeJournalOutputs(BenchArgs &Args) {
   if (!Args.JournalOut.empty()) {
     obs::journal::JournalData D = obs::journal::capture();
     std::string Err;
@@ -300,7 +291,26 @@ inline void finishObs(const BenchArgs &Args) {
     else
       std::fprintf(stderr, "[bench] failed to write journal to %s: %s\n",
                    Args.JournalOut.c_str(), Err.c_str());
+    Args.JournalOut.clear();
   }
+  if (!Args.TraceOut.empty()) {
+    if (obs::writeChromeTrace(Args.TraceOut))
+      std::fprintf(stderr, "[bench] chrome trace written to %s\n",
+                   Args.TraceOut.c_str());
+    else
+      std::fprintf(stderr, "[bench] failed to write trace to %s\n",
+                   Args.TraceOut.c_str());
+    Args.TraceOut.clear();
+  }
+}
+
+/// Writes the journal outputs, saves the persisted cache, stops the
+/// heartbeat sampler, and rides out the --serve-linger-ms window (per
+/// Args). Call once before exiting.
+inline void finishObs(BenchArgs Args) {
+  if (!Args.HeartbeatOut.empty())
+    processHeartbeat().stop();
+  writeJournalOutputs(Args);
   if (!Args.Serve.empty() && Args.ServeLingerMs > 0 &&
       obs::processIntrospectServer().running()) {
     // Keep serving so an out-of-process scraper (CI's curl loop) can
@@ -323,14 +333,6 @@ inline void finishObs(const BenchArgs &Args) {
     }
     S.stop();
   }
-  if (!Args.TraceOut.empty()) {
-    if (obs::writeChromeTrace(Args.TraceOut))
-      std::fprintf(stderr, "[bench] chrome trace written to %s\n",
-                   Args.TraceOut.c_str());
-    else
-      std::fprintf(stderr, "[bench] failed to write trace to %s\n",
-                   Args.TraceOut.c_str());
-  }
   if (!Args.CacheFile.empty()) {
     long N = savePersistedCache(Args.CacheFile);
     if (N >= 0)
@@ -350,21 +352,16 @@ inline void finishObs(const BenchArgs &Args) {
   }
 }
 
-/// A genuinely cold solver for the next timed configuration: clears the
-/// process-wide result cache, the sharded simplifier memo, and every
-/// thread's incremental Z3 sessions + encoding memos (runSuite feeds all
-/// three, which would otherwise warm every later row). Under --cache-file
-/// the result cache is then re-seeded from the persisted entries — the
-/// explicit opt-in warm start, identical for every row.
+/// A genuinely cold solver for the next timed configuration:
+/// Solver::resetCache over the process-wide result cache colds every
+/// memoised layer runSuite feeds (which would otherwise warm every later
+/// row) — the result cache, the simplifier memo, every thread's
+/// incremental and native sessions, and the procedure summary store.
+/// Under --cache-file the result cache and the summary store are then
+/// re-seeded from the persisted entries — the explicit opt-in warm start,
+/// identical for every row.
 inline void coldStart() {
-  resetSimplifyCache();
-  SolverCache::process().clear();
-  IncrementalSessionPool::invalidateAll();
-  IncrementalSessionPool::forThread().reset();
-  native::SolverService::process().flush();
-  native::NativeSessionPool::invalidateAll();
-  native::NativeSessionPool::forThread().reset();
-  ProcedureSummaryStore::process().clear();
+  Solver(SolverOptions(), SolverCache::process()).resetCache();
   if (!persistedCacheFile().empty()) {
     loadPersistedCache(persistedCacheFile());
     ProcedureSummaryStore::process().load(

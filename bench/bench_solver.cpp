@@ -11,6 +11,7 @@
 #include "gil/parser.h"
 #include "obs/json_writer.h"
 #include "solver/incremental_session.h"
+#include "solver/simplifier.h"
 #include "solver/solver.h"
 
 #include <benchmark/benchmark.h>

@@ -38,10 +38,8 @@
 #include "obs/coverage.h"
 #include "obs/journal/journal.h"
 #include "obs/progress.h"
-#include "obs/query_profile.h"
 #include "obs/span.h"
 #include "obs/summary_stats.h"
-#include "obs/trace_ring.h"
 
 #include <memory>
 #include <optional>
@@ -158,14 +156,13 @@ public:
     // Register every procedure's IfGoto sites up front so branch-coverage
     // totals are static: a branch no path ever reaches reports as
     // uncovered instead of silently missing from the denominator.
-    if (obs::ObsConfig::coverage())
-      for (const auto &[Name, Proc] : P.procs()) {
-        uint32_t Sites = 0;
-        for (const Cmd &C : Proc.Body)
-          if (C.Kind == CmdKind::IfGoto)
-            ++Sites;
-        obs::BranchCoverage::instance().registerProc(Name.id(), Sites);
-      }
+    for (const auto &[Name, Proc] : P.procs()) {
+      uint32_t Sites = 0;
+      for (const Cmd &C : Proc.Body)
+        if (C.Kind == CmdKind::IfGoto)
+          ++Sites;
+      obs::BranchCoverage::instance().registerProc(Name.id(), Sites);
+    }
     // Summary eligibility is syntactic and per-procedure: decide it once
     // here (with the content fingerprint that keys the process-wide
     // store) so the Call hot path is one hash-map probe.
@@ -279,11 +276,6 @@ public:
     }
     const Cmd &Command = Cur->Body[C.I];
     ++Stats.CmdsExecuted;
-    // Publish the executing GIL site so the solver's hot-query profiler
-    // can attribute every query this command issues (three word-sized
-    // thread-local writes; restored when the command completes).
-    obs::QueryOriginScope QueryOrigin(C.CurProc.id(),
-                                      static_cast<uint32_t>(C.I));
 
     switch (Command.Kind) {
     case CmdKind::Assign: {
@@ -356,10 +348,8 @@ public:
       }
 
       bool TookBoth = TrueSt->has_value() && FalseSt.has_value();
-      if (TookBoth) {
+      if (TookBoth)
         ++Stats.Branches;
-        obs::TraceRecorder::record(obs::TraceEventKind::BranchTaken, 0, 2);
-      }
       obs::BranchCoverage::recordBranch(
           C.CurProc.id(), static_cast<uint32_t>(C.I),
           (FalseSt.has_value() ? obs::BranchFalseBit : 0) |
@@ -442,7 +432,9 @@ public:
              "call to unknown procedure '" + std::string(F->str()) + "'");
         return;
       }
-      if (C.Stack.size() >= Opts.MaxCallDepth) {
+      // Call-stack depth bound: a deeper call ends its path as Bound.
+      constexpr size_t MaxCallDepth = 256;
+      if (C.Stack.size() >= MaxCallDepth) {
         journalEnd(C, OutcomeKind::Bound, obs::journal::BudgetKind::Depth);
         finish(S, OutcomeKind::Bound,
                St::errorValue("call depth bound reached"),
@@ -516,19 +508,22 @@ public:
         fail(S, std::move(C), Arg.error());
         return;
       }
+      // The journal attributes the solver wall of the queries the action
+      // issues (branch-feasibility checks inside the memory model) to the
+      // action's site.
       const bool JOn = obs::journal::enabled();
+      const obs::journal::QueryAttribution &QA =
+          obs::journal::queryAttribution();
       uint32_t JPc0 = JOn ? journalPcSize(C.State) : 0;
+      uint64_t JWall0 = JOn ? QA.CumWallNs : 0;
       Result<std::vector<StateBranch<St>>> Branches =
           C.State.execAction(Command.Action, *Arg);
       if (!Branches) {
         fail(S, std::move(C), Branches.error());
         return;
       }
-      if (Branches->size() > 1) {
+      if (Branches->size() > 1)
         Stats.Branches += Branches->size() - 1;
-        obs::TraceRecorder::record(obs::TraceEventKind::BranchTaken, 0,
-                                   static_cast<uint32_t>(Branches->size()));
-      }
       // k >= 2 action outputs (error finishes included, production order)
       // are a multi-output step: allocate k child node ids, one per
       // branch, and record the action plus one Branch edge per output.
@@ -544,7 +539,8 @@ public:
                                  static_cast<uint32_t>(C.I),
                                  Command.Action.id(),
                                  static_cast<uint32_t>(NOut), NErr,
-                                 NOut >= 2 ? JChild : 0);
+                                 NOut >= 2 ? JChild : 0,
+                                 QA.CumWallNs - JWall0);
       }
       uint32_t JIdx = 0;
       for (StateBranch<St> &B : *Branches) {
@@ -609,8 +605,6 @@ public:
     case OutcomeKind::Vanish: ++Stats.PathsVanished; break;
     case OutcomeKind::Bound: ++Stats.PathsBounded; break;
     }
-    obs::TraceRecorder::record(obs::TraceEventKind::PathFinished,
-                               static_cast<uint8_t>(K));
     ++obs::progressCounters().PathsFinished;
     S.done(K, std::move(V), std::move(State));
   }
@@ -687,7 +681,7 @@ private:
       for (const Expr &Cj : Key.Slice.conjuncts())
         EntrySt.spliceConjunct(Cj);
       std::shared_ptr<SummaryEntry> Rec = summary::recordSummary<St>(
-          std::move(EntrySt), *PP, F, Key.Fingerprint, Opts);
+          std::move(EntrySt), *PP, F, Key.Fingerprint);
       if (!Rec) {
         ++G.RecordOverflows;
         auto Neg = std::make_shared<SummaryEntry>();
@@ -743,8 +737,6 @@ private:
   /// solver counters differ (that difference is the win).
   template <typename Sink> void replayStep(Config C, Sink &S) {
     obs::DetailSpan StepSpan(obs::SpanKind::Step);
-    obs::QueryOriginScope QueryOrigin(C.CurProc.id(),
-                                      static_cast<uint32_t>(C.I));
     const SummaryEntry &E = *C.Replay;
     const SummaryNode &N = E.Nodes[C.ReplayNode];
     obs::SummaryGlobalStats &G = obs::summaryGlobalStats();
@@ -821,10 +813,8 @@ private:
       bool TOk = E.Nodes[N.TrueChild].Batches.empty() ||
                  spliceFeasible(C.State,
                                 E.Nodes[N.TrueChild].Batches.front());
-      if (FOk && TOk) {
+      if (FOk && TOk)
         ++Stats.Branches;
-        obs::TraceRecorder::record(obs::TraceEventKind::BranchTaken, 0, 2);
-      }
       if (JOn) {
         uint64_t TWall = QA.CumWallNs - TWall0;
         uint8_t TLayer = 0, TVerd = 0;

@@ -24,10 +24,9 @@
 namespace gillian {
 
 struct EngineOptions {
-  /// Simplify store expressions and path-condition conjuncts as they are
-  /// built (§2.3 [EvalExpr]).
-  bool UseSimplifier = true;
-  /// Use the process-wide simplification memo.
+  /// Use the process-wide simplification memo. Store expressions and
+  /// path-condition conjuncts are always simplified as they are built
+  /// (§2.3 [EvalExpr]).
   bool UseSimplifierCache = true;
 
   SolverOptions Solver;
@@ -43,10 +42,6 @@ struct EngineOptions {
   /// Replay is result- and stats-identical to re-execution by
   /// construction; only solver effort differs.
   bool UseSummaries = true;
-  /// Recording caps: a procedure whose execution tree exceeds either cap
-  /// is negative-cached and always executed for real.
-  uint32_t SummaryMaxNodes = 512;
-  uint64_t SummaryMaxSteps = 4096;
 
   /// Bound on back-jumps (loop iterations) per path — the paper's
   /// "unrolling loops up to a bound".
@@ -55,8 +50,6 @@ struct EngineOptions {
   uint64_t MaxSteps = 50'000'000;
   /// Bound on explored paths per run (0 = unlimited).
   uint64_t MaxPaths = 0;
-  /// Call-stack depth bound.
-  uint32_t MaxCallDepth = 256;
 
   /// The JaVerT 2.0 baseline: basic simplification stays (every symbolic
   /// engine folds constants), but the Gillian improvements §4.1 credits

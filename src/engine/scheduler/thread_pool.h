@@ -42,7 +42,6 @@
 
 #include "obs/progress.h"
 #include "obs/sched_counters.h"
-#include "obs/trace_ring.h"
 
 #include <atomic>
 #include <cassert>
@@ -200,9 +199,6 @@ private:
       ++SC.Steals;
       SC.StolenTasks += Batch.size();
       SC.StealQueueDepth += VictimDepth;
-      obs::TraceRecorder::record(obs::TraceEventKind::Steal, 0,
-                                 static_cast<uint32_t>(Batch.size()),
-                                 VictimDepth);
       if (Batch.size() > 1) {
         {
           std::lock_guard<std::mutex> Lock(Queues[Idx].Mu);

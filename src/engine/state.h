@@ -299,7 +299,7 @@ public:
 
 private:
   Expr simplified(const Expr &E) const {
-    if (!Opts || !Opts->UseSimplifier)
+    if (!Opts)
       return E;
     return Opts->UseSimplifierCache ? simplifyCached(E, &Types)
                                     : simplify(E, &Types);

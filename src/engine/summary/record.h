@@ -10,7 +10,7 @@
 /// IfGotos, return/fail/vanish — see summaryEligible) that executes a
 /// procedure body once from a synthetic entry state and captures the
 /// execution tree as SummaryNodes. It deliberately does NOT reuse
-/// Interpreter::step: recording must not touch ExecStats, the trace ring,
+/// Interpreter::step: recording must not touch ExecStats, the journal,
 /// branch coverage or the progress counters — those effects are produced
 /// (bit-identically) by *replay*, on the recording call itself and on
 /// every later hit.
@@ -34,7 +34,6 @@
 #ifndef GILLIAN_ENGINE_SUMMARY_RECORD_H
 #define GILLIAN_ENGINE_SUMMARY_RECORD_H
 
-#include "engine/options.h"
 #include "engine/summary/summary_store.h"
 #include "gil/prog.h"
 #include "obs/coverage.h"
@@ -45,13 +44,18 @@
 
 namespace gillian::summary {
 
+/// Recording caps: a procedure whose execution tree exceeds either is
+/// negative-cached and always executed for real.
+inline constexpr size_t SummaryMaxNodes = 512;
+inline constexpr uint64_t SummaryMaxSteps = 4096;
+
 /// Records the execution tree of eligible procedure \p P from \p EntrySt.
 /// Returns the finished entry, or nullptr when the node/step caps blow
 /// (the caller negative-caches the key and falls back to real execution).
 template <typename St>
-std::shared_ptr<SummaryEntry>
-recordSummary(St EntrySt, const Proc &P, InternedString Name,
-              uint64_t Fingerprint, const EngineOptions &Opts) {
+std::shared_ptr<SummaryEntry> recordSummary(St EntrySt, const Proc &P,
+                                            InternedString Name,
+                                            uint64_t Fingerprint) {
   auto E = std::make_shared<SummaryEntry>();
   E->ProcName = Name;
   E->Fingerprint = Fingerprint;
@@ -83,7 +87,7 @@ recordSummary(St EntrySt, const Proc &P, InternedString Name,
     const uint32_t Node = Edge.Node;
 
     for (;;) {
-      if (++Steps > Opts.SummaryMaxSteps)
+      if (++Steps > SummaryMaxSteps)
         return nullptr;
       // Off-end check before the command count, mirroring step().
       if (I >= P.Body.size()) {
@@ -138,7 +142,7 @@ recordSummary(St EntrySt, const Proc &P, InternedString Name,
           E->Nodes.emplace_back();
           const uint32_t TC = static_cast<uint32_t>(E->Nodes.size());
           E->Nodes.emplace_back();
-          if (E->Nodes.size() > Opts.SummaryMaxNodes)
+          if (E->Nodes.size() > SummaryMaxNodes)
             return nullptr;
           // The children's branch-in batches (batch 0): replay splices and
           // feasibility-checks them at the split, where the IfGoto's

@@ -227,14 +227,6 @@ ProcedureSummaryStore &ProcedureSummaryStore::process() {
   return S;
 }
 
-void gillian::resetEngineCaches(Solver &S) {
-  S.resetCache();
-  // resetCache() already runs the registered hook when the process store
-  // has been touched; clear again unconditionally so the guarantee does
-  // not depend on hook installation order.
-  ProcedureSummaryStore::process().clear();
-}
-
 //===----------------------------------------------------------------------===//
 // Persistence — same crash-safe discipline as Solver::saveCache
 //===----------------------------------------------------------------------===//

@@ -51,8 +51,6 @@
 
 namespace gillian {
 
-class Solver;
-
 /// What a recorded path terminated with. Split/Dead are interior shapes:
 /// a Split is a both-feasible IfGoto (exactly two children), a Dead node
 /// is a both-infeasible IfGoto (the path emits nothing, exactly like the
@@ -210,14 +208,6 @@ private:
   std::atomic<size_t> BytesTotal{0};
   std::atomic<uint64_t> Generation{0};
 };
-
-/// Colds every engine-layer memoisation in one call: the solver's caches
-/// (Solver::resetCache — result cache, simplifier memo, incremental and
-/// native sessions) plus the process-wide summary store. resetCache()
-/// alone already colds the summary store through the registered hook;
-/// this spelling exists so engine code has a name for the whole-stack
-/// reset that doesn't rely on knowing the hook is installed.
-void resetEngineCaches(Solver &S);
 
 } // namespace gillian
 

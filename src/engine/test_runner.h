@@ -26,7 +26,6 @@
 #include "engine/interpreter.h"
 #include "engine/scheduler/exploration_scheduler.h"
 #include "obs/progress.h"
-#include "obs/query_profile.h"
 #include "obs/span.h"
 
 #include <optional>
@@ -124,10 +123,6 @@ runSymbolicTest(const Prog &P, std::string_view Entry,
       B.Message = T.Val.toString();
       const PathCondition &PC = T.Final.pathCondition();
       B.PathCond = PC.toString();
-      // Counter-model search runs outside any interpreter step; attribute
-      // it to the test's entry procedure so the hot-query profiler still
-      // accounts the time (command index 0 = "the test itself").
-      obs::QueryOriginScope Origin(InternedString::get(Entry).id(), 0);
       if (auto Mod = Slv.verifiedModel(PC)) {
         B.Confirmed = true;
         B.CounterModel = Mod->toString();

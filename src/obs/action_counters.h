@@ -18,7 +18,7 @@
 ///
 /// bump() is one shard-mutex acquisition + one relaxed add — noise next
 /// to the memory action it accounts (which allocates, simplifies and
-/// typically queries the solver). Gated behind ObsConfig::actionCounters.
+/// typically queries the solver).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +26,6 @@
 #define GILLIAN_OBS_ACTION_COUNTERS_H
 
 #include "obs/json_writer.h"
-#include "obs/obs_config.h"
 #include "support/interner.h"
 
 #include <array>
@@ -48,8 +47,6 @@ public:
   /// a string with static storage duration (the memory models pass
   /// literals).
   static void bump(const char *Lang, InternedString Action) {
-    if (!ObsConfig::actionCounters())
-      return;
     instance().bumpImpl(Lang, Action);
   }
 

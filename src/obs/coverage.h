@@ -9,9 +9,8 @@
 /// which conditional outcomes the exploration actually reached. A bounded
 /// symbolic run that reports "no bugs" is only as strong as its coverage;
 /// this module lifts the engine's existing branch observations (the same
-/// sites that feed the BranchTaken flight-recorder events) into
-/// per-procedure covered/total counters reported in the bench JSON and on
-/// /metrics.
+/// sites that feed the journal's Branch events) into per-procedure
+/// covered/total counters reported in the bench JSON and on /metrics.
 ///
 /// A *site* is one IfGoto command: (procedure, command index). Each site
 /// has two outcomes — the false branch (fallthrough) and the true branch
@@ -20,10 +19,9 @@
 /// interpreter registers every procedure's IfGoto count up front, so
 /// never-executed branches show up as uncovered instead of disappearing.
 ///
-/// recordBranch() is a shard-mutex acquisition plus a bitwise OR, gated
-/// behind ObsConfig::coverage(); an IfGoto typically evaluates its
-/// condition against the path condition (a solver query), so the
-/// bookkeeping is noise.
+/// recordBranch() is a shard-mutex acquisition plus a bitwise OR; an
+/// IfGoto typically evaluates its condition against the path condition
+/// (a solver query), so the bookkeeping is noise.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +29,6 @@
 #define GILLIAN_OBS_COVERAGE_H
 
 #include "obs/json_writer.h"
-#include "obs/obs_config.h"
 #include "support/interner.h"
 
 #include <array>
@@ -59,9 +56,9 @@ public:
 
   /// Records that the site (\p ProcId, \p CmdIdx) produced the outcomes
   /// in \p Bits (BranchFalseBit / BranchTrueBit) on some path. No-op when
-  /// ObsConfig::coverage() is off or Bits is 0.
+  /// Bits is 0.
   static void recordBranch(uint32_t ProcId, uint32_t CmdIdx, uint8_t Bits) {
-    if (Bits == 0 || !ObsConfig::coverage())
+    if (Bits == 0)
       return;
     instance().recordImpl(ProcId, CmdIdx, Bits);
   }

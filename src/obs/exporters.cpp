@@ -6,137 +6,134 @@
 #include "obs/journal/journal.h"
 #include "obs/sched_counters.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <mutex>
+#include <tuple>
 #include <vector>
 
 using namespace gillian::obs;
 
 namespace {
 
-void eventCommon(JsonWriter &W, const TraceEvent &E, const char *Name,
-                 const char *Phase) {
-  W.field("name", Name);
-  W.field("ph", Phase);
-  // Trace Event Format timestamps are microseconds; keep ns resolution in
-  // the fraction.
-  W.field("ts", static_cast<double>(E.TsNs) / 1000.0, 3);
-  W.field("pid", 1);
-  W.field("tid", E.Tid);
+using journal::Event;
+using journal::EventKind;
+
+void siteArg(JsonWriter &W, const journal::JournalData &D, const Event &E) {
+  W.field("site", D.str(E.Proc) + ":" + std::to_string(E.Cmd));
 }
 
-const char *spanName(uint8_t Arg0) {
-  if (Arg0 >= NumSpanKinds)
-    return "unknown_span";
-  return spanKindName(static_cast<SpanKind>(Arg0)).data();
+const char *eventName(EventKind K) {
+  switch (K) {
+  case EventKind::Root: return "root";
+  case EventKind::Branch: return "branch";
+  case EventKind::Action: return "action";
+  case EventKind::Summary: return "summary";
+  case EventKind::Spawn: return "spawn";
+  case EventKind::PathEnd: return "path_end";
+  }
+  return "unknown";
 }
+
+void eventArgs(JsonWriter &W, const journal::JournalData &D, const Event &E) {
+  W.key("args");
+  W.beginObject();
+  switch (static_cast<EventKind>(E.Kind)) {
+  case EventKind::Root:
+    W.field("proc", D.str(E.Proc));
+    break;
+  case EventKind::Branch:
+    siteArg(W, D, E);
+    W.field("side", static_cast<uint64_t>(E.A));
+    W.field("taken", E.B != 0);
+    W.field("verdict", journal::verdictName(journal::verdictOf(E)));
+    W.field("layer", journal::verdictLayerName(journal::layerOf(E)));
+    break;
+  case EventKind::Action:
+    siteArg(W, D, E);
+    W.field("action", D.str(E.X));
+    W.field("branches", static_cast<uint64_t>(E.A));
+    W.field("solver_ns", E.WallNs);
+    break;
+  case EventKind::Summary:
+    siteArg(W, D, E);
+    W.field("hit", E.A != 0);
+    break;
+  case EventKind::Spawn:
+    siteArg(W, D, E);
+    break;
+  case EventKind::PathEnd:
+    siteArg(W, D, E);
+    W.field("outcome", journal::pathOutcomeName(E.A));
+    W.field("budget",
+            journal::budgetKindName(static_cast<journal::BudgetKind>(E.B)));
+    break;
+  }
+  W.endObject();
+}
+
+/// Trace Event Format timestamps are microseconds; keep ns resolution in
+/// the fraction.
+double micros(uint64_t Ns) { return static_cast<double>(Ns) / 1000.0; }
 
 } // namespace
 
-std::string gillian::obs::chromeTraceJson(const std::vector<TraceEvent> &Events) {
+std::string gillian::obs::chromeTraceJson(const journal::JournalData &D) {
+  // Per track, in emission order.
+  std::vector<size_t> Order(D.Events.size());
+  for (size_t I = 0; I < Order.size(); ++I)
+    Order[I] = I;
+  std::sort(Order.begin(), Order.end(), [&D](size_t L, size_t R) {
+    const Event &A = D.Events[L], &B = D.Events[R];
+    return std::tie(A.Tid, A.TsNs, L) < std::tie(B.Tid, B.TsNs, R);
+  });
+
+  // A decision is emitted after its queries ran, and an IfGoto emits both
+  // sides at once, so lay slices out backwards from each track's end:
+  // each ends at its emission time or at the start of the next slice,
+  // whichever is earlier.
+  std::vector<uint64_t> Start(D.Events.size());
+  uint64_t Origin = UINT64_MAX;
+  uint64_t Floor = UINT64_MAX;
+  for (size_t K = Order.size(); K-- > 0;) {
+    const Event &E = D.Events[Order[K]];
+    if (K + 1 == Order.size() || D.Events[Order[K + 1]].Tid != E.Tid)
+      Floor = UINT64_MAX;
+    uint64_t T = E.TsNs;
+    if (E.Kind == static_cast<uint8_t>(EventKind::Branch) && E.WallNs > 0) {
+      uint64_t End = std::min(T, Floor);
+      T = End > E.WallNs ? End - E.WallNs : 0;
+      Floor = T;
+    }
+    Start[Order[K]] = T;
+    Origin = std::min(Origin, T);
+  }
+
   JsonWriter W;
   W.beginObject();
   W.key("traceEvents");
   W.beginArray();
-
-  // Per-tid stack of open spans. An end without a begin means the ring's
-  // wrap ate the begin — drop it so "B"/"E" pairs always nest; a begin
-  // without an end (trace drained mid-span, or the end was on a later
-  // era of a recycled ring) is closed at its thread's last timestamp.
-  struct TidState {
-    uint32_t Tid;
-    std::vector<uint8_t> Open; ///< SpanKind stack
-    uint64_t LastTs = 0;
-  };
-  std::vector<TidState> Tids;
-  auto stateFor = [&Tids](uint32_t Tid) -> TidState & {
-    for (TidState &S : Tids)
-      if (S.Tid == Tid)
-        return S;
-    Tids.push_back(TidState{Tid, {}, 0});
-    return Tids.back();
-  };
-
-  for (const TraceEvent &E : Events) {
-    TidState &S = stateFor(E.Tid);
-    S.LastTs = E.TsNs;
-    switch (E.Kind) {
-    case TraceEventKind::SpanBegin: {
-      W.beginObject();
-      eventCommon(W, E, spanName(E.Arg0), "B");
-      W.endObject();
-      S.Open.push_back(E.Arg0);
-      break;
-    }
-    case TraceEventKind::SpanEnd: {
-      // Unwind to the matching begin if intermediate ends were lost to a
-      // wrap; if no begin survives, drop the end.
-      if (S.Open.empty())
-        break;
-      while (!S.Open.empty() && S.Open.back() != E.Arg0) {
-        W.beginObject();
-        eventCommon(W, E, spanName(S.Open.back()), "E");
-        W.endObject();
-        S.Open.pop_back();
-      }
-      if (S.Open.empty())
-        break;
-      W.beginObject();
-      eventCommon(W, E, spanName(E.Arg0), "E");
-      W.endObject();
-      S.Open.pop_back();
-      break;
-    }
-    default: {
-      W.beginObject();
-      eventCommon(W, E, traceEventKindName(E.Kind), "i");
+  for (size_t I : Order) {
+    const Event &E = D.Events[I];
+    bool Slice =
+        E.Kind == static_cast<uint8_t>(EventKind::Branch) && E.WallNs > 0;
+    W.beginObject();
+    W.field("name", eventName(static_cast<EventKind>(E.Kind)));
+    W.field("ph", Slice ? "X" : "i");
+    W.field("ts", micros(Start[I] - Origin), 3);
+    if (Slice)
+      W.field("dur", micros(E.WallNs), 3);
+    else
       W.field("s", "t"); // instant scope: thread
-      W.key("args");
-      W.beginObject();
-      switch (E.Kind) {
-      case TraceEventKind::BranchTaken:
-        W.field("successors", E.A);
-        break;
-      case TraceEventKind::PathFinished:
-        W.field("outcome", static_cast<uint64_t>(E.Arg0));
-        break;
-      case TraceEventKind::Steal:
-        W.field("batch", E.A);
-        W.field("victim_depth", E.B);
-        break;
-      case TraceEventKind::SessionReset:
-        W.field("frames_discarded", E.A);
-        break;
-      case TraceEventKind::CacheEvict:
-        W.field("pool_size", E.A);
-        break;
-      default:
-        break;
-      }
-      W.endObject();
-      W.endObject();
-      break;
-    }
-    }
+    W.field("pid", 1);
+    W.field("tid", E.Tid);
+    eventArgs(W, D, E);
+    W.endObject();
   }
-
-  // Close whatever is still open so every "B" has an "E".
-  for (TidState &S : Tids) {
-    while (!S.Open.empty()) {
-      TraceEvent E{};
-      E.TsNs = S.LastTs;
-      E.Tid = S.Tid;
-      W.beginObject();
-      eventCommon(W, E, spanName(S.Open.back()), "E");
-      W.endObject();
-      S.Open.pop_back();
-    }
-  }
-
   W.endArray();
   W.field("displayTimeUnit", "ns");
   W.endObject();
@@ -144,7 +141,7 @@ std::string gillian::obs::chromeTraceJson(const std::vector<TraceEvent> &Events)
 }
 
 bool gillian::obs::writeChromeTrace(const std::string &Path) {
-  std::string Json = chromeTraceJson(TraceRecorder::instance().drain());
+  std::string Json = chromeTraceJson(journal::capture());
   std::ofstream Out(Path, std::ios::trunc);
   if (!Out)
     return false;
@@ -158,7 +155,7 @@ void gillian::obs::maybeEnableEnvTrace() {
     const char *Path = std::getenv("GILLIAN_TRACE_OUT");
     if (!Path || !*Path)
       return;
-    TraceRecorder::instance().enable();
+    journal::setEnabled(true);
     static std::string Out;
     Out = Path;
     std::atexit([] {

@@ -7,11 +7,12 @@
 /// \file
 /// The two exporters of the observability core (DESIGN.md §4c):
 ///
-///  * chromeTraceJson — renders drained flight-recorder events as a
-///    chrome://tracing / Perfetto-compatible Trace Event JSON document
-///    (`{"traceEvents":[...]}`): span begin/end become "B"/"E" duration
-///    events nested per thread, everything else becomes an instant event
-///    with its payload in "args".
+///  * chromeTraceJson — renders a journal capture as a chrome://tracing /
+///    Perfetto-compatible Trace Event JSON document
+///    (`{"traceEvents":[...]}`), one track per emitting thread: a branch
+///    decision that spent solver time is a complete ("X") slice of that
+///    time, every other journal event an instant with its payload in
+///    "args".
 ///
 ///  * obsStatsJson — the unified stats object: span table (per-layer
 ///    total/self wall time), per-language action counters, and the
@@ -25,27 +26,25 @@
 #ifndef GILLIAN_OBS_EXPORTERS_H
 #define GILLIAN_OBS_EXPORTERS_H
 
+#include "obs/journal/journal_io.h"
 #include "obs/span.h"
-#include "obs/trace_ring.h"
 
 #include <string>
-#include <vector>
 
 namespace gillian::obs {
 
-/// Renders \p Events as a Trace Event Format JSON document. Span events
-/// are emitted as "B"/"E" pairs (chrome matches them per tid and draws
-/// the nesting); unbalanced ends at the start of a drained ring — the
-/// wrap ate their begin — are dropped so the document always parses and
-/// nests.
-std::string chromeTraceJson(const std::vector<TraceEvent> &Events);
+/// Renders \p D as a Trace Event Format JSON document. Each track holds
+/// one thread's events; a decision's slice ends at or before the
+/// decision's emission time and before the next slice on its track, so
+/// slices never overlap and keep their exact solver wall.
+std::string chromeTraceJson(const journal::JournalData &D);
 
-/// Drains the global recorder and writes the chrome trace to \p Path.
-/// Returns false (and leaves no partial file behind) on I/O failure.
+/// Captures the live journal and writes its chrome trace to \p Path.
+/// Returns false on I/O failure.
 bool writeChromeTrace(const std::string &Path);
 
-/// GILLIAN_TRACE_OUT=path: enables the flight recorder now and registers
-/// an atexit writer for the chrome trace — the env-var twin of the bench
+/// GILLIAN_TRACE_OUT=path: enables the journal now and registers an
+/// atexit writer for the chrome trace — the env-var twin of the bench
 /// drivers' --trace-out=, for processes without a CLI (ctest suite runs,
 /// like GILLIAN_SERVE). Checked once per process.
 void maybeEnableEnvTrace();

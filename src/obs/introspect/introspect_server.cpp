@@ -11,11 +11,9 @@
 #include "obs/journal/journal.h"
 #include "obs/native_stats.h"
 #include "obs/progress.h"
-#include "obs/query_profile.h"
 #include "obs/sched_counters.h"
 #include "obs/span.h"
 #include "obs/summary_stats.h"
-#include "obs/trace_ring.h"
 
 #include <chrono>
 #include <cstdio>
@@ -71,7 +69,7 @@ std::string gillian::obs::metricsExposition() {
   counterSetInto(W, schedCounters());
   counterSetInto(W, progressCounters());
   // Native theory layer + async solver service (process-wide aggregate —
-  // still rendered after per-suite sources unregister, like the profiler).
+  // still rendered after per-suite sources unregister).
   counterSetInto(W, nativeGlobalStats());
   // Procedure summary cache (process-wide store; DESIGN.md §4g).
   counterSetInto(W, summaryGlobalStats());
@@ -103,17 +101,15 @@ std::string gillian::obs::metricsExposition() {
       W.counter("gillian_actions_executed", N,
                 {{"lang", Lang}, {"action", Action}});
 
-  // Solver hot-query profiler: the top sites by wall time, plus the
-  // attribution coverage pair.
-  QueryProfiler &QP = QueryProfiler::instance();
-  for (const QueryProfiler::Site &S : QP.topN(16)) {
-    PromLabels L{{"proc", S.Proc}, {"cmd_idx", std::to_string(S.CmdIdx)}};
-    W.counter("gillian_solver_hot_query_wall_ns", S.WallNs, L);
-    W.counter("gillian_solver_hot_query_calls", S.Calls, L);
-    W.counter("gillian_solver_hot_query_cache_misses", S.CacheMisses, L);
-  }
-  W.counter("gillian_solver_query_attributed_ns", QP.attributedNs());
-  W.counter("gillian_solver_query_unattributed_ns", QP.unattributedNs());
+  // Hot solver sites: the journal's per-site view, top 16 by solver
+  // wall, while the journal records.
+  if (journal::enabled())
+    for (const journal::SiteProfile &S :
+         journal::topSites(journal::capture(), 16)) {
+      PromLabels L{{"proc", S.Proc}, {"cmd_idx", std::to_string(S.Cmd)}};
+      W.counter("gillian_solver_hot_query_wall_ns", S.WallNs, L);
+      W.counter("gillian_solver_hot_query_calls", S.Queries, L);
+    }
 
   // Target-program branch coverage: totals + per-procedure series.
   BranchCoverage &Cov = BranchCoverage::instance();
@@ -200,8 +196,10 @@ HttpResponse IntrospectServer::route(const HttpRequest &Req) {
     R.Body = obsStatsJson(SpanTable::global().snapshot());
     R.Body += '\n';
   } else if (Req.Target == "/trace") {
+    // The journal's chrome view; empty while the journal is off.
     R.ContentType = "application/json";
-    R.Body = chromeTraceJson(TraceRecorder::instance().drain());
+    R.Body = journal::enabled() ? chromeTraceJson(journal::capture())
+                                : "{\"traceEvents\":[]}";
     R.Body += '\n';
   } else if (Req.Target == "/progress") {
     R.ContentType = "application/json";
@@ -262,8 +260,6 @@ uint16_t gillian::obs::startProcessIntrospection(const std::string &Spec) {
                  Spec.c_str());
     return 0;
   }
-  // /trace is useless without events; serving implies recording.
-  TraceRecorder::instance().enable();
   std::fprintf(stderr,
                "[obs] introspection server listening on http://%s:%u\n",
                Host.c_str(), static_cast<unsigned>(Bound));

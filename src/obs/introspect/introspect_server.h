@@ -12,13 +12,14 @@
 ///               the counter registry (scheduler counters + gauges,
 ///               progress counters, per-worker deque depths), the span
 ///               table (per-layer total/self ns and counts), the
-///               per-(language, action) counters, the solver hot-query
-///               profiler's top sites, branch coverage, and every
-///               currently-registered live MetricsRegistry source.
+///               per-(language, action) counters, the journal's hottest
+///               solver sites (while the journal records), branch
+///               coverage, and every currently-registered live
+///               MetricsRegistry source.
 ///   /stats    — the unified obsStatsJson object (spans/actions/scheduler).
-///   /trace    — on-demand flight-recorder drain as chrome://tracing JSON.
-///               Draining CONSUMES the buffered events (flight-recorder
-///               semantics); two consecutive scrapes see disjoint windows.
+///   /trace    — the execution journal so far as chrome://tracing JSON
+///               (a snapshot: nothing is consumed); `{"traceEvents":[]}`
+///               while the journal is off.
 ///   /progress — paths finished, frontier size, per-worker queue depths,
 ///               rolling paths/s and queries/s over a ~10 s window.
 ///   /healthz  — "ok", 200 (liveness for CI and load balancers).
@@ -116,8 +117,8 @@ IntrospectServer &processIntrospectServer();
 /// Starts the process-wide server on \p Spec ("host:port", port 0 =
 /// ephemeral), announces `[obs] introspection server listening on
 /// http://host:port` on stderr (CI parses this line to discover the
-/// ephemeral port), and enables the flight recorder so /trace has events.
-/// Returns the bound port; 0 on failure. If the server is already
+/// ephemeral port). Serving turns no recording on. Returns the bound
+/// port; 0 on failure. If the server is already
 /// running, returns its port without rebinding.
 uint16_t startProcessIntrospection(const std::string &Spec);
 

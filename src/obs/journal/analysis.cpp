@@ -17,12 +17,6 @@ namespace gillian::obs::journal {
 namespace {
 
 EventKind kindOf(const Event &E) { return static_cast<EventKind>(E.Kind); }
-VerdictLayer layerOf(const Event &E) {
-  return static_cast<VerdictLayer>(E.C & 0x0f);
-}
-Verdict verdictOf(const Event &E) {
-  return static_cast<Verdict>((E.C >> 4) & 0x0f);
-}
 
 std::string fmtMs(uint64_t Ns) {
   char Buf[32];
@@ -100,6 +94,8 @@ PathForest buildForest(const JournalData &D) {
           N.SubtreeWallNs += E.WallNs;
           if (!E.B)
             ++N.SubtreePrunes;
+        } else if (kindOf(E) == EventKind::Action) {
+          N.SubtreeWallNs += E.WallNs;
         } else if (kindOf(E) == EventKind::PathEnd) {
           ++N.SubtreePaths;
         }
@@ -116,7 +112,53 @@ PathForest buildForest(const JournalData &D) {
   return F;
 }
 
+std::map<std::string, SiteProfile> siteProfiles(const JournalData &D) {
+  std::map<std::string, SiteProfile> Sites;
+  for (const Event &E : D.Events) {
+    bool Decision = kindOf(E) == EventKind::Branch &&
+                    layerOf(E) != VerdictLayer::None;
+    bool SolvingAction = kindOf(E) == EventKind::Action && E.WallNs > 0;
+    if (!Decision && !SolvingAction)
+      continue;
+    SiteProfile &S = Sites[siteOf(D, E)];
+    S.Proc = D.str(E.Proc);
+    S.Cmd = E.Cmd;
+    if (Decision)
+      ++S.LayerCount[static_cast<size_t>(layerOf(E))];
+    S.WallNs += E.WallNs;
+    ++S.Queries;
+  }
+  return Sites;
+}
+
+std::vector<SiteProfile> topSites(const JournalData &D, size_t N) {
+  std::vector<SiteProfile> Out;
+  for (auto &[Site, S] : siteProfiles(D))
+    Out.push_back(std::move(S));
+  // Map order is site order, so the stable sort breaks ties by site.
+  std::stable_sort(Out.begin(), Out.end(),
+                   [](const SiteProfile &L, const SiteProfile &R) {
+                     return L.WallNs > R.WallNs;
+                   });
+  if (Out.size() > N)
+    Out.resize(N);
+  return Out;
+}
+
 namespace {
+
+std::string layerHistogram(const SiteProfile &S) {
+  std::string Out;
+  for (size_t L = 0; L < NumVerdictLayers; ++L)
+    if (S.LayerCount[L]) {
+      if (!Out.empty())
+        Out += " ";
+      Out += std::string(
+                 verdictLayerName(static_cast<VerdictLayer>(L))) +
+             ":" + std::to_string(S.LayerCount[L]);
+    }
+  return Out.empty() ? "-" : Out;
+}
 
 std::string traceOf(const PathForest &F, uint64_t Id) {
   std::vector<uint32_t> Rev;
@@ -222,7 +264,7 @@ void treeNodeJson(const JournalData &D, const PathForest &F,
 
 } // namespace
 
-std::string treeText(const JournalData &D, size_t Depth) {
+std::string treeText(const JournalData &D, size_t Depth, size_t TopSites) {
   PathForest F = buildForest(D);
   std::string Out;
   for (size_t I = 0; I < F.Roots.size(); ++I) {
@@ -238,10 +280,21 @@ std::string treeText(const JournalData &D, size_t Depth) {
   }
   if (Out.empty())
     Out = "(empty journal)\n";
+  if (TopSites > 0) {
+    Out += "\ntop solver sites (wall, queries, deciding layers):\n";
+    std::vector<SiteProfile> Top = topSites(D, TopSites);
+    for (const SiteProfile &S : Top)
+      Out += "  " + S.Proc + ":" + std::to_string(S.Cmd) + "  " +
+             fmtMs(S.WallNs) + "  " + std::to_string(S.Queries) + "q  [" +
+             layerHistogram(S) + "]\n";
+    if (Top.empty())
+      Out += "  (none)\n";
+  }
   return Out;
 }
 
-std::string treeJson(const JournalData &D, size_t Depth, bool Enabled) {
+std::string treeJson(const JournalData &D, size_t Depth, bool Enabled,
+                     size_t TopSites) {
   PathForest F = buildForest(D);
   JsonWriter W;
   W.beginObject();
@@ -271,6 +324,26 @@ std::string treeJson(const JournalData &D, size_t Depth, bool Enabled) {
     W.endObject();
   }
   W.endArray();
+  if (TopSites > 0) {
+    W.key("top_sites");
+    W.beginArray();
+    for (const SiteProfile &S : topSites(D, TopSites)) {
+      W.beginObject();
+      W.field("proc", S.Proc);
+      W.field("cmd_idx", static_cast<uint64_t>(S.Cmd));
+      W.field("wall_ns", S.WallNs);
+      W.field("queries", S.Queries);
+      W.key("layers");
+      W.beginObject();
+      for (size_t L = 0; L < NumVerdictLayers; ++L)
+        if (S.LayerCount[L])
+          W.field(verdictLayerName(static_cast<VerdictLayer>(L)),
+                  S.LayerCount[L]);
+      W.endObject();
+      W.endObject();
+    }
+    W.endArray();
+  }
   W.endObject();
   return W.take();
 }
@@ -423,14 +496,6 @@ bool whyText(const JournalData &D, const std::string &Query,
 
 namespace {
 
-constexpr size_t NLayers = 8;
-
-struct SiteProfile {
-  uint64_t LayerCount[NLayers] = {};
-  uint64_t WallNs = 0;
-  uint64_t Queries = 0;
-};
-
 struct RunProfile {
   /// node label ("root#k/trace") -> set of (site, side, taken)
   std::map<std::string, std::map<std::pair<std::string, uint32_t>, bool>>
@@ -443,6 +508,7 @@ struct RunProfile {
 RunProfile profile(const JournalData &D) {
   RunProfile P;
   P.Events = D.Events.size();
+  P.Sites = siteProfiles(D);
   PathForest F = buildForest(D);
   std::unordered_map<uint64_t, std::string> RootLabel;
   for (size_t I = 0; I < F.Roots.size(); ++I)
@@ -459,12 +525,6 @@ RunProfile profile(const JournalData &D) {
       const Event &E = D.Events[I];
       if (kindOf(E) == EventKind::Branch) {
         NodeBranches[{siteOf(D, E), E.A}] = E.B != 0;
-        if (layerOf(E) != VerdictLayer::None) {
-          SiteProfile &S = P.Sites[siteOf(D, E)];
-          ++S.LayerCount[static_cast<size_t>(layerOf(E))];
-          S.WallNs += E.WallNs;
-          ++S.Queries;
-        }
       } else if (kindOf(E) == EventKind::PathEnd) {
         ++P.Paths;
       }
@@ -482,7 +542,7 @@ struct SiteDelta {
 
 size_t dominantLayer(const SiteProfile &S) {
   size_t Best = 0;
-  for (size_t L = 1; L < NLayers; ++L)
+  for (size_t L = 1; L < NumVerdictLayers; ++L)
     if (S.LayerCount[L] > S.LayerCount[Best])
       Best = L;
   return Best;
@@ -545,19 +605,6 @@ PruneDiff pruneDiff(const RunProfile &PA, const RunProfile &PB) {
     if (!PA.Branches.count(Key))
       PD.OnlyB.push_back(Key);
   return PD;
-}
-
-std::string layerHistogram(const SiteProfile &S) {
-  std::string Out;
-  for (size_t L = 0; L < NLayers; ++L)
-    if (S.LayerCount[L]) {
-      if (!Out.empty())
-        Out += " ";
-      Out += std::string(
-                 verdictLayerName(static_cast<VerdictLayer>(L))) +
-             ":" + std::to_string(S.LayerCount[L]);
-    }
-  return Out.empty() ? "-" : Out;
 }
 
 } // namespace

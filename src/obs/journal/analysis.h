@@ -6,9 +6,10 @@
 ///
 /// \file
 /// Analyses over a parsed journal (DESIGN.md §4i): path-tree
-/// reconstruction with wall/solver/prune rollups along edges, per-path
-/// provenance replay (`gillian-inspect why`), branch-trace-aligned run
-/// diffing (`gillian-inspect diff`), and the canonical tree signature the
+/// reconstruction with wall/solver/prune rollups along edges, the
+/// per-site solver profile (the "hot query" table), per-path provenance
+/// replay (`gillian-inspect why`), branch-trace-aligned run diffing
+/// (`gillian-inspect diff`), and the canonical tree signature the
 /// invariance property test compares across worker counts.
 ///
 /// Nodes are aligned across runs by *branch trace* — the sequence of
@@ -57,13 +58,39 @@ struct PathForest {
 
 PathForest buildForest(const JournalData &D);
 
+inline constexpr size_t NumVerdictLayers =
+    static_cast<size_t>(VerdictLayer::Async) + 1;
+
+/// The solver effort of one GIL site (procedure, command index): its
+/// Branch decisions that queried the solver plus its Action events that
+/// spent solver time. The hot-query view of /metrics, of
+/// bench_table1_buckets and of `gillian-inspect tree`, and the per-site
+/// half of `diff`.
+struct SiteProfile {
+  std::string Proc;
+  uint32_t Cmd = 0;
+  uint64_t LayerCount[NumVerdictLayers] = {}; ///< decisions per layer
+  uint64_t WallNs = 0;  ///< solver wall of the decisions and actions
+  uint64_t Queries = 0; ///< decisions and actions that ran the solver
+};
+
+/// Every site that ran the solver, keyed "proc:cmd".
+std::map<std::string, SiteProfile> siteProfiles(const JournalData &D);
+
+/// The \p N sites with the most solver wall, descending (ties by site).
+std::vector<SiteProfile> topSites(const JournalData &D, size_t N);
+
 /// Human-readable path tree, collapsed below \p Depth edge levels
-/// (0 = roots only).
-std::string treeText(const JournalData &D, size_t Depth);
+/// (0 = roots only), followed by the \p TopSites hottest solver sites
+/// when \p TopSites > 0.
+std::string treeText(const JournalData &D, size_t Depth,
+                     size_t TopSites = 0);
 
 /// JSON path tree (the /tree endpoint body and `tree --json` output).
-/// \p Enabled is surfaced as the top-level "enabled" field.
-std::string treeJson(const JournalData &D, size_t Depth, bool Enabled = true);
+/// \p Enabled is surfaced as the top-level "enabled" field; \p TopSites
+/// > 0 adds a "top_sites" array.
+std::string treeJson(const JournalData &D, size_t Depth, bool Enabled = true,
+                     size_t TopSites = 0);
 
 /// Captures the live journal and renders treeJson — the /tree?depth=N
 /// endpoint body (reports enabled=false with an empty forest when the

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -113,6 +114,7 @@ struct Registry {
   std::atomic<uint64_t> Epoch{1};
   std::atomic<uint64_t> NextId{1};
   std::atomic<uint64_t> Emitted{0};
+  std::atomic<uint32_t> NextTid{0};
 };
 
 Registry &registry() {
@@ -122,10 +124,12 @@ Registry &registry() {
 
 /// Per-thread cursor into the registry. Epoch-stamped so a reset() (which
 /// drops all chunks) invalidates every thread's cached chunk pointer: the
-/// next emit on any thread sees the stale epoch and re-acquires.
+/// next emit on any thread sees the stale epoch and re-acquires. Tid is
+/// the thread's dense id, drawn on its first chunk and kept for life.
 struct TlsSlot {
   Chunk *Cur = nullptr;
   uint64_t Epoch = 0;
+  uint32_t Tid = UINT32_MAX;
 };
 
 thread_local TlsSlot Tls;
@@ -137,6 +141,8 @@ Chunk *freshChunk() {
   journalStats().Chunks.set(R.Chunks.size());
   Tls.Cur = R.Chunks.back().get();
   Tls.Epoch = R.Epoch.load(std::memory_order_relaxed);
+  if (Tls.Tid == UINT32_MAX)
+    Tls.Tid = R.NextTid.fetch_add(1, std::memory_order_relaxed);
   return Tls.Cur;
 }
 
@@ -173,7 +179,13 @@ void emit(const Event &E) {
     C = freshChunk();
     N = 0;
   }
-  C->Ev[N] = E;
+  Event &Slot = C->Ev[N];
+  Slot = E;
+  Slot.TsNs = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+  Slot.Tid = Tls.Tid;
   C->Count.store(N + 1, std::memory_order_release);
   R.Emitted.fetch_add(1, std::memory_order_relaxed);
   ++journalStats().Events;

@@ -6,20 +6,23 @@
 ///
 /// \file
 /// The per-worker, lock-free, *lossless* structured execution journal
-/// (DESIGN.md §4i). Unlike the wrapping TraceRing flight recorder, the
-/// journal keeps every event of a run: one compact record per branch
-/// decision (site, taken/pruned side, PC-conjunct delta, solver verdict
-/// and the layer that decided it, solver wall), per memory action, per
-/// summary replay splice, per frontier spawn, and per path termination
-/// (outcome, budget kind, cumulative steps).
+/// (DESIGN.md §4i) — the engine's one per-event record. It keeps every
+/// event of a run: one compact record per branch decision (site,
+/// taken/pruned side, PC-conjunct delta, solver verdict and the layer
+/// that decided it, solver wall), per memory action (with the solver
+/// wall its queries took), per summary replay splice, per frontier spawn,
+/// and per path termination (outcome, budget kind, cumulative steps).
+/// Every event also carries its emission time and the emitting thread, so
+/// the chrome://tracing export (obs/exporters.h) and the per-site solver
+/// table (obs/journal/analysis.h) are views of the same record.
 ///
 /// Storage is per-thread chunked append: the emitting thread writes the
 /// event slot and then publishes it with one release store of the chunk
-/// count; readers (the /tree endpoint, the capture-at-exit writers) take
-/// the chunk registry lock and acquire-load each count, so a mid-run
-/// snapshot sees a consistent prefix of every thread's events and never a
-/// torn record. Chunks are never recycled while enabled — that is what
-/// makes the journal lossless where the trace ring wraps.
+/// count; readers (the /tree and /trace endpoints, the capture-at-exit
+/// writers) take the chunk registry lock and acquire-load each count, so
+/// a mid-run snapshot sees a consistent prefix of every thread's events
+/// and never a torn record. Chunks are never recycled while enabled —
+/// that is what makes the journal lossless.
 ///
 /// Path identity replicates the scheduler's branch-trace PathId scheme
 /// exactly (exploration_scheduler.h): a step with k >= 2 outputs —
@@ -99,39 +102,51 @@ enum class PathOutcome : uint8_t {
 
 const char *pathOutcomeName(uint8_t K);
 
-/// One journal record. 40 bytes of payload; field meaning depends on Kind:
+/// One journal record. Field meaning depends on Kind:
 ///
 ///   Kind     Path        Aux             Wall      Proc/Cmd      X        A          B        C
 ///   Root     root id     0               0         entry proc    0        0          0        0
 ///   Branch   parent id   child id or 0   solver ns decision site PC delta side idx   taken    verdict<<4|layer
-///   Action   node id     child base or 0 0         action site   act name n branches n errors 0
+///   Action   node id     child base or 0 solver ns action site   act name n branches n errors 0
 ///   Summary  node id     0               0         call site     0        hit        0        0
 ///   Spawn    node id     0               0         current site  0        0          0        0
 ///   PathEnd  node id     0               0         end site      0        outcome    budget   0
 ///
 /// Proc (and X of Action events) hold interned-string ids in the live
 /// journal and string-table indices in a JournalData read from a file.
+/// TsNs and Tid are stamped by emit() and live only in memory: the file
+/// format, canonicalLess and canonicalTreeSignature ignore them.
 struct Event {
   uint64_t Path = 0;
   uint64_t Aux = 0;
   uint64_t WallNs = 0;
+  uint64_t TsNs = 0; ///< emission time, steady-clock ns
   uint32_t Step = 0; ///< cumulative interpreter steps from the root
   uint32_t Proc = 0;
   uint32_t Cmd = 0;
   uint32_t X = 0;
+  uint32_t Tid = 0; ///< dense id of the emitting thread
   uint8_t Kind = 0;
   uint8_t A = 0;
   uint8_t B = 0;
   uint8_t C = 0;
 };
 
+/// The verdict and deciding layer a Branch event packs into C.
+inline Verdict verdictOf(const Event &E) {
+  return static_cast<Verdict>((E.C >> 4) & 0x0f);
+}
+inline VerdictLayer layerOf(const Event &E) {
+  return static_cast<VerdictLayer>(E.C & 0x0f);
+}
+
 /// Canonical event order: by (path node, step, kind, site, production
 /// index, ...). Within one node this reconstructs emission order (replay
 /// can emit several decisions under one step — their loop-free sites
-/// strictly increase); across nodes it is allocation order. The full-field
-/// tie-break makes snapshot() a deterministic function of the event
-/// multiset plus the node-id assignment, which is what makes the
-/// serialized file byte-stable for sequential runs.
+/// strictly increase); across nodes it is allocation order. The tie-break
+/// over every serialized field makes snapshot() a deterministic function
+/// of the event multiset plus the node-id assignment, which is what makes
+/// the serialized file byte-stable for sequential runs.
 inline bool canonicalLess(const Event &L, const Event &R) {
   return std::tie(L.Path, L.Step, L.Kind, L.Proc, L.Cmd, L.A, L.Aux, L.B,
                   L.C, L.X, L.WallNs) <
@@ -173,7 +188,8 @@ void reset();
 /// multi-output step); returns the first. Thread-safe.
 uint64_t allocPathIds(uint32_t N);
 
-/// Appends \p E to the calling thread's chunk. Callers gate on enabled().
+/// Appends \p E to the calling thread's chunk, stamped with the current
+/// time and the thread's id. Callers gate on enabled().
 void emit(const Event &E);
 
 /// Lifetime count of emitted events (the drop-guard reference: a lossless
@@ -218,11 +234,13 @@ inline void emitBranch(uint64_t Path, uint32_t Step, uint32_t Proc,
 
 inline void emitAction(uint64_t Path, uint32_t Step, uint32_t Proc,
                        uint32_t Cmd, uint32_t ActionName, uint32_t NBranches,
-                       uint32_t NErrors, uint64_t ChildBase) {
+                       uint32_t NErrors, uint64_t ChildBase,
+                       uint64_t WallNs) {
   Event E;
   E.Kind = static_cast<uint8_t>(EventKind::Action);
   E.Path = Path;
   E.Aux = ChildBase;
+  E.WallNs = WallNs;
   E.Step = Step;
   E.Proc = Proc;
   E.Cmd = Cmd;
@@ -272,12 +290,12 @@ inline void emitPathEnd(uint64_t Path, uint32_t Step, uint32_t Proc,
 // Solver verdict-layer attribution
 //===----------------------------------------------------------------------===//
 
-/// Per-thread attribution published by the solver: a monotone query
-/// sequence number, cumulative wall time, and the layer/verdict of the
-/// last decided query. The interpreter snapshots (Seq, CumWallNs) around
-/// each branch-feasibility check; a changed Seq means a query ran and
-/// (Layer, LastVerdict) describe its provenance. Same thread-local
-/// pattern as obs::QueryOriginScope.
+/// Per-thread attribution published by the solver while the journal is
+/// on: a monotone query sequence number, cumulative wall time, and the
+/// layer/verdict of the last decided query. The interpreter snapshots
+/// (Seq, CumWallNs) around each branch-feasibility check and each memory
+/// action; a changed Seq means a query ran and (Layer, LastVerdict)
+/// describe its provenance.
 struct QueryAttribution {
   uint64_t Seq = 0;
   uint64_t CumWallNs = 0;

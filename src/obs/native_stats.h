@@ -8,10 +8,9 @@
 /// Process-wide counters of the native theory layer and the async solver
 /// service (src/solver/native/, DESIGN.md §4f). Per-Solver numbers live in
 /// SolverStats; this set is the always-on aggregate the /metrics endpoint
-/// renders after per-suite sources unregister — the same role the
-/// QueryProfiler plays for the `gillian_solver_hot_query_*` series. It
-/// lives in obs (not in the solver) so the introspection server can render
-/// it without depending on the solver library.
+/// renders after per-suite sources unregister. It lives in obs (not in the
+/// solver) so the introspection server can render it without depending on
+/// the solver library.
 ///
 /// Category "solver" + `native_*`/`async_*` names yield the
 /// `gillian_solver_native_*` / `gillian_solver_async_*` metric families.

@@ -13,24 +13,11 @@ void ObsConfig::set(const ObsOptions &O) {
   State &St = S();
   St.Timing.store(O.Timing, std::memory_order_relaxed);
   St.DetailedSpans.store(O.DetailedSpans, std::memory_order_relaxed);
-  St.Trace.store(O.Trace, std::memory_order_relaxed);
-  St.ActionCounters.store(O.ActionCounters, std::memory_order_relaxed);
-  St.Coverage.store(O.Coverage, std::memory_order_relaxed);
-  size_t Cap = O.TraceRingCapacity ? O.TraceRingCapacity : 1;
-  // Round up to a power of two so ring indices can mask instead of mod.
-  size_t P = 1;
-  while (P < Cap && P < (size_t(1) << 20))
-    P <<= 1;
-  St.TraceRingCapacity.store(P, std::memory_order_relaxed);
 }
 
 ObsOptions ObsConfig::get() {
   ObsOptions O;
   O.Timing = timing();
   O.DetailedSpans = detailedSpans();
-  O.Trace = trace();
-  O.ActionCounters = actionCounters();
-  O.Coverage = coverage();
-  O.TraceRingCapacity = traceRingCapacity();
   return O;
 }

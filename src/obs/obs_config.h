@@ -6,18 +6,15 @@
 ///
 /// \file
 /// Process-wide switches for the observability core (DESIGN.md §4c). Every
-/// instrumentation site is gated either at compile time (the
-/// GILLIAN_OBS_NO_TRACE macro compiles the flight recorder's record sites
-/// to empty inline functions) or behind one relaxed atomic-bool load, so
-/// the disabled configuration costs at most a predictable-branch per site
-/// (the ≤2% bench budget of the acceptance criteria).
+/// switchable instrumentation site is gated behind one relaxed atomic-bool
+/// load, so the disabled configuration costs at most a predictable branch
+/// per site (the ≤2% bench budget of the acceptance criteria).
 ///
 /// Defaults match the pre-obs engine: layer timing on (the engine always
-/// kept EngineNs/SolverNs-style stopwatches), per-action counters on
-/// (one sharded-map increment per memory action, noise next to the action
-/// itself), event tracing off (enabled explicitly, e.g. by a bench
-/// driver's --trace-out flag), and the fine-grained per-step / per-simplify
-/// spans off (two clock reads per GIL command would not fit the budget).
+/// kept EngineNs/SolverNs-style stopwatches) and the fine-grained
+/// per-step / per-simplify spans off (two clock reads per GIL command
+/// would not fit the budget). Per-event recording is the execution
+/// journal's, switched by journal::setEnabled (obs/journal/journal.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +22,6 @@
 #define GILLIAN_OBS_OBS_CONFIG_H
 
 #include <atomic>
-#include <cstddef>
 
 namespace gillian::obs {
 
@@ -36,15 +32,6 @@ struct ObsOptions {
   /// Per-step and per-simplify spans: precise but hot (two steady_clock
   /// reads per GIL command / per simplification). Off by default.
   bool DetailedSpans = false;
-  /// The flight recorder: structured events into per-thread rings.
-  bool Trace = false;
-  /// Capacity (events) of each per-thread trace ring; rounded up to a
-  /// power of two. Oldest events are overwritten on wrap.
-  size_t TraceRingCapacity = 1 << 12;
-  /// Per-action counters in the symbolic memory models.
-  bool ActionCounters = true;
-  /// Target-program branch coverage (per-IfGoto outcome masks).
-  bool Coverage = true;
 };
 
 /// Global switch registry. Reads are single relaxed atomic loads and are
@@ -56,23 +43,8 @@ public:
   static bool detailedSpans() {
     return S().DetailedSpans.load(std::memory_order_relaxed);
   }
-  static bool trace() { return S().Trace.load(std::memory_order_relaxed); }
-  static bool actionCounters() {
-    return S().ActionCounters.load(std::memory_order_relaxed);
-  }
-  static bool coverage() {
-    return S().Coverage.load(std::memory_order_relaxed);
-  }
-  static size_t traceRingCapacity() {
-    return S().TraceRingCapacity.load(std::memory_order_relaxed);
-  }
 
   static void set(const ObsOptions &O);
-  /// Flips only the tracing switch (used by TraceRecorder::enable /
-  /// disable without clobbering the other options).
-  static void setTrace(bool On) {
-    S().Trace.store(On, std::memory_order_relaxed);
-  }
   /// Flips only the detailed-spans switch.
   static void setDetailedSpans(bool On) {
     S().DetailedSpans.store(On, std::memory_order_relaxed);
@@ -84,10 +56,6 @@ private:
   struct State {
     std::atomic<bool> Timing{true};
     std::atomic<bool> DetailedSpans{false};
-    std::atomic<bool> Trace{false};
-    std::atomic<bool> ActionCounters{true};
-    std::atomic<bool> Coverage{true};
-    std::atomic<size_t> TraceRingCapacity{1 << 12};
   };
   static State &S();
 };

@@ -2,8 +2,6 @@
 
 #include "obs/span.h"
 
-#include "obs/trace_ring.h"
-
 using namespace gillian::obs;
 
 std::string_view gillian::obs::spanKindName(SpanKind K) {
@@ -74,15 +72,6 @@ namespace gillian::obs::detail {
 SpanFrame *&currentSpanFrame() {
   thread_local SpanFrame *Cur = nullptr;
   return Cur;
-}
-
-void spanTraceBegin(SpanKind K) {
-  TraceRecorder::record(TraceEventKind::SpanBegin,
-                        static_cast<uint8_t>(K));
-}
-
-void spanTraceEnd(SpanKind K) {
-  TraceRecorder::record(TraceEventKind::SpanEnd, static_cast<uint8_t>(K));
 }
 
 } // namespace gillian::obs::detail

@@ -25,10 +25,6 @@
 /// ExecStats::EngineNs, ... — keep their exact meaning while the global
 /// attribution comes for free.
 ///
-/// When tracing is enabled, spans also emit Begin/End events into the
-/// flight recorder, which the chrome://tracing exporter renders as the
-/// familiar nested flame bars.
-///
 /// Cost model: a live span is two steady_clock reads plus a handful of
 /// relaxed atomic adds; a disabled one (ObsConfig::timing() false) is one
 /// relaxed bool load. Per-command spans (Step/Simplify) burn their two
@@ -53,7 +49,7 @@
 namespace gillian::obs {
 
 /// The instrumented layers. Keep spanKindName() in sync — it is the single
-/// source for JSON keys and chrome trace names.
+/// source for JSON keys and /metrics labels.
 enum class SpanKind : uint8_t {
   Explore,     ///< one exploration (sequential run() or parallel explore())
   Step,        ///< one interpreter step (detailed spans only)
@@ -144,8 +140,6 @@ struct SpanFrame {
   SpanFrame *Parent = nullptr;
 };
 SpanFrame *&currentSpanFrame();
-void spanTraceBegin(SpanKind K);
-void spanTraceEnd(SpanKind K);
 } // namespace detail
 
 /// The RAII span. \p Slot (optional) additionally receives the total
@@ -161,8 +155,6 @@ public:
     detail::SpanFrame *&Cur = detail::currentSpanFrame();
     Frame.Parent = Cur;
     Cur = &Frame;
-    if (ObsConfig::trace())
-      detail::spanTraceBegin(Kind);
   }
 
   ~Span() {
@@ -179,8 +171,6 @@ public:
     SpanTable::global().record(Kind, Dt, SelfNs);
     if (Slot)
       Slot->fetch_add(Dt);
-    if (ObsConfig::trace())
-      detail::spanTraceEnd(Kind);
   }
 
   Span(const Span &) = delete;

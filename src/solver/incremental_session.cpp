@@ -2,7 +2,6 @@
 
 #include "solver/incremental_session.h"
 
-#include "obs/trace_ring.h"
 #include "solver/solver.h"
 
 #include <atomic>
@@ -133,11 +132,8 @@ SatResult IncrementalSession::checkSat(const PathCondition &PC,
     }
     if (size_t Popped = I.Frames.size() - Keep) {
       Stats.IncPoppedFrames.fetch_add(Popped, Relaxed);
-      if (Keep == 0) {
-        obs::TraceRecorder::record(obs::TraceEventKind::SessionReset, 0,
-                                   static_cast<uint32_t>(Popped));
+      if (Keep == 0)
         Stats.IncResets.fetch_add(1, Relaxed);
-      }
       I.popTo(Keep);
     }
 
@@ -190,8 +186,6 @@ SatResult IncrementalSession::checkSat(const PathCondition &PC,
   } catch (const z3::exception &) {
     // The solver state may be mid-scope; discard it rather than risk a
     // stack that no longer matches the frame bookkeeping.
-    obs::TraceRecorder::record(obs::TraceEventKind::SessionReset, 0,
-                               static_cast<uint32_t>(I.Frames.size()));
     try {
       I.rebuild();
     } catch (...) {
@@ -290,8 +284,6 @@ SatResult gillian::IncrementalSessionPool::checkSat(const PathCondition &PC,
       // stale frames one by one).
       BestIdx = 0;
       Pool[BestIdx]->reset();
-      obs::TraceRecorder::record(obs::TraceEventKind::CacheEvict, 0,
-                                 static_cast<uint32_t>(Pool.size()));
     }
   }
   if (BestIdx < Pool.size()) {

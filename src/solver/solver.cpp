@@ -7,7 +7,6 @@
 #include "obs/native_stats.h"
 #include "obs/progress.h"
 #include "obs/summary_stats.h"
-#include "obs/query_profile.h"
 #include "obs/span.h"
 #include "solver/incremental_session.h"
 #include "solver/native/native_session.h"
@@ -36,19 +35,9 @@ std::string gillian::solverStatsJson(const SolverStats &S) {
   W.field("cache_hit_rate", S.cacheHitRate(), 4);
   W.field("inc_session_hit_rate", S.sessionHitRate(), 4);
   W.field("inc_mean_prefix_depth", S.meanPrefixDepth(), 2);
-  // The hot-query profiler is process-global (attribution spans every
-  // Solver instance of the run); its top sites ride along on every stats
-  // emission so a bench JSON line answers "which GIL site burnt the Z3
-  // budget" without a second tool.
-  obs::QueryProfiler &QP = obs::QueryProfiler::instance();
-  W.key("hot_queries");
-  QP.jsonInto(W, 8);
-  W.field("query_attributed_ns", QP.attributedNs());
-  W.field("query_unattributed_ns", QP.unattributedNs());
-  // The procedure summary cache is likewise process-global (one sharded
-  // store across every engine run); its counters ride along so bench
-  // JSON answers "did summaries engage" next to the solver layers they
-  // bypass.
+  // The procedure summary cache is process-global (one sharded store
+  // across every engine run); its counters ride along so bench JSON
+  // answers "did summaries engage" next to the solver layers they bypass.
   const obs::SummaryGlobalStats &Sum = obs::summaryGlobalStats();
   W.field("summary_hits", Sum.Hits.load());
   W.field("summary_misses", Sum.Misses.load());
@@ -145,9 +134,13 @@ SatResult Solver::solveLayers(const PathCondition &PC) {
         ++Stats.Z3Calls;
         if (Opts.UseIncremental) {
           // Layer 2: the thread's incremental session pool pushes only the
-          // delta against an already-asserted path-condition prefix.
+          // delta against an already-asserted path-condition prefix. A
+          // diverging query that shares less than this fraction of its
+          // conjuncts with a session's prefix resets the session instead
+          // of popping frame by frame.
+          constexpr double IncrementalResetThreshold = 0.25;
           R = IncrementalSessionPool::forThread().checkSat(
-              PC, Types, Opts.IncrementalResetThreshold, Stats);
+              PC, Types, IncrementalResetThreshold, Stats);
           if (R != SatResult::Unknown)
             obs::journal::noteLayer(
                 obs::journal::VerdictLayer::Incremental);
@@ -240,47 +233,52 @@ SatResult Solver::checkSatSliced(const PathCondition &PC) {
 }
 
 namespace {
-obs::QueryVerdict toVerdict(SatResult R) {
-  switch (R) {
-  case SatResult::Sat: return obs::QueryVerdict::Sat;
-  case SatResult::Unsat: return obs::QueryVerdict::Unsat;
-  case SatResult::Unknown: break;
+
+/// Publishes one query on the thread's journal attribution (DESIGN.md
+/// §4i): the sequence bump that tells the interpreter a query ran, its
+/// wall and its verdict; the deciding layer is noted inside the query.
+/// Touches the attribution and reads the clock only while the journal
+/// records.
+class AttributionTimer {
+public:
+  AttributionTimer() : On(obs::journal::enabled()) {
+    if (!On)
+      return;
+    obs::journal::queryAttribution().Layer =
+        static_cast<uint8_t>(obs::journal::VerdictLayer::None);
+    T0 = std::chrono::steady_clock::now();
   }
-  return obs::QueryVerdict::Unknown;
-}
+
+  void finish(obs::journal::Verdict V) {
+    if (!On)
+      return;
+    obs::journal::QueryAttribution &QA = obs::journal::queryAttribution();
+    ++QA.Seq;
+    QA.CumWallNs += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - T0)
+            .count());
+    QA.Verdict = static_cast<uint8_t>(V);
+  }
+
+private:
+  bool On;
+  std::chrono::steady_clock::time_point T0;
+};
+
 } // namespace
 
 SatResult Solver::checkSat(const PathCondition &PC) {
-  auto T0 = std::chrono::steady_clock::now();
-  // Session resets are read from the shared stats; under the parallel
-  // scheduler a concurrent worker's reset can leak into this query's
-  // delta — acceptable for a profiler (resets are rare and the wall time,
-  // the ranking key, is exact).
-  uint64_t ResetsBefore = Stats.IncResets.load();
-  obs::journal::QueryAttribution &QA = obs::journal::queryAttribution();
-  QA.Layer = static_cast<uint8_t>(obs::journal::VerdictLayer::None);
-  bool CacheHit = false;
-  SatResult R = checkSatImpl(PC, CacheHit);
+  AttributionTimer Timer;
+  SatResult R = checkSatImpl(PC);
   ++obs::progressCounters().SolverQueries;
-  uint64_t WallNs = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - T0)
-          .count());
-  // Publish the journal's per-thread attribution: one decided query with
-  // the last-noted layer as its provenance.
-  ++QA.Seq;
-  QA.CumWallNs += WallNs;
-  QA.Verdict = static_cast<uint8_t>(
-      R == SatResult::Sat ? obs::journal::Verdict::Sat
-      : R == SatResult::Unsat ? obs::journal::Verdict::Unsat
-                              : obs::journal::Verdict::Unknown);
-  obs::QueryProfiler::instance().record(WallNs, toVerdict(R), CacheHit,
-                                        Stats.IncResets.load() -
-                                            ResetsBefore);
+  Timer.finish(R == SatResult::Sat     ? obs::journal::Verdict::Sat
+               : R == SatResult::Unsat ? obs::journal::Verdict::Unsat
+                                       : obs::journal::Verdict::Unknown);
   return R;
 }
 
-SatResult Solver::checkSatImpl(const PathCondition &PC, bool &CacheHit) {
+SatResult Solver::checkSatImpl(const PathCondition &PC) {
   Span Total(SpanKind::Solver, &Stats.TotalNs);
   ++Stats.Queries;
   if (PC.isTriviallyFalse()) {
@@ -301,7 +299,6 @@ SatResult Solver::checkSatImpl(const PathCondition &PC, bool &CacheHit) {
     ++Stats.CacheLookups;
     if (std::optional<SatResult> Hit = Cache->lookup(PC)) {
       ++Stats.CacheHits;
-      CacheHit = true;
       obs::journal::noteLayer(obs::journal::VerdictLayer::Cache);
       return *Hit;
     }
@@ -343,25 +340,13 @@ SatResult Solver::checkSatImpl(const PathCondition &PC, bool &CacheHit) {
 }
 
 std::optional<Model> Solver::verifiedModel(const PathCondition &PC) {
-  auto T0 = std::chrono::steady_clock::now();
-  uint64_t ResetsBefore = Stats.IncResets.load();
-  obs::journal::QueryAttribution &QA = obs::journal::queryAttribution();
-  QA.Layer = static_cast<uint8_t>(obs::journal::VerdictLayer::None);
+  AttributionTimer Timer;
   std::optional<Model> M = verifiedModelImpl(PC);
   ++obs::progressCounters().SolverQueries;
-  uint64_t WallNs = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - T0)
-          .count());
   // A found model is a Sat verdict; "no model" is Unknown (the search is
   // incomplete by design — it only ever certifies, never refutes).
-  ++QA.Seq;
-  QA.CumWallNs += WallNs;
-  QA.Verdict = static_cast<uint8_t>(M ? obs::journal::Verdict::Sat
-                                      : obs::journal::Verdict::Unknown);
-  obs::QueryProfiler::instance().record(
-      WallNs, M ? obs::QueryVerdict::Sat : obs::QueryVerdict::Unknown,
-      /*CacheHit=*/false, Stats.IncResets.load() - ResetsBefore);
+  Timer.finish(M ? obs::journal::Verdict::Sat
+                 : obs::journal::Verdict::Unknown);
   return M;
 }
 

@@ -67,10 +67,6 @@ struct SolverOptions {
   /// instead of the cold re-encode-everything backend. Layer 2 of the
   /// solver stack; verdict-identical to the cold path (see DESIGN.md §4b).
   bool UseIncremental = true;
-  /// Fraction of a query's conjuncts a session must already assert for a
-  /// diverging query to pop frame-by-frame in place; below it the session
-  /// resets entirely (fresh solver, memoised re-encode).
-  double IncrementalResetThreshold = 0.25;
   /// Try the native theory layer (src/solver/native/) on queries the
   /// syntactic core leaves undecided, before any Z3 round-trip. The layer
   /// decides the boolean/equality/disequality skeleton natively and
@@ -299,9 +295,9 @@ public:
   long loadCache(const std::string &Path);
 
 private:
-  /// checkSat minus the per-query accounting wrapper (hot-query profiler,
-  /// progress counter). \p CacheHit reports a full-query cache hit.
-  SatResult checkSatImpl(const PathCondition &PC, bool &CacheHit);
+  /// checkSat minus the per-query accounting wrapper (journal
+  /// attribution, progress counter).
+  SatResult checkSatImpl(const PathCondition &PC);
   /// verifiedModel minus the same accounting wrapper.
   std::optional<Model> verifiedModelImpl(const PathCondition &PC);
   /// The syntactic-core + Z3 pipeline on one (sub-)condition; no caching.

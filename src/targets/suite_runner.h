@@ -20,7 +20,6 @@
 #include "obs/introspect/introspect_server.h"
 #include "obs/introspect/metrics_registry.h"
 #include "obs/journal/journal.h"
-#include "obs/trace_ring.h"
 #include "solver/solver_cache.h"
 
 #include <string>
@@ -62,8 +61,8 @@ SuiteResult runSuite(std::string_view Name, const Prog &P,
   // GILLIAN_SERVE=host:port turns on live introspection for any process
   // that runs a suite (the test runner has no CLI of its own).
   obs::maybeStartEnvIntrospection();
-  // GILLIAN_TRACE_OUT=path enables the flight recorder and writes the
-  // chrome://tracing JSON at process exit — the --trace-out= of processes
+  // GILLIAN_TRACE_OUT=path enables the execution journal and writes its
+  // chrome://tracing view at process exit — the --trace-out= of processes
   // without a CLI, like GILLIAN_SERVE above.
   obs::maybeEnableEnvTrace();
   // GILLIAN_JOURNAL=path likewise enables the lossless execution journal

@@ -127,11 +127,11 @@ TEST(SummaryPersistTest, SolverResetCacheColdsTheSummaryStore) {
   EXPECT_EQ(Store.bytes(), 0u);
   EXPECT_GT(Store.generation(), Gen);
 
-  // The explicit whole-stack spelling does the same.
+  // A second solver's reset colds the same process-wide store.
   Solver Slv2;
   runOnce(Slv2);
   ASSERT_GT(Store.size(), 0u);
-  resetEngineCaches(Slv2);
+  Slv2.resetCache();
   EXPECT_EQ(Store.size(), 0u);
 }
 

@@ -5,8 +5,9 @@
 // text-exposition writer (TYPE lines, counter suffixing, label escaping),
 // the /metrics exposition's format and monotonicity across scrapes, the
 // serve-spec parser, the rolling rate tracker, the heartbeat JSONL
-// sampler, the live-source registry, and a real loopback round-trip
-// through the poll-based server.
+// sampler, the live-source registry, a real loopback round-trip through
+// the poll-based server, and the journal views it serves (/trace and the
+// hot-site series of /metrics).
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,8 +16,10 @@
 #include "obs/introspect/metrics_registry.h"
 #include "obs/introspect/prometheus.h"
 #include "obs/introspect/sampler.h"
+#include "obs/journal/journal.h"
 #include "obs/json_writer.h"
 #include "obs/progress.h"
+#include "support/interner.h"
 
 #include <gtest/gtest.h>
 
@@ -505,6 +508,48 @@ TEST(IntrospectServerTest, RoutesAllEndpoints) {
   EXPECT_NE(Tree.find("\"enabled\""), std::string::npos);
   EXPECT_NE(Tree.find("\"roots\""), std::string::npos);
   EXPECT_NE(get("/nope").find("HTTP/1.1 404"), std::string::npos);
+  S.stop();
+}
+
+TEST(IntrospectServerTest, TraceAndHotSitesAreJournalViews) {
+  IntrospectServer S;
+  uint16_t Port = S.start("127.0.0.1", 0);
+  ASSERT_NE(Port, 0);
+  auto traceBody = [&] {
+    std::string Resp = httpExchange(
+        Port, "GET /trace HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    size_t H = Resp.find("\r\n\r\n");
+    return H == std::string::npos ? std::string() : Resp.substr(H + 4);
+  };
+  const std::string HotFamily = "gillian_solver_hot_query_wall_ns";
+
+  // Journal off: nothing is recorded, so there is nothing to view — even
+  // with events left over from an earlier run.
+  journal::reset();
+  journal::setEnabled(true);
+  uint32_t Proc = InternedString::get("test_hot").id();
+  journal::emitBranch(journal::allocPathIds(1), 1, Proc, 3, /*Side=*/1,
+                      /*Taken=*/true, journal::Verdict::Sat,
+                      journal::VerdictLayer::Z3, 1, /*WallNs=*/1500, 0);
+  journal::setEnabled(false);
+  EXPECT_EQ(traceBody(), "{\"traceEvents\":[]}\n");
+  EXPECT_EQ(metricsExposition().find(HotFamily), std::string::npos);
+
+  // Journal on: the decision is a slice on /trace and its site a series.
+  journal::setEnabled(true);
+  std::string Trace = traceBody();
+  EXPECT_TRUE(validateJson(Trace)) << Trace;
+  EXPECT_NE(Trace.find("\"ph\":\"X\""), std::string::npos) << Trace;
+  EXPECT_NE(Trace.find("\"layer\":\"z3\""), std::string::npos) << Trace;
+  std::string Expo = metricsExposition();
+  EXPECT_NE(Expo.find(HotFamily + "_total{proc=\"test_hot\",cmd_idx=\"3\"} "
+                                  "1500"),
+            std::string::npos)
+      << Expo;
+  EXPECT_NE(Expo.find("gillian_solver_hot_query_calls_total{proc=\"test_hot\""),
+            std::string::npos);
+  journal::setEnabled(false);
+  journal::reset();
   S.stop();
 }
 

@@ -4,7 +4,8 @@
 // and canonical snapshot order, the binary file format's byte-identical
 // round-trip and its rejection of truncated/garbage input, interned-string
 // capture, path-tree reconstruction with rollups, the why/provenance
-// resolver, the branch-trace-aligned diff, and the live /tree JSON body.
+// resolver, the branch-trace-aligned diff, the live /tree JSON body, and
+// the per-site solver view over a real Buckets run.
 //
 // The journal is process-global state; every test that enables it resets
 // and disables it before returning so tests stay order-independent.
@@ -15,8 +16,13 @@
 #include "obs/journal/journal.h"
 #include "obs/journal/journal_io.h"
 
+#include "mjs/compiler.h"
+#include "mjs/memory.h"
 #include "obs/exporters.h"
+#include "obs/span.h"
 #include "support/interner.h"
+#include "targets/buckets_mjs.h"
+#include "targets/suite_runner.h"
 
 #include <gtest/gtest.h>
 
@@ -165,7 +171,7 @@ TEST(JournalCoreTest, CaptureResolvesInternedStrings) {
   uint32_t Act = InternedString::get("capture_action").id();
   uint64_t Id = allocPathIds(1);
   emitRoot(Id, Proc);
-  emitAction(Id, 2, Proc, 5, Act, 1, 0, 0);
+  emitAction(Id, 2, Proc, 5, Act, 1, 0, 0, /*WallNs=*/7);
   JournalData D = capture();
   ASSERT_EQ(D.Events.size(), 2u);
   ASSERT_FALSE(D.Strings.empty());
@@ -174,6 +180,7 @@ TEST(JournalCoreTest, CaptureResolvesInternedStrings) {
   const Event &A = D.Events[1];
   ASSERT_EQ(A.Kind, static_cast<uint8_t>(EventKind::Action));
   EXPECT_EQ(D.str(A.X), "capture_action");
+  EXPECT_EQ(A.WallNs, 7u);
 }
 
 TEST(JournalCoreTest, StatsJsonIsValid) {
@@ -362,6 +369,45 @@ TEST(JournalAnalysisTest, SignatureIgnoresLayerWallAndSpawns) {
   JournalData C = tinyJournal(static_cast<uint8_t>(VerdictLayer::None),
                               /*TruePruned=*/true);
   EXPECT_NE(canonicalTreeSignature(A), canonicalTreeSignature(C));
+}
+
+TEST(JournalRealRunTest, ActionsCarrySolverWallAndSitesCoverTheSolver) {
+  // The dictionary's property lookups (MJS getProp/setProp on symbolic
+  // keys) decide their own branch feasibility inside the memory action,
+  // so on the healthy `dict` suite the journal must attribute solver wall
+  // to Action events, and the per-site view — decisions plus actions —
+  // must account for the solver span total of the run.
+  const targets::BucketsSuite *Dict = nullptr;
+  for (const targets::BucketsSuite &S : targets::bucketsSuites())
+    if (S.Name == "dict")
+      Dict = &S;
+  ASSERT_NE(Dict, nullptr);
+  Result<Prog> P =
+      mjs::compileMjsSource(std::string(targets::bucketsLibrary()) + "\n" +
+                            std::string(Dict->Source));
+  ASSERT_TRUE(P.ok()) << P.error();
+
+  Solver(SolverOptions(), SolverCache::process()).resetCache();
+  JournalScope J;
+  obs::SpanSnapshot Before = obs::SpanTable::global().snapshot();
+  targets::SuiteResult R =
+      targets::runSuite<mjs::MjsSMem>(Dict->Name, *P, EngineOptions());
+  uint64_t SolverNs = (obs::SpanTable::global().snapshot() - Before)
+                          .totalNs(obs::SpanKind::Solver);
+  EXPECT_TRUE(R.clean());
+  ASSERT_GT(SolverNs, 0u);
+
+  JournalData D = capture();
+  uint64_t ActionWall = 0;
+  for (const Event &E : D.Events)
+    if (E.Kind == static_cast<uint8_t>(EventKind::Action))
+      ActionWall += E.WallNs;
+  EXPECT_GT(ActionWall, 0u);
+  uint64_t SiteWall = 0;
+  for (const auto &[Site, S] : siteProfiles(D))
+    SiteWall += S.WallNs;
+  EXPECT_GE(static_cast<double>(SiteWall), 0.9 * SolverNs)
+      << "sites " << SiteWall << " ns of solver " << SolverNs << " ns";
 }
 
 } // namespace

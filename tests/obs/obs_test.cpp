@@ -2,18 +2,17 @@
 //
 // Unit tests of the observability core: the streaming JSON writer, the
 // self-registering counter sets, RAII span nesting (self vs total time),
-// the flight-recorder ring (wrap keeps the newest events), the recorder's
-// drain ordering, and the chrome://tracing exporter's output shape.
+// and the chrome://tracing view of a journal.
 //
 //===----------------------------------------------------------------------===//
 
 #include "obs/action_counters.h"
 #include "obs/counters.h"
 #include "obs/exporters.h"
+#include "obs/journal/journal_io.h"
 #include "obs/json_writer.h"
 #include "obs/obs_config.h"
 #include "obs/span.h"
-#include "obs/trace_ring.h"
 
 #include <gtest/gtest.h>
 
@@ -221,7 +220,6 @@ TEST(SpanTest, NestedSelfTimesSumToOuterTotal) {
   ObsConfigGuard Guard;
   ObsOptions O;
   O.Timing = true;
-  O.Trace = false;
   ObsConfig::set(O);
   SpanSnapshot Before = SpanTable::global().snapshot();
   {
@@ -298,93 +296,50 @@ TEST(SpanTest, DetailSpansFireOnlyWhenEnabled) {
 }
 
 //===----------------------------------------------------------------------===//
-// Flight recorder
-//===----------------------------------------------------------------------===//
-
-TEST(TraceRingTest, WrapOverwritesOldestKeepsNewest) {
-  TraceRing Ring(8);
-  for (uint64_t I = 0; I < 20; ++I) {
-    TraceEvent E{};
-    E.TsNs = I;
-    E.Kind = TraceEventKind::BranchTaken;
-    Ring.record(E);
-  }
-  EXPECT_EQ(Ring.size(), 8u);
-  EXPECT_EQ(Ring.recorded(), 20u);
-  std::vector<TraceEvent> Out;
-  Ring.drainInto(Out);
-  ASSERT_EQ(Out.size(), 8u);
-  // Oldest first, and the survivors are exactly the 8 newest events.
-  for (size_t I = 0; I < 8; ++I)
-    EXPECT_EQ(Out[I].TsNs, 12 + I);
-  EXPECT_EQ(Ring.size(), 0u);
-}
-
-TEST(TraceRingTest, PartialFillDrainsInOrder) {
-  TraceRing Ring(8);
-  for (uint64_t I = 0; I < 3; ++I) {
-    TraceEvent E{};
-    E.TsNs = 100 + I;
-    Ring.record(E);
-  }
-  std::vector<TraceEvent> Out;
-  Ring.drainInto(Out);
-  ASSERT_EQ(Out.size(), 3u);
-  EXPECT_EQ(Out[0].TsNs, 100u);
-  EXPECT_EQ(Out[2].TsNs, 102u);
-}
-
-TEST(TraceRecorderTest, RecordsGateOnConfigAndDrainSortsByTime) {
-  ObsConfigGuard Guard;
-  TraceRecorder &R = TraceRecorder::instance();
-  R.reset();
-  // Disabled: record() must be a no-op.
-  ObsConfig::setTrace(false);
-  TraceRecorder::record(TraceEventKind::Steal, 0, 1, 2);
-  EXPECT_TRUE(R.drain().empty());
-
-  R.enable();
-  TraceRecorder::record(TraceEventKind::BranchTaken, 0, 2);
-  TraceRecorder::record(TraceEventKind::PathFinished, 1);
-  TraceRecorder::record(TraceEventKind::Steal, 0, 3, 7);
-  std::vector<TraceEvent> Events = R.drain();
-  R.disable();
-  ASSERT_EQ(Events.size(), 3u);
-  EXPECT_EQ(Events[0].Kind, TraceEventKind::BranchTaken);
-  EXPECT_EQ(Events[0].A, 2u);
-  EXPECT_EQ(Events[1].Kind, TraceEventKind::PathFinished);
-  EXPECT_EQ(Events[1].Arg0, 1u);
-  EXPECT_EQ(Events[2].Kind, TraceEventKind::Steal);
-  EXPECT_EQ(Events[2].B, 7u);
-  for (size_t I = 1; I < Events.size(); ++I)
-    EXPECT_LE(Events[I - 1].TsNs, Events[I].TsNs);
-  // Drained means drained.
-  EXPECT_TRUE(R.drain().empty());
-}
-
-//===----------------------------------------------------------------------===//
 // Exporters
 //===----------------------------------------------------------------------===//
 
 TEST(ExportersTest, ChromeTraceIsValidJsonWithBalancedSpans) {
-  ObsConfigGuard Guard;
-  TraceRecorder &R = TraceRecorder::instance();
-  R.reset();
-  R.enable();
-  {
-    Span Outer(SpanKind::Explore);
-    {
-      Span Inner(SpanKind::Solver);
-    }
-    TraceRecorder::record(TraceEventKind::BranchTaken, 0, 2);
-  }
-  std::vector<TraceEvent> Events = R.drain();
-  R.disable();
-  ASSERT_FALSE(Events.empty());
-  std::string J = chromeTraceJson(Events);
+  // Two threads. Thread 0 decides an IfGoto whose sides both queried the
+  // solver (3 us and 2 us) and emits both events at once, as the
+  // interpreter does, then a memory action; thread 1 decides one side
+  // from the cache without solver time and ends its path.
+  journal::JournalData D;
+  D.Strings = {"", "test_t", "setProp"};
+  D.Events.reserve(5); // Ev hands out pointers into the vector
+  auto Ev = [&D](journal::EventKind K, uint32_t Tid, uint64_t TsNs) {
+    journal::Event E;
+    E.Kind = static_cast<uint8_t>(K);
+    E.Path = 1;
+    E.Proc = 1;
+    E.Cmd = 4;
+    E.Tid = Tid;
+    E.TsNs = TsNs;
+    D.Events.push_back(E);
+    return &D.Events.back();
+  };
+  auto Layer = [](journal::VerdictLayer L, journal::Verdict V) {
+    return static_cast<uint8_t>((static_cast<uint8_t>(V) << 4) |
+                                static_cast<uint8_t>(L));
+  };
+  journal::Event *False = Ev(journal::EventKind::Branch, 0, 10000);
+  False->WallNs = 3000;
+  False->C = Layer(journal::VerdictLayer::Z3, journal::Verdict::Unsat);
+  journal::Event *True = Ev(journal::EventKind::Branch, 0, 10001);
+  True->A = 1;
+  True->B = 1;
+  True->WallNs = 2000;
+  True->C = Layer(journal::VerdictLayer::Native, journal::Verdict::Sat);
+  journal::Event *Act = Ev(journal::EventKind::Action, 0, 12000);
+  Act->X = 2;
+  Act->WallNs = 500;
+  journal::Event *Cached = Ev(journal::EventKind::Branch, 1, 9000);
+  Cached->B = 1;
+  Cached->C = Layer(journal::VerdictLayer::Cache, journal::Verdict::Sat);
+  Ev(journal::EventKind::PathEnd, 1, 9500);
+
+  std::string J = chromeTraceJson(D);
   EXPECT_TRUE(validateJson(J)) << J;
-  // Two spans -> two "B" and two "E" phase records; the instant event
-  // renders as phase "i".
   auto countSub = [&](const std::string &Needle) {
     size_t N = 0;
     for (size_t P = J.find(Needle); P != std::string::npos;
@@ -392,11 +347,22 @@ TEST(ExportersTest, ChromeTraceIsValidJsonWithBalancedSpans) {
       ++N;
     return N;
   };
-  EXPECT_EQ(countSub("\"ph\":\"B\""), 2u);
-  EXPECT_EQ(countSub("\"ph\":\"E\""), 2u);
-  EXPECT_EQ(countSub("\"ph\":\"i\""), 1u);
-  EXPECT_NE(J.find("\"explore\""), std::string::npos);
-  EXPECT_NE(J.find("\"solver\""), std::string::npos);
+  // The two decisions that spent solver time are complete slices; the
+  // action, the cached decision and the path end are instants.
+  EXPECT_EQ(countSub("\"ph\":\"X\""), 2u);
+  EXPECT_EQ(countSub("\"ph\":\"i\""), 3u);
+  EXPECT_EQ(countSub("\"ph\":\"B\""), 0u);
+  // Slices keep their exact wall and never overlap on a track: the later
+  // side ends at its emission, the earlier one ends where it starts.
+  // Times are relative to the earliest slice start (5001 ns).
+  EXPECT_NE(J.find("\"ts\":0.000,\"dur\":3.000"), std::string::npos) << J;
+  EXPECT_NE(J.find("\"ts\":3.000,\"dur\":2.000"), std::string::npos) << J;
+  EXPECT_NE(J.find("\"layer\":\"z3\""), std::string::npos);
+  EXPECT_NE(J.find("\"layer\":\"native\""), std::string::npos);
+  EXPECT_NE(J.find("\"site\":\"test_t:4\""), std::string::npos);
+  EXPECT_NE(J.find("\"action\":\"setProp\""), std::string::npos);
+  EXPECT_NE(J.find("\"tid\":1"), std::string::npos);
+  EXPECT_TRUE(validateJson(chromeTraceJson(journal::JournalData{})));
 }
 
 TEST(ExportersTest, ObsStatsJsonIsValid) {
@@ -412,9 +378,6 @@ TEST(ExportersTest, ObsStatsJsonIsValid) {
 //===----------------------------------------------------------------------===//
 
 TEST(ActionCountersTest, BumpSnapshotAndJson) {
-  ObsConfigGuard Guard;
-  ObsOptions O;
-  ObsConfig::set(O); // ActionCounters defaults on
   InternedString Act = InternedString::get("obs_test_action");
   ActionCounters::bump("obs_test_lang", Act);
   ActionCounters::bump("obs_test_lang", Act);

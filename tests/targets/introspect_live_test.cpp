@@ -7,8 +7,8 @@
 // well-formed (the exposition lines parse, the JSON validates) and the
 // run's results must be unaffected by the scraping. Under TSan this is
 // the proof that mid-run snapshots of the counter registry, the span
-// table, the flight-recorder ring, the query profiler and the coverage
-// map are race-free.
+// table, the execution journal (served by /trace and by the hot-site
+// series of /metrics) and the coverage map are race-free.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,9 +17,8 @@
 #include "mjs/compiler.h"
 #include "mjs/memory.h"
 #include "obs/introspect/introspect_server.h"
+#include "obs/journal/journal.h"
 #include "obs/json_writer.h"
-#include "obs/obs_config.h"
-#include "obs/trace_ring.h"
 #include "targets/suite_runner.h"
 
 #include <gtest/gtest.h>
@@ -82,12 +81,9 @@ std::string scrape(uint16_t Port, const char *Path) {
 } // namespace
 
 TEST(IntrospectLiveTest, ConcurrentScrapesDuringEightWorkerSuiteRun) {
-  // Coverage + tracing on, so the scrapes exercise every snapshot path.
-  obs::ObsOptions Saved = obs::ObsConfig::get();
-  obs::ObsOptions O = Saved;
-  O.Coverage = true;
-  obs::ObsConfig::set(O);
-  obs::TraceRecorder::instance().enable();
+  // Journal on, so the scrapes exercise every snapshot path.
+  obs::journal::reset();
+  obs::journal::setEnabled(true);
 
   obs::IntrospectServer Server;
   uint16_t Port = Server.start("127.0.0.1", 0);
@@ -130,8 +126,8 @@ TEST(IntrospectLiveTest, ConcurrentScrapesDuringEightWorkerSuiteRun) {
   TraceScraper.join();
   ProgressScraper.join();
   Server.stop();
-  obs::TraceRecorder::instance().disable();
-  obs::ObsConfig::set(Saved);
+  obs::journal::setEnabled(false);
+  obs::journal::reset();
 
   // The suites take long enough that the scrapers land many mid-run hits;
   // every body they got back was well-formed.

@@ -7,6 +7,10 @@
 // counter totals — on an MJS (Buckets) suite and an MC (Collections)
 // suite.
 //
+// The journal's chrome://tracing view stays well-formed under eight
+// concurrent emitters and carries the same branch decisions as a
+// sequential run.
+//
 // Also the budget-cut regression: Interpreter::run used to push Bound
 // results into the result vector directly while bumping PathsBounded
 // inline, bypassing finish(); the parallel scheduler always routed cuts
@@ -25,15 +29,19 @@
 #include "mjs/memory.h"
 #include "obs/action_counters.h"
 #include "obs/exporters.h"
-#include "obs/trace_ring.h"
+#include "obs/journal/journal.h"
 #include "targets/suite_runner.h"
 #include "while_lang/compiler.h"
 #include "while_lang/memory.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <string>
+#include <tuple>
+#include <vector>
 
 using namespace gillian;
 using namespace gillian::targets;
@@ -104,6 +112,102 @@ SuiteCounters suiteCounters(const Prog &P, uint32_t Workers) {
   return {deterministicCounters(Stats), actionDelta(Before, After)};
 }
 
+/// The objects of a chrome trace's "traceEvents" array, one string each
+/// (JsonWriter output: no whitespace, "args" nested one level).
+std::vector<std::string> traceEvents(const std::string &J) {
+  std::vector<std::string> Out;
+  int Depth = 0;
+  size_t Start = 0;
+  bool InString = false;
+  for (size_t I = J.find('[') + 1; I < J.size(); ++I) {
+    char C = J[I];
+    if (InString) {
+      if (C == '\\')
+        ++I;
+      else if (C == '"')
+        InString = false;
+    } else if (C == '"') {
+      InString = true;
+    } else if (C == '{') {
+      if (Depth++ == 0)
+        Start = I;
+    } else if (C == '}') {
+      if (--Depth == 0)
+        Out.push_back(J.substr(Start, I - Start + 1));
+    } else if (C == ']' && Depth == 0) {
+      break;
+    }
+  }
+  return Out;
+}
+
+/// The raw value of \p Key in one trace event ("" if absent).
+std::string fieldOf(const std::string &Ev, const std::string &Key) {
+  size_t P = Ev.find("\"" + Key + "\":");
+  if (P == std::string::npos)
+    return "";
+  P += Key.size() + 3;
+  size_t E = P;
+  if (Ev[P] == '"')
+    E = Ev.find('"', P + 1) + 1;
+  else
+    while (E < Ev.size() && Ev[E] != ',' && Ev[E] != '}')
+      ++E;
+  return Ev.substr(P, E - P);
+}
+
+/// A trace timestamp ("12.345", microseconds with three decimals) in ns.
+uint64_t nsOf(std::string Micros) {
+  Micros.erase(Micros.find('.'), 1);
+  return std::stoull(Micros);
+}
+
+using BranchKey = std::tuple<std::string, std::string, std::string>;
+
+/// Explores \p P at \p Workers with the journal on and returns the
+/// multiset of (site, side, taken) over the Branch events of its chrome
+/// view, after checking the view validates and that on every track any
+/// two complete slices are nested or disjoint.
+template <typename M>
+std::multiset<BranchKey> chromeBranches(const Prog &P, uint32_t Workers) {
+  obs::journal::reset();
+  obs::journal::setEnabled(true);
+  suiteCounters<M>(P, Workers);
+  obs::journal::setEnabled(false);
+  std::string J = obs::chromeTraceJson(obs::journal::capture());
+  obs::journal::reset();
+  EXPECT_TRUE(obs::validateJson(J));
+
+  std::multiset<BranchKey> Branches;
+  std::map<std::string, std::vector<std::pair<uint64_t, uint64_t>>> Slices;
+  for (const std::string &Ev : traceEvents(J)) {
+    if (fieldOf(Ev, "name") != "\"branch\"")
+      continue;
+    Branches.insert({fieldOf(Ev, "site"), fieldOf(Ev, "side"),
+                     fieldOf(Ev, "taken")});
+    if (fieldOf(Ev, "ph") == "\"X\"") {
+      uint64_t Ts = nsOf(fieldOf(Ev, "ts"));
+      Slices[fieldOf(Ev, "tid")].push_back(
+          {Ts, Ts + nsOf(fieldOf(Ev, "dur"))});
+    }
+  }
+  EXPECT_FALSE(Slices.empty()) << "no decision spent solver time";
+  for (auto &[Tid, S] : Slices) {
+    std::sort(S.begin(), S.end());
+    // Sorted by start: each slice must end before the next one starts or
+    // contain it (ties at the boundary are disjoint).
+    std::vector<uint64_t> Open; // ends of the enclosing slices
+    for (auto &[B, E] : S) {
+      while (!Open.empty() && Open.back() <= B)
+        Open.pop_back();
+      EXPECT_TRUE(Open.empty() || E <= Open.back())
+          << "overlapping slices on tid " << Tid << " at " << B;
+      Open.push_back(E);
+    }
+  }
+  return Branches;
+}
+
 template <typename M>
 void expectCountersScheduleIndependent(const Prog &P,
                                        std::string_view Name) {
@@ -136,11 +240,11 @@ TEST(ObsScheduleIndependence, MjsSuiteCounterTotalsAreWorkerInvariant) {
   FAIL() << "bag suite not found";
 }
 
-TEST(ObsScheduleIndependence, FlightRecorderSurvivesParallelExploration) {
-  // Eight workers record branch/steal/span events into their lock-free
-  // rings concurrently; the drain at quiescence must yield a consistent,
-  // exporter-ready event stream. (This is the TSan coverage of the trace
-  // ring.)
+TEST(ObsScheduleIndependence, JournalChromeViewAtEightWorkersMatchesOne) {
+  // Eight workers emit journal events concurrently; the chrome view of
+  // the capture must validate, keep every track's slices nested or
+  // disjoint, and carry the sequential run's branch decisions. (This is
+  // the TSan coverage of concurrent journal emission into the view.)
   for (const BucketsSuite &S : bucketsSuites()) {
     if (std::string_view(S.Name) != "bag")
       continue;
@@ -148,16 +252,9 @@ TEST(ObsScheduleIndependence, FlightRecorderSurvivesParallelExploration) {
         std::string(bucketsLibrary()) + "\n" + std::string(S.Source);
     Result<Prog> P = mjs::compileMjsSource(Src);
     ASSERT_TRUE(P.ok()) << P.error();
-    obs::TraceRecorder &R = obs::TraceRecorder::instance();
-    R.reset();
-    R.enable();
-    suiteCounters<mjs::MjsSMem>(*P, 8);
-    std::vector<obs::TraceEvent> Events = R.drain();
-    R.disable();
-    EXPECT_FALSE(Events.empty());
-    for (size_t I = 1; I < Events.size(); ++I)
-      EXPECT_LE(Events[I - 1].TsNs, Events[I].TsNs);
-    EXPECT_TRUE(obs::validateJson(obs::chromeTraceJson(Events)));
+    std::multiset<BranchKey> Seq = chromeBranches<mjs::MjsSMem>(*P, 1);
+    EXPECT_FALSE(Seq.empty());
+    EXPECT_EQ(Seq, chromeBranches<mjs::MjsSMem>(*P, 8));
     return;
   }
   FAIL() << "bag suite not found";

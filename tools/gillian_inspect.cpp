@@ -7,13 +7,15 @@
 /// \file
 /// Offline inspector for execution journals (DESIGN.md §4i):
 ///
-///   gillian-inspect tree <journal> [--depth=N] [--json]
+///   gillian-inspect tree <journal> [--depth=N] [--json] [--top=N]
 ///   gillian-inspect why  <journal> <path-id|branch-trace>
 ///   gillian-inspect diff <a> <b> [--json] [--top=N]
 ///
 /// Journals come from `--journal-out=` on any bench driver or from
 /// GILLIAN_JOURNAL=path on a ctest suite run. A branch trace is
 /// "<entry-proc>[#k][:i.j.k]" — the worker-count invariant path name.
+/// `tree` ends with the --top=N sites that spent the most solver wall;
+/// `diff` caps each of its sections at N.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,7 +34,8 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: gillian-inspect tree <journal> [--depth=N] [--json]\n"
+      "usage: gillian-inspect tree <journal> [--depth=N] [--json] "
+      "[--top=N]\n"
       "       gillian-inspect why  <journal> <path-id|branch-trace>\n"
       "       gillian-inspect diff <a> <b> [--json] [--top=N]\n");
   return 2;
@@ -77,7 +80,8 @@ int main(int Argc, char **Argv) {
     JournalData D;
     if (!load(Pos[0].c_str(), D))
       return 1;
-    std::string Out = Json ? treeJson(D, Depth) : treeText(D, Depth);
+    std::string Out = Json ? treeJson(D, Depth, /*Enabled=*/true, Top)
+                           : treeText(D, Depth, Top);
     std::fputs(Out.c_str(), stdout);
     if (Json)
       std::fputc('\n', stdout);
