@@ -10,14 +10,14 @@
 /// the template parameter is the paper's state-model parameter S, and the
 /// rules below are the transition rules p ⊢ ⟨σ, cs, i⟩ ⇝ ⟨σ', cs', j⟩^o.
 ///
-/// Exploration strategy is factored out of the semantics: step() executes
-/// ONE command of one configuration and reports its successors and
-/// finished paths to a caller-supplied sink. run() drives it with the
-/// classic sequential depth-first worklist; the parallel scheduler
-/// (engine/scheduler/exploration_scheduler.h) drives the same step() from
-/// a work-stealing pool — configurations after a branch are path-disjoint,
-/// so they can execute on different threads with no coordination beyond
-/// the (thread-safe) shared solver.
+/// Exploration is factored out of the semantics: step() executes ONE
+/// command of one configuration and reports its successors and finished
+/// paths to a caller-supplied sink. The one driver is the scheduler
+/// (engine/scheduler/exploration_scheduler.h, entry point runExploration),
+/// which runs step() on a work-stealing pool at any worker count —
+/// configurations after a branch are path-disjoint, so they can execute
+/// on different threads with no coordination beyond the (thread-safe)
+/// shared solver.
 ///
 /// Branch points (conditional gotos with both sides feasible, branching
 /// memory actions) emit extra configurations. Loops unroll up to a
@@ -174,7 +174,6 @@ public:
   }
 
   const EngineOptions &options() const { return Opts; }
-  ExecStats &stats() { return Stats; }
 
   /// Builds the initial configuration for procedure \p Entry applied to
   /// \p Arg in state \p Init. Err(...) reports engine-level misuse
@@ -194,64 +193,6 @@ public:
       obs::journal::emitRoot(C.JPath, Entry.id());
     }
     return C;
-  }
-
-  /// Runs procedure \p Entry with argument \p Arg from state \p Init,
-  /// exploring all paths with the sequential depth-first worklist.
-  /// Err(...) reports engine-level misuse (unknown entry procedure);
-  /// program-level failures are Error outcomes.
-  Result<std::vector<TraceResult<St>>>
-  run(InternedString Entry, typename St::ValueT Arg, St Init) {
-    Result<Config> Start =
-        makeInitialConfig(Entry, std::move(Arg), std::move(Init));
-    if (!Start)
-      return Err(Start.error());
-
-    obs::Span ExploreSpan(obs::SpanKind::Explore, &Stats.EngineNs);
-    std::vector<TraceResult<St>> Results;
-    std::vector<Config> Work;
-    Work.push_back(Start.take());
-    uint64_t Steps = 0;
-
-    // The sequential sink: successors go straight onto the depth-first
-    // worklist, finished paths straight into the result vector.
-    struct WorklistSink {
-      std::vector<Config> &Work;
-      std::vector<TraceResult<St>> &Results;
-      void cont(Config C) { Work.push_back(std::move(C)); }
-      void done(OutcomeKind K, typename St::ValueT V, St S) {
-        Results.push_back({K, std::move(V), std::move(S)});
-      }
-    } Sink{Work, Results};
-
-    while (!Work.empty()) {
-      bool StepsOut = Opts.MaxSteps && Steps >= Opts.MaxSteps;
-      bool PathsOut =
-          Opts.MaxPaths && Results.size() >= Opts.MaxPaths;
-      if (StepsOut || PathsOut) {
-        // Out of budget: remaining configurations become Bound outcomes,
-        // routed through finish() so outcome accounting has exactly one
-        // code path (it used to bump PathsBounded inline here, duplicating
-        // the counting logic). The outcome value names *which* budget
-        // tripped — a MaxPaths cut used to masquerade as "step budget
-        // exhausted" (steps win when both trip at once).
-        for (Config &C : Work) {
-          journalEnd(C, OutcomeKind::Bound,
-                     StepsOut ? obs::journal::BudgetKind::Steps
-                              : obs::journal::BudgetKind::Paths);
-          finish(Sink, OutcomeKind::Bound,
-                 St::errorValue(StepsOut ? "step budget exhausted"
-                                         : "path budget exhausted"),
-                 std::move(C.State));
-        }
-        break;
-      }
-      Config C = std::move(Work.back());
-      Work.pop_back();
-      ++Steps;
-      step(std::move(C), Sink);
-    }
-    return Results;
   }
 
   /// Executes one command of \p C, reporting successors and finished
@@ -595,8 +536,8 @@ public:
   }
 
   /// Records a finished path: bumps the per-outcome counter, then hands
-  /// the TraceResult to the sink. Public so exploration drivers (the
-  /// parallel scheduler's budget cuts) account outcomes identically.
+  /// the TraceResult to the sink. Public so the scheduler's budget cuts
+  /// account outcomes identically.
   template <typename Sink>
   void finish(Sink &S, OutcomeKind K, typename St::ValueT V, St State) {
     switch (K) {
@@ -611,7 +552,7 @@ public:
 
 public:
   /// Journal PathEnd emission for a config about to finish. Public so the
-  /// parallel scheduler's budget cuts record their terminations too.
+  /// scheduler's budget cuts record their terminations too.
   static void journalEnd(const Config &C, OutcomeKind K,
                          obs::journal::BudgetKind Budget) {
     if (obs::journal::enabled())

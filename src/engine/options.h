@@ -31,9 +31,8 @@ struct EngineOptions {
 
   SolverOptions Solver;
 
-  /// Parallel exploration (engine/scheduler/). Workers = 1 keeps the
-  /// classic sequential depth-first worklist, bit-identical to the
-  /// pre-scheduler engine.
+  /// Exploration workers (engine/scheduler/). Workers = 1 explores on the
+  /// calling thread alone; any count yields the same result sequence.
   SchedulerOptions Scheduler;
 
   /// Memoise terminal symbolic states of eligible (loop-free, heap-free)

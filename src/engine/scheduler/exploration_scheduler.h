@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// ExplorationScheduler: drives Interpreter<St>::step from a work-stealing
-/// thread pool. Configurations after a branch point are path-disjoint —
-/// their states share only immutable copy-on-write structure and the
-/// thread-safe solver — so each can execute on any worker with no
-/// coordination.
+/// ExplorationScheduler: the one driver of Interpreter<St>::step. It runs
+/// every exploration, symbolic or concrete, on a work-stealing thread
+/// pool; at one worker that pool runs on the calling thread alone.
+/// Configurations after a branch point are path-disjoint — their states
+/// share only immutable copy-on-write structure and the thread-safe
+/// solver — so each can execute on any worker with no coordination.
 ///
 /// Determinism. Results are merged in *branch-trace* order, not completion
 /// order. Every task carries a PathId: the sequence of branch indices
@@ -25,22 +26,22 @@
 /// same exploration at any worker count yields the same result sequence.
 ///
 /// Order. At a branch point a task keeps stepping its *last* successor
-/// (matching the sequential worklist's pop-from-the-back) and spawns the
-/// others onto its worker's deque; the pool pops LIFO and steals FIFO
-/// (thread_pool.h). That is the one exploration order: without a budget
-/// every path is explored regardless of order, and the result sequence is
-/// branch-trace sorted, so order only shows under MaxSteps/MaxPaths.
+/// and spawns the others onto its worker's deque; the pool pops LIFO and
+/// steals FIFO (thread_pool.h). That is the one exploration order: depth
+/// first, last successor first. Without a budget every path is explored
+/// regardless of order, and the result sequence is branch-trace sorted,
+/// so order only shows under MaxSteps/MaxPaths.
 ///
 /// Budgets. MaxSteps/MaxPaths are enforced from relaxed atomic counters:
 /// a task that observes an exhausted budget finishes Bound, with the
-/// outcome value naming which budget tripped. The *set* of outcomes
-/// therefore remains schedule-independent only for programs that stay
-/// within budget (which side of the cut a given path lands on is a race
-/// by construction), and the recorded result count can overshoot
-/// MaxPaths by up to the number of in-flight tasks — each worker
-/// observes the exhausted budget only at its next step boundary.
-/// Explorations that hit a budget should use Workers = 1 when exact cut
-/// placement matters.
+/// outcome value naming which budget tripped. At one worker the cut is
+/// exact. At more, which side of the cut a given path lands on is a race
+/// by construction, so the *set* of outcomes stays schedule-independent
+/// only for programs that stay within budget, and the recorded result
+/// count can overshoot MaxPaths by up to the number of in-flight tasks —
+/// each worker observes the exhausted budget only at its next step
+/// boundary. Explorations that hit a budget should use Workers = 1 when
+/// exact cut placement matters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +49,6 @@
 #define GILLIAN_ENGINE_SCHEDULER_EXPLORATION_SCHEDULER_H
 
 #include "engine/interpreter.h"
-#include "engine/scheduler/scheduler_options.h"
 #include "engine/scheduler/thread_pool.h"
 #include "obs/journal/journal.h"
 
@@ -69,38 +69,31 @@ public:
   /// order (see file comment).
   using PathId = std::vector<uint32_t>;
 
-  ExplorationScheduler(Interpreter<St> &I, const SchedulerOptions &SOpts)
-      : I(I), SOpts(SOpts) {}
+  explicit ExplorationScheduler(Interpreter<St> &I) : I(I) {}
 
   /// Explores every path reachable from \p Init on a pool of
-  /// SOpts.Workers threads; returns finished paths in branch-trace order.
+  /// Scheduler.Workers workers; returns finished paths in branch-trace
+  /// order.
   std::vector<TraceResult<St>> explore(Config Init) {
-    obs::Span ExploreSpan(obs::SpanKind::Explore, &I.stats().EngineNs);
-    size_t N = SOpts.Workers ? SOpts.Workers : 1;
-    LocalResults.assign(N, {});
-
-    ThreadPool<PathTask> Pool(N);
+    obs::Span ExploreSpan(obs::SpanKind::Explore);
+    ThreadPool<PathTask> Pool(I.options().Scheduler.Workers);
+    LocalResults.assign(Pool.workers(), {});
     Pool.inject(PathTask{std::move(Init), {}});
-    Pool.run([this](PathTask T, typename ThreadPool<PathTask>::Worker &W) {
-      runTask(std::move(T), W);
-    });
+    Pool.run([this](PathTask &&T, Worker &W) { runTask(std::move(T), W); });
 
-    // Merge per-worker buffers and impose the schedule-independent order.
-    std::vector<std::pair<PathId, TraceResult<St>>> All;
-    size_t Total = 0;
-    for (auto &L : LocalResults)
-      Total += L.size();
-    All.reserve(Total);
+    // Impose the schedule-independent order: sort pointers by id, then
+    // move each result once.
+    std::vector<std::pair<PathId, TraceResult<St>> *> Order;
+    Order.reserve(ResultCount.load(std::memory_order_relaxed));
     for (auto &L : LocalResults)
       for (auto &E : L)
-        All.push_back(std::move(E));
-    std::sort(All.begin(), All.end(),
-              [](const auto &A, const auto &B) { return A.first < B.first; });
-
+        Order.push_back(&E);
+    std::sort(Order.begin(), Order.end(),
+              [](const auto *A, const auto *B) { return A->first < B->first; });
     std::vector<TraceResult<St>> Out;
-    Out.reserve(All.size());
-    for (auto &E : All)
-      Out.push_back(std::move(E.second));
+    Out.reserve(Order.size());
+    for (auto *E : Order)
+      Out.push_back(std::move(E->second));
     return Out;
   }
 
@@ -109,25 +102,19 @@ private:
     Config C;
     PathId Id;
   };
+  using Worker = typename ThreadPool<PathTask>::Worker;
 
   /// Which budget (if any) is exhausted — kept distinct so the Bound
   /// outcome can say what actually tripped.
   enum class BudgetKind : uint8_t { None, Steps, Paths };
 
-  /// A finished path before it is paired with its id.
-  struct Done {
-    OutcomeKind K;
-    typename St::ValueT V;
-    St S;
-  };
-
   /// Buffers step() outputs in production order; branch indices are
   /// assigned from the buffer positions afterwards.
   struct BufferSink {
-    std::vector<std::variant<Config, Done>> Outs;
-    void cont(Config C) { Outs.emplace_back(std::move(C)); }
-    void done(OutcomeKind K, typename St::ValueT V, St S) {
-      Outs.emplace_back(Done{K, std::move(V), std::move(S)});
+    std::vector<std::variant<Config, TraceResult<St>>> Outs;
+    void cont(Config &&C) { Outs.emplace_back(std::move(C)); }
+    void done(OutcomeKind K, typename St::ValueT &&V, St &&S) {
+      Outs.emplace_back(TraceResult<St>{K, std::move(V), std::move(S)});
     }
   };
 
@@ -137,15 +124,15 @@ private:
     ExplorationScheduler &Sched;
     size_t WIdx;
     PathId Id;
-    void cont(Config) {}
-    void done(OutcomeKind K, typename St::ValueT V, St S) {
+    void cont(Config &&) {}
+    void done(OutcomeKind K, typename St::ValueT &&V, St &&S) {
       Sched.record(WIdx, std::move(Id),
                    TraceResult<St>{K, std::move(V), std::move(S)});
     }
   };
 
-  void record(size_t WIdx, PathId Id, TraceResult<St> R) {
-    LocalResults[WIdx].push_back({std::move(Id), std::move(R)});
+  void record(size_t WIdx, PathId Id, TraceResult<St> &&R) {
+    LocalResults[WIdx].emplace_back(std::move(Id), std::move(R));
     ResultCount.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -160,12 +147,22 @@ private:
     return BudgetKind::None;
   }
 
+  /// Output \p J of a multi-output step of the path \p Parent.
+  static PathId childId(const PathId &Parent, uint32_t J) {
+    PathId Id;
+    Id.reserve(Parent.size() + 1);
+    Id.insert(Id.end(), Parent.begin(), Parent.end());
+    Id.push_back(J);
+    return Id;
+  }
+
   /// Executes one task to completion: steps inline while there is a
   /// single successor (no queue churn on straight-line code), and at
-  /// branch points keeps the *last* successor (matching the sequential
-  /// worklist's pop-from-the-back) while spawning the others for the
-  /// worker's deque and for thieves.
-  void runTask(PathTask T, typename ThreadPool<PathTask>::Worker &W) {
+  /// branch points keeps the *last* successor while spawning the others
+  /// for the worker's deque and for thieves.
+  void runTask(PathTask &&T, Worker &W) {
+    BufferSink Sink; // one output buffer for every step of this task
+    auto &Outs = Sink.Outs;
     while (true) {
       BudgetKind Cut = overBudget();
       if (Cut != BudgetKind::None) {
@@ -183,56 +180,45 @@ private:
       }
       Steps.fetch_add(1, std::memory_order_relaxed);
 
-      BufferSink Sink;
+      Outs.clear();
       I.step(std::move(T.C), Sink);
-      auto &Outs = Sink.Outs;
-      if (Outs.empty())
-        return; // e.g. a memory action with zero feasible branches
-
-      // Fast path: exactly one live successor — same path, same id.
-      if (Outs.size() == 1 &&
-          std::holds_alternative<Config>(Outs.front())) {
-        T.C = std::move(std::get<Config>(Outs.front()));
-        continue;
-      }
-
-      bool Multi = Outs.size() >= 2;
-      // Record finished paths and collect the live successors, with
-      // their branch-trace ids assigned from production order.
-      std::vector<PathTask> Live;
-      uint32_t K = 0;
-      for (auto &O : Outs) {
-        PathId Id = T.Id;
-        if (Multi)
-          Id.push_back(K);
-        ++K;
-        if (std::holds_alternative<Done>(O)) {
-          Done &D = std::get<Done>(O);
-          record(W.index(), std::move(Id),
-                 TraceResult<St>{D.K, std::move(D.V), std::move(D.S)});
-        } else {
-          Live.push_back(
-              PathTask{std::move(std::get<Config>(O)), std::move(Id)});
+      if (Outs.size() == 1) {
+        // One output: same path, same id.
+        if (Config *C = std::get_if<Config>(&Outs.front())) {
+          T.C = std::move(*C);
+          continue;
         }
+        record(W.index(), std::move(T.Id),
+               std::move(std::get<TraceResult<St>>(Outs.front())));
+        return;
       }
-      if (Live.empty())
-        return; // every output finished
 
-      // Keep the last successor hot; the rest go to the deque.
-      size_t Keep = Live.size() - 1;
-      for (size_t J = 0; J < Keep; ++J) {
-        if (obs::journal::enabled())
-          obs::journal::emitSpawn(Live[J].C.JPath, Live[J].C.JSteps,
-                                  Live[J].C.CurProc.id(),
-                                  static_cast<uint32_t>(Live[J].C.I));
-        W.spawn(std::move(Live[J]));
+      // Zero or k >= 2 outputs: record the finished paths and spawn the
+      // live successors under their branch-trace ids, except the last
+      // live one, which this task keeps stepping under its extended id.
+      size_t Keep = Outs.size();
+      for (size_t J = Outs.size(); J-- > 0;)
+        if (std::holds_alternative<Config>(Outs[J])) {
+          Keep = J;
+          break;
+        }
+      for (uint32_t J = 0; J < Outs.size(); ++J) {
+        if (J == Keep)
+          continue;
+        if (Config *C = std::get_if<Config>(&Outs[J]))
+          W.spawn(std::move(*C), childId(T.Id, J));
+        else
+          record(W.index(), childId(T.Id, J),
+                 std::move(std::get<TraceResult<St>>(Outs[J])));
       }
-      T = std::move(Live[Keep]);
+      if (Keep == Outs.size())
+        return; // every output finished (or there was none)
+      T.Id.push_back(static_cast<uint32_t>(Keep));
+      T.C = std::move(std::get<Config>(Outs[Keep]));
     }
   }
 
   Interpreter<St> &I;
-  SchedulerOptions SOpts;
   std::atomic<uint64_t> Steps{0};
   std::atomic<uint64_t> ResultCount{0};
   /// One result buffer per worker; merged after quiescence. Indexed by
@@ -240,22 +226,19 @@ private:
   std::vector<std::vector<std::pair<PathId, TraceResult<St>>>> LocalResults;
 };
 
-/// Entry point used by the test runner and benches: one worker runs the
-/// classic sequential worklist (bit-identical results, including order),
-/// more run the work-stealing scheduler.
+/// Entry point of every exploration (the test runner, concrete runs,
+/// benches and tests): explores all paths of procedure \p Entry applied
+/// to \p Arg in state \p Init. Err(...) reports engine-level misuse
+/// (unknown entry procedure); program-level failures are Error outcomes.
 template <StateModel St>
 Result<std::vector<TraceResult<St>>>
 runExploration(Interpreter<St> &I, InternedString Entry,
                typename St::ValueT Arg, St Init) {
-  const SchedulerOptions &S = I.options().Scheduler;
-  if (S.Workers <= 1)
-    return I.run(Entry, std::move(Arg), std::move(Init));
   Result<typename Interpreter<St>::Config> Start =
       I.makeInitialConfig(Entry, std::move(Arg), std::move(Init));
   if (!Start)
     return Err(Start.error());
-  ExplorationScheduler<St> Sched(I, S);
-  return Sched.explore(Start.take());
+  return ExplorationScheduler<St>(I).explore(Start.take());
 }
 
 } // namespace gillian

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Configuration of the parallel exploration scheduler. Kept separate from
-/// the pool/scheduler implementations so options.h (and therefore every
+/// Configuration of the exploration scheduler. Kept separate from the
+/// pool/scheduler implementations so options.h (and therefore every
 /// engine client) can embed it without pulling in <thread>.
 ///
 //===----------------------------------------------------------------------===//
@@ -19,11 +19,10 @@
 namespace gillian {
 
 struct SchedulerOptions {
-  /// Number of exploration workers. 1 (the default) runs the classic
-  /// sequential depth-first worklist — bit-identical to the pre-scheduler
-  /// engine, including result order. N > 1 explores path-disjoint
-  /// configurations on a work-stealing pool of N threads and merges
-  /// results in branch-trace order (deterministic, schedule-independent).
+  /// Number of exploration workers: the calling thread plus Workers - 1
+  /// pool threads, so 1 (the default) starts no thread. Path-disjoint
+  /// configurations run on a work-stealing pool and results merge in
+  /// branch-trace order, the same sequence at every worker count.
   uint32_t Workers = 1;
 };
 

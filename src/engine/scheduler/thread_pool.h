@@ -10,8 +10,8 @@
 /// after a branch point produces *path-disjoint* configurations; each is a
 /// task, and stepping a task may spawn more tasks (its branch successors).
 ///
-/// Topology: one mutex-striped deque per worker plus a global injection
-/// queue for roots. A worker pops its own deque LIFO (its newest fork:
+/// Topology: one mutex-striped deque per worker; roots are injected onto
+/// worker 0's. A worker pops its own deque LIFO (its newest fork:
 /// depth-first locality, bounded frontier); thieves take FIFO (the oldest,
 /// shallowest forks, which head the largest untapped subtrees). Steals
 /// move up to `TasksPerSteal` configurations so a thief seeds itself instead
@@ -34,6 +34,12 @@
 /// surplus of more than one (batch steals, burst injection) wakes
 /// everyone: a single notify_one for k new tasks used to leave k-1
 /// sleepers parked until the next epoch bump.
+///
+/// Threads: run() executes worker 0 on the calling thread and starts one
+/// thread per further worker, so a one-worker pool starts none. The
+/// process then stays single-threaded, which keeps CowMap's reference
+/// counts non-atomic, and worker 0 keeps the caller's warm thread-local
+/// solver state at any worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,7 +72,12 @@ public:
   class Worker {
   public:
     size_t index() const { return Idx; }
-    void spawn(Task T) { Pool.pushLocal(Idx, std::move(T)); }
+    /// Constructs a task from \p Args in place at the back of this
+    /// worker's deque.
+    template <typename... Args> void spawn(Args &&...A) {
+      ++obs::schedCounters().TasksSpawned;
+      Pool.push(Idx, std::forward<Args>(A)...);
+    }
 
   private:
     friend class ThreadPool;
@@ -106,26 +117,20 @@ public:
     return B < QueueLen ? B : QueueLen;
   }
 
-  /// Enqueues a root task on the global injection queue. Thread-safe, but
-  /// intended for seeding the pool before run().
-  void inject(Task T) {
-    Pending.fetch_add(1, std::memory_order_acq_rel);
-    obs::schedCounters().FrontierSize.add(1);
-    {
-      std::lock_guard<std::mutex> Lock(Global.Mu);
-      Global.Q.push_back(std::move(T));
-    }
-    signalWork(1);
-  }
+  /// Enqueues a root task on worker 0's deque. Thread-safe, but intended
+  /// for seeding the pool before run().
+  void inject(Task T) { push(0, std::move(T)); }
 
-  /// Runs \p Body(Task, Worker&) over every injected task and everything
-  /// those tasks spawn, on `workers()` threads; returns when the pool is
-  /// quiescent (every task executed, nothing left to steal).
+  /// Runs \p Body(Task&&, Worker&) over every injected task and everything
+  /// those tasks spawn: worker 0 on the calling thread, the others on
+  /// `workers() - 1` new threads. Returns when the pool is quiescent
+  /// (every task executed, nothing left to steal).
   template <typename Body> void run(Body &&B) {
     std::vector<std::thread> Threads;
-    Threads.reserve(workers());
-    for (size_t I = 0; I < workers(); ++I)
+    Threads.reserve(workers() - 1);
+    for (size_t I = 1; I < workers(); ++I)
       Threads.emplace_back([this, I, &B] { workerLoop(I, B); });
+    workerLoop(0, B);
     for (std::thread &T : Threads)
       T.join();
     assert(Pending.load() == 0 && "pool exited with tasks outstanding");
@@ -139,13 +144,12 @@ private:
     std::deque<Task> Q;
   };
 
-  void pushLocal(size_t Idx, Task T) {
+  template <typename... Args> void push(size_t Idx, Args &&...A) {
     Pending.fetch_add(1, std::memory_order_acq_rel);
     obs::schedCounters().FrontierSize.add(1);
-    ++obs::schedCounters().TasksSpawned;
     {
       std::lock_guard<std::mutex> Lock(Queues[Idx].Mu);
-      Queues[Idx].Q.push_back(std::move(T));
+      Queues[Idx].Q.emplace_back(std::forward<Args>(A)...);
       obs::WorkerDepthGauges::instance().set(Idx, Queues[Idx].Q.size());
     }
     signalWork(1);
@@ -160,15 +164,6 @@ private:
     Task T = std::move(Q.back());
     Q.pop_back();
     obs::WorkerDepthGauges::instance().set(Idx, Q.size());
-    return T;
-  }
-
-  std::optional<Task> popGlobal() {
-    std::lock_guard<std::mutex> Lock(Global.Mu);
-    if (Global.Q.empty())
-      return std::nullopt;
-    Task T = std::move(Global.Q.front());
-    Global.Q.pop_front();
     return T;
   }
 
@@ -243,8 +238,6 @@ private:
       }
       std::optional<Task> T = popLocal(Idx);
       if (!T)
-        T = popGlobal();
-      if (!T)
         T = steal(Idx);
       if (T) {
         B(std::move(*T), W);
@@ -277,7 +270,6 @@ private:
 
   size_t Workers_;
   std::vector<LockedQueue> Queues; ///< one per worker, sized once
-  LockedQueue Global;              ///< injection queue (roots)
   /// Tasks queued or executing; zero <=> quiescent.
   std::atomic<uint64_t> Pending{0};
   std::mutex IdleMu;

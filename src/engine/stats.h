@@ -37,18 +37,6 @@ struct ExecStats : obs::CounterSet<ExecStats> {
   obs::Counter ActionCalls{*this, "action_calls", "engine"};
   obs::Counter ProcCalls{*this, "proc_calls", "engine"};
 
-  // Solver effort attributed to this execution (filled by the symbolic
-  // test runner from SolverStats deltas; zero for concrete runs).
-  obs::Counter SolverQueries{*this, "solver_queries", "engine"};
-  /// Full-query + slice cache hits.
-  obs::Counter SolverCacheHits{*this, "solver_cache_hits", "engine"};
-  /// Z3 answers on a reused incremental prefix.
-  obs::Counter SolverIncReuses{*this, "solver_inc_reuses", "engine"};
-  /// Wall-time inside the solver (fed by the Solver span's slot).
-  obs::Counter SolverNs{*this, "solver_ns", "engine"};
-  /// Wall-time of the exploration loop (fed by the Explore span's slot).
-  obs::Counter EngineNs{*this, "engine_ns", "engine"};
-
   ExecStats() = default;
   ExecStats(const ExecStats &O) { copyFrom(O); }
 

@@ -25,9 +25,8 @@
 /// the fragment every step emits either one continuation (straight-line),
 /// two (a both-feasible IfGoto — always ⟨false, true⟩ in that order, like
 /// Interpreter::step), or a terminal — never a mixed done+cont set. So
-/// replaying the tree with one node per step() call reproduces both the
-/// sequential worklist's LIFO result order and the parallel scheduler's
-/// PathId assignment exactly.
+/// replaying the tree with one node per step() call reproduces the
+/// scheduler's exploration order and PathId assignment exactly.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -83,19 +83,11 @@ runSymbolicTest(const Prog &P, std::string_view Entry,
   // Snapshot the (shared, suite-wide) solver counters so the per-layer
   // timing and hit-rate deltas of this one test can be attributed to it.
   const SolverStats Before = Slv.stats();
-  auto Finalize = [&R, &Slv, &Before] {
-    R.Solver = Slv.stats() - Before;
-    R.Stats.SolverQueries += R.Solver.Queries;
-    R.Stats.SolverCacheHits += R.Solver.CacheHits + R.Solver.SliceCacheHits;
-    R.Stats.SolverIncReuses += R.Solver.IncExtends;
-    R.Stats.SolverNs += R.Solver.TotalNs;
-  };
   using St = SymbolicState<M>;
   St Init(std::move(InitialMemory), &Slv, &Opts);
   Interpreter<St> Interp(P, Opts, R.Stats);
-  // Dispatches on Opts.Scheduler: the sequential worklist at Workers = 1
-  // (bit-identical to the pre-scheduler engine), the work-stealing pool
-  // with branch-trace-ordered results otherwise.
+  // Explores on Opts.Scheduler.Workers workers; results (and so the bug
+  // reports below) come back in branch-trace order at every worker count.
   Own.reset();
   Result<std::vector<TraceResult<St>>> Traces = runExploration(
       Interp, InternedString::get(Entry), Expr::list({}), std::move(Init));
@@ -104,7 +96,7 @@ runSymbolicTest(const Prog &P, std::string_view Entry,
     BugReport B;
     B.Message = "engine error: " + Traces.error();
     R.Bugs.push_back(std::move(B));
-    Finalize();
+    R.Solver = Slv.stats() - Before;
     return R;
   }
   for (TraceResult<St> &T : *Traces) {
@@ -132,7 +124,7 @@ runSymbolicTest(const Prog &P, std::string_view Entry,
     }
     }
   }
-  Finalize();
+  R.Solver = Slv.stats() - Before;
   return R;
 }
 
@@ -145,8 +137,8 @@ runConcrete(const Prog &P, std::string_view Entry, const EngineOptions &Opts,
             Value Arg = Value::listV({})) {
   using St = ConcreteState<M>;
   Interpreter<St> Interp(P, Opts, Stats);
-  Result<std::vector<TraceResult<St>>> Traces = Interp.run(
-      InternedString::get(Entry), std::move(Arg), std::move(Init));
+  Result<std::vector<TraceResult<St>>> Traces = runExploration(
+      Interp, InternedString::get(Entry), std::move(Arg), std::move(Init));
   if (!Traces)
     return Err(Traces.error());
   // Concrete execution of a deterministic program yields at most one

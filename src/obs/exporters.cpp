@@ -33,7 +33,6 @@ const char *eventName(EventKind K) {
   case EventKind::Branch: return "branch";
   case EventKind::Action: return "action";
   case EventKind::Summary: return "summary";
-  case EventKind::Spawn: return "spawn";
   case EventKind::PathEnd: return "path_end";
   }
   return "unknown";
@@ -62,9 +61,6 @@ void eventArgs(JsonWriter &W, const journal::JournalData &D, const Event &E) {
   case EventKind::Summary:
     siteArg(W, D, E);
     W.field("hit", E.A != 0);
-    break;
-  case EventKind::Spawn:
-    siteArg(W, D, E);
     break;
   case EventKind::PathEnd:
     siteArg(W, D, E);

@@ -384,8 +384,6 @@ std::string renderEvent(const JournalData &D, const Event &E) {
   case EventKind::Summary:
     return Out + siteOf(D, E) + "  summary replay (" +
            (E.A ? "hit" : "recorded") + ")";
-  case EventKind::Spawn:
-    return Out + siteOf(D, E) + "  spawned to frontier";
   case EventKind::PathEnd:
     Out += siteOf(D, E) + "  end " + pathOutcomeName(E.A);
     if (E.B)
@@ -746,8 +744,6 @@ std::string canonicalTreeSignature(const JournalData &D) {
         // invariant.
         Out += "S " + std::to_string(E.Step) + " " + siteOf(D, E) + "\n";
         break;
-      case EventKind::Spawn:
-        break; // frontier membership is schedule-dependent
       case EventKind::PathEnd:
         Out += "E " + std::to_string(E.Step) + " " +
                pathOutcomeName(E.A) + " " +

@@ -116,9 +116,9 @@ std::string diffJson(const JournalData &A, const JournalData &B, size_t Top);
 /// allocation (= test) order, children in branch-index order, per-node
 /// events canonicalised to their semantic content (site, side, taken,
 /// PC delta, action, outcome, step) — excluding the run-dependent fields
-/// (node ids, verdict layer, wall time, spawns, summary hit/miss). Two
-/// runs of the same suites produce equal signatures at any worker count;
-/// the invariance test pins this down.
+/// (node ids, verdict layer, wall time, summary hit/miss). Two runs of
+/// the same suites produce equal signatures at any worker count; the
+/// invariance test pins this down.
 std::string canonicalTreeSignature(const JournalData &D);
 
 } // namespace gillian::obs::journal

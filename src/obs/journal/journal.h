@@ -10,8 +10,8 @@
 /// event of a run: one compact record per branch decision (site,
 /// taken/pruned side, PC-conjunct delta, solver verdict and the layer
 /// that decided it, solver wall), per memory action (with the solver
-/// wall its queries took), per summary replay splice, per frontier spawn,
-/// and per path termination (outcome, budget kind, cumulative steps).
+/// wall its queries took), per summary replay splice, and per path
+/// termination (outcome, budget kind, cumulative steps).
 /// Every event also carries its emission time and the emitting thread, so
 /// the chrome://tracing export (obs/exporters.h) and the per-site solver
 /// table (obs/journal/analysis.h) are views of the same record.
@@ -29,8 +29,10 @@
 /// counting finished paths and live successors, in production order —
 /// allocates k fresh node ids for its outputs; a single-output step keeps
 /// its node id. Lexicographic branch traces are therefore identical
-/// across worker counts and strategies, which is what lets
-/// `gillian-inspect diff` align two journals path-by-path.
+/// across worker counts, which is what lets `gillian-inspect diff` align
+/// two journals path-by-path. The successors a step hands to the frontier
+/// are its live outputs but the last; the Branch and Action child ids
+/// already name them, so they need no event of their own.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,7 +55,7 @@ enum class EventKind : uint8_t {
   Branch = 1,  ///< one side of a branch decision (IfGoto / action / replay)
   Action = 2,  ///< one memory-action execution
   Summary = 3, ///< a summary-cache consult that armed a replay
-  Spawn = 4,   ///< a successor handed to the frontier
+  // 4 recorded frontier spawns in earlier builds; the reader drops it.
   PathEnd = 5, ///< a path termination (outcome + budget kind)
 };
 
@@ -109,7 +111,6 @@ const char *pathOutcomeName(uint8_t K);
 ///   Branch   parent id   child id or 0   solver ns decision site PC delta side idx   taken    verdict<<4|layer
 ///   Action   node id     child base or 0 solver ns action site   act name n branches n errors 0
 ///   Summary  node id     0               0         call site     0        hit        0        0
-///   Spawn    node id     0               0         current site  0        0          0        0
 ///   PathEnd  node id     0               0         end site      0        outcome    budget   0
 ///
 /// Proc (and X of Action events) hold interned-string ids in the live
@@ -201,7 +202,7 @@ uint64_t eventsEmitted();
 std::vector<Event> snapshot();
 
 //===----------------------------------------------------------------------===//
-// Emission helpers (the interpreter/scheduler/solver call these)
+// Emission helpers (the interpreter calls these)
 //===----------------------------------------------------------------------===//
 
 inline void emitRoot(uint64_t Path, uint32_t EntryProc) {
@@ -259,17 +260,6 @@ inline void emitSummary(uint64_t Path, uint32_t Step, uint32_t Proc,
   E.Proc = Proc;
   E.Cmd = Cmd;
   E.A = Hit ? 1 : 0;
-  emit(E);
-}
-
-inline void emitSpawn(uint64_t Path, uint32_t Step, uint32_t Proc,
-                      uint32_t Cmd) {
-  Event E;
-  E.Kind = static_cast<uint8_t>(EventKind::Spawn);
-  E.Path = Path;
-  E.Step = Step;
-  E.Proc = Proc;
-  E.Cmd = Cmd;
   emit(E);
 }
 

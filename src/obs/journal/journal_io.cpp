@@ -19,6 +19,10 @@ constexpr uint64_t FormatVersion = 1;
 /// bound the claimed event count against the remaining input.
 constexpr size_t MinEventBytes = 11;
 
+/// Earlier builds recorded frontier spawns as kind 4. Their files still
+/// load, without those records.
+constexpr uint8_t RetiredSpawnKind = 4;
+
 void putVarint(std::string &Out, uint64_t V) {
   while (V >= 0x80) {
     Out += static_cast<char>((V & 0x7f) | 0x80);
@@ -155,6 +159,8 @@ bool parseJournal(std::string_view Bytes, JournalData &Out,
       Err = "truncated event stream";
       return false;
     }
+    if (E.Kind == RetiredSpawnKind)
+      continue;
     if (Step > UINT32_MAX || Proc > UINT32_MAX || Cmd > UINT32_MAX ||
         X > UINT32_MAX) {
       Err = "event field out of range";

@@ -10,8 +10,8 @@
 /// load, so the disabled configuration costs at most a predictable branch
 /// per site (the ≤2% bench budget of the acceptance criteria).
 ///
-/// Defaults match the pre-obs engine: layer timing on (the engine always
-/// kept EngineNs/SolverNs-style stopwatches) and the fine-grained
+/// Defaults: layer timing on (the explore and solver-layer spans, and
+/// the SolverStats nanosecond slots they feed) and the fine-grained
 /// per-step / per-simplify spans off (two clock reads per GIL command
 /// would not fit the budget). Per-event recording is the execution
 /// journal's, switched by journal::setEnabled (obs/journal/journal.h).

@@ -5,14 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// RAII wall-time spans with thread-local nesting — the replacement for
-/// the ad-hoc `EngineNs`/`SolverNs` stopwatches that were sprinkled
-/// through the interpreter, scheduler and solver.
+/// RAII wall-time spans with thread-local nesting: one timer for the
+/// engine, the scheduler and every solver layer.
 ///
 /// Every span records into the process-wide SpanTable under its SpanKind:
 ///  * total time — wall time between construction and destruction, the
-///    classic stopwatch semantics (cumulative across threads under the
-///    parallel scheduler, like the old counters);
+///    classic stopwatch semantics (cumulative across threads when the
+///    scheduler runs several workers);
 ///  * self time  — total minus the time spent in *nested* spans on the
 ///    same thread. Self times are mutually exclusive by construction, so
 ///    summed over all kinds they reproduce the top-level spans' wall time:
@@ -21,9 +20,8 @@
 ///    (the acceptance check of ISSUE 4).
 ///
 /// A span can additionally feed a Counter slot (total time), which is how
-/// the pre-existing per-instance fields — SolverStats::Z3Ns,
-/// ExecStats::EngineNs, ... — keep their exact meaning while the global
-/// attribution comes for free.
+/// per-instance fields such as SolverStats::Z3Ns keep their exact meaning
+/// while the global attribution comes for free.
 ///
 /// Cost model: a live span is two steady_clock reads plus a handful of
 /// relaxed atomic adds; a disabled one (ObsConfig::timing() false) is one

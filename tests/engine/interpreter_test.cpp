@@ -43,8 +43,8 @@ runS(const Prog &P, const EngineOptions &Opts, Solver &Slv,
   using St = SymbolicState<NullSMem>;
   ExecStats Stats;
   Interpreter<St> I(P, Opts, Stats);
-  auto R = I.run(InternedString::get(Entry), Expr::list({}),
-                 St(NullSMem(), &Slv, &Opts));
+  auto R = runExploration(I, InternedString::get(Entry), Expr::list({}),
+                          St(NullSMem(), &Slv, &Opts));
   EXPECT_TRUE(R.ok()) << (R.ok() ? "" : R.error());
   return R.ok() ? R.take() : std::vector<TraceResult<St>>();
 }
@@ -116,8 +116,8 @@ TEST(Interpreter, VanishProducesNoResult) {
   EngineOptions Opts;
   ExecStats Stats;
   Interpreter<ConcreteState<NullCMem>> I(P, Opts, Stats);
-  auto R = I.run(InternedString::get("main"), Value::listV({}),
-                 ConcreteState<NullCMem>());
+  auto R = runExploration(I, InternedString::get("main"), Value::listV({}),
+                          ConcreteState<NullCMem>());
   ASSERT_TRUE(R.ok());
   ASSERT_EQ(R->size(), 1u);
   EXPECT_EQ((*R)[0].Kind, OutcomeKind::Vanish);
@@ -261,8 +261,8 @@ TEST(Interpreter, StatsCountCommands) {
   EngineOptions Opts;
   ExecStats Stats;
   Interpreter<ConcreteState<NullCMem>> I(P, Opts, Stats);
-  auto R = I.run(InternedString::get("main"), Value::listV({}),
-                 ConcreteState<NullCMem>());
+  auto R = runExploration(I, InternedString::get("main"), Value::listV({}),
+                          ConcreteState<NullCMem>());
   ASSERT_TRUE(R.ok());
   EXPECT_EQ(Stats.CmdsExecuted, 3u);
   EXPECT_EQ(Stats.PathsFinished, 1u);
@@ -273,7 +273,7 @@ TEST(Interpreter, UnknownEntryIsEngineError) {
   EngineOptions Opts;
   ExecStats Stats;
   Interpreter<ConcreteState<NullCMem>> I(P, Opts, Stats);
-  auto R = I.run(InternedString::get("nope"), Value::listV({}),
-                 ConcreteState<NullCMem>());
+  auto R = runExploration(I, InternedString::get("nope"), Value::listV({}),
+                          ConcreteState<NullCMem>());
   EXPECT_FALSE(R.ok());
 }

@@ -1,12 +1,12 @@
 //===- tests/engine/scheduler_test.cpp ------------------------------------===//
 //
-// The parallel exploration scheduler: the work-stealing pool executes
-// every injected and spawned task exactly once, owners pop newest-first
-// and thieves steal oldest-first, and it always quiesces; Workers = 1
-// dispatches to the sequential worklist (bit-identical results, including
-// order); the pool produces the same outcomes in a deterministic,
-// schedule-independent order at every worker count; and engine/solver
-// counters are schedule-independent modulo cache-hit attribution.
+// The exploration scheduler, the one driver of Interpreter::step: the
+// work-stealing pool executes every injected and spawned task exactly
+// once, runs worker 0 on the calling thread, lets owners pop newest-first
+// and thieves steal oldest-first, and always quiesces; an exploration
+// yields the same result sequence at every worker count; and
+// engine/solver counters are schedule-independent modulo cache-hit
+// attribution.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,13 +20,14 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 using namespace gillian;
@@ -76,6 +77,54 @@ TEST(ThreadPool, SingleWorkerStillDrains) {
       W.spawn(Depth - 1);
   });
   EXPECT_EQ(Count.load(), 6);
+}
+
+TEST(ThreadPool, WorkerZeroRunsOnTheCallingThread) {
+  const std::thread::id Caller = std::this_thread::get_id();
+  // One worker: every task runs on the caller's thread.
+  {
+    ThreadPool<int> Pool(1);
+    std::vector<std::thread::id> Ran;
+    Pool.inject(3);
+    Pool.run([&Ran](int Depth, ThreadPool<int>::Worker &W) {
+      Ran.push_back(std::this_thread::get_id());
+      if (Depth > 0)
+        W.spawn(Depth - 1);
+    });
+    ASSERT_EQ(Ran.size(), 4u);
+    for (std::thread::id Id : Ran)
+      EXPECT_EQ(Id, Caller);
+  }
+  // Four workers: every task run as worker 0 runs on the caller's thread,
+  // every other task elsewhere. Each task waits until all workers have
+  // run one, so worker 0 is sure to take part.
+  constexpr size_t NWorkers = 4;
+  ThreadPool<int> Pool(NWorkers);
+  std::mutex Mu;
+  std::condition_variable Cv;
+  std::vector<std::pair<size_t, std::thread::id>> Ran;
+  std::set<size_t> Seen;
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  Pool.inject(1);
+  Pool.run([&](int IsRoot, ThreadPool<int>::Worker &W) {
+    if (IsRoot)
+      for (int I = 0; I < 64; ++I)
+        W.spawn(0);
+    std::unique_lock<std::mutex> Lock(Mu);
+    Ran.emplace_back(W.index(), std::this_thread::get_id());
+    Seen.insert(W.index());
+    Cv.notify_all();
+    Cv.wait_until(Lock, Deadline, [&] { return Seen.size() >= NWorkers; });
+  });
+  EXPECT_EQ(Seen.size(), NWorkers);
+  ASSERT_EQ(Ran.size(), 65u);
+  for (const auto &[Idx, Id] : Ran) {
+    if (Idx == 0)
+      EXPECT_EQ(Id, Caller);
+    else
+      EXPECT_NE(Id, Caller) << "worker " << Idx;
+  }
 }
 
 TEST(ThreadPool, StealCountAdaptsToVictimQueueLength) {
@@ -210,28 +259,15 @@ constexpr const char *BranchySrc = R"(
 using St = SymbolicState<WhileSMem>;
 
 // Runs BranchySrc under \p Opts and renders each finished path as
-// "kind|value|path-condition", in the engine's result order. With \p Pool
-// the exploration runs on an ExplorationScheduler even at one worker,
-// where runExploration takes the sequential worklist.
+// "kind|value|path-condition", in the engine's result order.
 std::vector<std::string> traceSigs(const EngineOptions &Opts, Solver &Slv,
-                                   ExecStats &Stats, bool Pool = false) {
+                                   ExecStats &Stats) {
   Result<Prog> P = compileWhileSource(BranchySrc);
   EXPECT_TRUE(P.ok()) << (P.ok() ? "" : P.error());
   St Init(WhileSMem(), &Slv, &Opts);
   Interpreter<St> Interp(*P, Opts, Stats);
-  InternedString Main = InternedString::get("main");
-  Result<std::vector<TraceResult<St>>> Traces = Err("not run");
-  if (Pool) {
-    Result<Interpreter<St>::Config> Start =
-        Interp.makeInitialConfig(Main, Expr::list({}), std::move(Init));
-    if (Start.ok())
-      Traces = ExplorationScheduler<St>(Interp, Opts.Scheduler)
-                   .explore(Start.take());
-    else
-      Traces = Err(Start.error());
-  } else {
-    Traces = runExploration(Interp, Main, Expr::list({}), std::move(Init));
-  }
+  Result<std::vector<TraceResult<St>>> Traces = runExploration(
+      Interp, InternedString::get("main"), Expr::list({}), std::move(Init));
   EXPECT_TRUE(Traces.ok()) << (Traces.ok() ? "" : Traces.error());
   std::vector<std::string> Sigs;
   if (!Traces.ok())
@@ -243,11 +279,10 @@ std::vector<std::string> traceSigs(const EngineOptions &Opts, Solver &Slv,
   return Sigs;
 }
 
-std::vector<std::string> traceSigs(const EngineOptions &Opts,
-                                   bool Pool = false) {
+std::vector<std::string> traceSigs(const EngineOptions &Opts) {
   Solver Slv(Opts.Solver); // private cache: isolated from other tests
   ExecStats Stats;
-  return traceSigs(Opts, Slv, Stats, Pool);
+  return traceSigs(Opts, Slv, Stats);
 }
 
 EngineOptions withWorkers(uint32_t Workers) {
@@ -256,48 +291,21 @@ EngineOptions withWorkers(uint32_t Workers) {
   return O;
 }
 
-TEST(ExplorationScheduler, WorkersOneIsBitIdenticalToSequential) {
-  // Workers = 1 (the default) must take the classic sequential worklist:
-  // same results, same order, same counters.
-  EngineOptions Default;
-  ASSERT_EQ(Default.Scheduler.Workers, 1u);
-  std::vector<std::string> Seq = traceSigs(Default);
-  std::vector<std::string> One = traceSigs(withWorkers(1));
-  EXPECT_FALSE(Seq.empty());
-  EXPECT_EQ(Seq, One) << "identical sequences, including order";
-}
-
-TEST(ExplorationScheduler, PoolModeMatchesSequentialOutcomes) {
-  // The pool merges in branch-trace order — a different (but fixed) order
-  // from the sequential worklist — so compare as multisets.
-  std::vector<std::string> Seq = traceSigs(withWorkers(1));
-  std::vector<std::string> Par = traceSigs(withWorkers(4));
-  ASSERT_FALSE(Seq.empty());
-  std::sort(Seq.begin(), Seq.end());
-  std::vector<std::string> ParSorted = Par;
-  std::sort(ParSorted.begin(), ParSorted.end());
-  EXPECT_EQ(Seq, ParSorted);
-}
-
 TEST(ExplorationScheduler, ResultOrderIsScheduleIndependent) {
-  // Branch-trace order depends only on the program: every pool
-  // configuration — including a one-worker pool — yields the same
-  // *sequence*, run after run.
-  std::vector<std::string> PoolOfOne =
-      traceSigs(withWorkers(1), /*Pool=*/true);
-  ASSERT_FALSE(PoolOfOne.empty());
-  for (uint32_t Workers : {2u, 4u, 8u}) {
-    std::vector<std::string> Par = traceSigs(withWorkers(Workers));
-    EXPECT_EQ(PoolOfOne, Par) << "workers=" << Workers;
-  }
-  EXPECT_EQ(PoolOfOne, traceSigs(withWorkers(4))) << "repeat run";
+  // Branch-trace order depends only on the program: every worker count
+  // yields the same *sequence*, run after run.
+  std::vector<std::string> One = traceSigs(withWorkers(1));
+  ASSERT_FALSE(One.empty());
+  for (uint32_t Workers : {2u, 4u, 8u})
+    EXPECT_EQ(One, traceSigs(withWorkers(Workers))) << "workers=" << Workers;
+  EXPECT_EQ(One, traceSigs(withWorkers(4))) << "repeat run";
 }
 
 TEST(ExplorationScheduler, CountersScheduleIndependentModuloCacheLayer) {
-  // Sequential and 4-worker runs execute the same steps and issue the
+  // 1-worker and 4-worker runs execute the same steps and issue the
   // same solver queries with the same verdicts; only *which layer*
   // answered (cache vs Z3) may shift, because workers racing on a miss
-  // can duplicate a round-trip whose result the sequential run reused.
+  // can duplicate a round-trip whose result the 1-worker run reused.
   // Summaries off: the process-wide summary store would stay warm across
   // the two runs, so recording queries would hit only the first — the
   // summaries/schedule interplay is summary_differential_test's subject.
@@ -331,8 +339,8 @@ TEST(ExplorationScheduler, CountersScheduleIndependentModuloCacheLayer) {
 }
 
 TEST(ExplorationScheduler, SymbolicTestRunnerHonorsSchedulerOptions) {
-  // End-to-end through runSymbolicTest: the parallel verdict (bugs,
-  // outcome counts) matches the sequential one.
+  // End-to-end through runSymbolicTest: the 4-worker verdict (bugs,
+  // outcome counts) matches the 1-worker one.
   Result<Prog> P = compileWhileSource(R"(
     function main() {
       x := fresh_int();
@@ -360,7 +368,7 @@ TEST(ExplorationScheduler, BudgetCutNamesTheStepBudget) {
   EngineOptions O = withWorkers(1);
   O.MaxSteps = 10;
   bool SawStep = false;
-  for (const std::string &Sig : traceSigs(O, /*Pool=*/true)) {
+  for (const std::string &Sig : traceSigs(O)) {
     SawStep |= Sig.find("step budget exhausted") != std::string::npos;
     EXPECT_EQ(Sig.find("path budget exhausted"), std::string::npos) << Sig;
   }
@@ -368,20 +376,16 @@ TEST(ExplorationScheduler, BudgetCutNamesTheStepBudget) {
 }
 
 TEST(ExplorationScheduler, BudgetCutNamesThePathBudget) {
-  // Both the pool and the classic sequential worklist must attribute a
-  // MaxPaths cut to the path budget — the old message blamed the step
-  // budget for every cut.
-  for (bool Pool : {true, false}) {
-    EngineOptions O = withWorkers(1);
-    O.MaxPaths = 3;
-    bool SawPath = false;
-    for (const std::string &Sig : traceSigs(O, Pool)) {
-      SawPath |= Sig.find("path budget exhausted") != std::string::npos;
-      EXPECT_EQ(Sig.find("step budget exhausted"), std::string::npos)
-          << Sig;
-    }
-    EXPECT_TRUE(SawPath) << "pool=" << Pool;
+  // A MaxPaths cut is attributed to the path budget — the old message
+  // blamed the step budget for every cut.
+  EngineOptions O = withWorkers(1);
+  O.MaxPaths = 3;
+  bool SawPath = false;
+  for (const std::string &Sig : traceSigs(O)) {
+    SawPath |= Sig.find("path budget exhausted") != std::string::npos;
+    EXPECT_EQ(Sig.find("step budget exhausted"), std::string::npos) << Sig;
   }
+  EXPECT_TRUE(SawPath);
 }
 
 TEST(ExplorationScheduler, FrontierGaugeReadsZeroAfterRun) {
@@ -396,7 +400,7 @@ TEST(ExplorationScheduler, HundredsOfTinyExplorationsAllQuiesce) {
   // reach a worker between its wait-predicate check and blocking, which
   // then sleeps forever and explore() never returns. Many short,
   // oversubscribed explorations make that window likely; each must
-  // finish with the sequential path count. A hang fails this test by its
+  // finish with the 1-worker path count. A hang fails this test by its
   // ctest TIMEOUT.
   Result<Prog> P = compileWhileSource(R"(
     function main() {
@@ -409,8 +413,8 @@ TEST(ExplorationScheduler, HundredsOfTinyExplorationsAllQuiesce) {
     })");
   ASSERT_TRUE(P.ok()) << P.error();
   InternedString Main = InternedString::get("main");
-  // No Z3: every pool starts fresh threads, and each would build a cold
-  // thread-local Z3 context for any query reaching it. An Unknown keeps
+  // No Z3: every pool starts fresh threads besides the caller's, and each
+  // would build a cold thread-local Z3 context for any query reaching it. An Unknown keeps
   // both sides feasible; the path count stays deterministic.
   EngineOptions Opts = withWorkers(8);
   Opts.Solver.UseZ3 = false;
@@ -435,7 +439,7 @@ TEST(ExplorationScheduler, HundredsOfTinyExplorationsAllQuiesce) {
 
 TEST(ExplorationScheduler, SharedCacheResetRestoresColdCounts) {
   // resetCache() gives tests isolation from warm shared state: a cleared
-  // cache behaves like a fresh one. Sequential runs keep every counter
+  // cache behaves like a fresh one. 1-worker runs keep every counter
   // deterministic, so cold and post-reset runs must agree exactly.
   EngineOptions Opts = withWorkers(1);
   SolverCache Shared;

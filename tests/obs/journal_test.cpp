@@ -249,6 +249,27 @@ TEST(JournalIoTest, RejectsGarbageAndBadFields) {
   }
 }
 
+TEST(JournalIoTest, ReaderDropsRetiredSpawnRecords) {
+  // Earlier builds recorded each frontier spawn as a kind-4 event. A file
+  // holding one still loads, without that record.
+  JournalData D = tinyJournal(static_cast<uint8_t>(VerdictLayer::Z3), false);
+  JournalData Old = D;
+  Event Spawn;
+  Spawn.Kind = 4;
+  Spawn.Path = 2;
+  Spawn.Step = 4;
+  Spawn.Proc = 1;
+  Spawn.Cmd = 7;
+  Old.Events.insert(Old.Events.begin() + 3, Spawn);
+  std::string Bytes = serializeJournal(Old);
+  ASSERT_EQ(Bytes.compare(0, 4, "GJL1"), 0);
+  JournalData Back;
+  std::string Err;
+  ASSERT_TRUE(parseJournal(Bytes, Back, Err)) << Err;
+  EXPECT_EQ(Back.Events.size(), D.Events.size());
+  EXPECT_EQ(serializeJournal(Back), serializeJournal(D));
+}
+
 TEST(JournalIoTest, FileWriteReadRoundTrip) {
   JournalData D = tinyJournal(static_cast<uint8_t>(VerdictLayer::Native),
                               /*TruePruned=*/true);
@@ -345,7 +366,7 @@ TEST(JournalAnalysisTest, DiffReportsLayerShiftPruneAndWallDelta) {
   EXPECT_NE(Same.find("diverging prunes: 0"), std::string::npos) << Same;
 }
 
-TEST(JournalAnalysisTest, SignatureIgnoresLayerWallAndSpawns) {
+TEST(JournalAnalysisTest, SignatureIgnoresLayerAndWall) {
   JournalData A = tinyJournal(static_cast<uint8_t>(VerdictLayer::Native),
                               /*TruePruned=*/false);
   JournalData B = tinyJournal(static_cast<uint8_t>(VerdictLayer::Z3),
@@ -354,16 +375,6 @@ TEST(JournalAnalysisTest, SignatureIgnoresLayerWallAndSpawns) {
   // signature (the invariance test's alignment key).
   for (Event &E : B.Events)
     E.WallNs *= 3;
-  EXPECT_EQ(canonicalTreeSignature(A), canonicalTreeSignature(B));
-  // Spawn events are schedule-dependent and excluded.
-  Event Sp;
-  Sp.Kind = static_cast<uint8_t>(EventKind::Spawn);
-  Sp.Path = 2;
-  Sp.Step = 4;
-  Sp.Proc = 1;
-  Sp.Aux = 999;
-  B.Events.push_back(Sp);
-  std::sort(B.Events.begin(), B.Events.end(), canonicalLess);
   EXPECT_EQ(canonicalTreeSignature(A), canonicalTreeSignature(B));
   // A pruned-vs-taken difference is structural and must show.
   JournalData C = tinyJournal(static_cast<uint8_t>(VerdictLayer::None),

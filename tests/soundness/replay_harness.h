@@ -74,8 +74,8 @@ ReplaySummary replayAllTraces(const Prog &P, std::string_view Entry,
   ExecStats SStats;
   Interpreter<SSt> SI(P, Opts, SStats);
   Result<std::vector<TraceResult<SSt>>> Traces =
-      SI.run(InternedString::get(Entry), Expr::list({}),
-             SSt(SMem(), &Slv, &Opts));
+      runExploration(SI, InternedString::get(Entry), Expr::list({}),
+                     SSt(SMem(), &Slv, &Opts));
   EXPECT_TRUE(Traces.ok()) << (Traces.ok() ? "" : Traces.error());
   if (!Traces.ok())
     return Sum;

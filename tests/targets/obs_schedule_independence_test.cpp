@@ -1,21 +1,17 @@
 //===- tests/targets/obs_schedule_independence_test.cpp -------------------===//
 //
 // Schedule-independence of the observability counters: exploring the same
-// evaluation suite at workers ∈ {1, 2, 8} yields identical ExecStats
-// counter totals (modulo cache-hit attribution and wall times, which are
-// schedule-dependent by construction) and identical per-language action
-// counter totals — on an MJS (Buckets) suite and an MC (Collections)
-// suite.
+// evaluation suite at workers ∈ {1, 2, 8} yields identical totals for
+// every ExecStats counter and identical per-language action counter
+// totals — on an MJS (Buckets) suite and an MC (Collections) suite.
 //
 // The journal's chrome://tracing view stays well-formed under eight
 // concurrent emitters and carries the same branch decisions as a
-// sequential run.
+// 1-worker run.
 //
-// Also the budget-cut regression: Interpreter::run used to push Bound
-// results into the result vector directly while bumping PathsBounded
-// inline, bypassing finish(); the parallel scheduler always routed cuts
-// through finish(). On a deterministically-cut single-path program the
-// stats of workers 1 and 4 must now be identical.
+// Also the budget-cut accounting: every cut goes through the scheduler
+// and Interpreter::finish, so on a deterministically-cut single-path
+// program the stats of workers 1 and 4 are identical.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,19 +44,14 @@ using namespace gillian::targets;
 
 namespace {
 
-/// The ExecStats counters whose totals depend only on the explored paths.
-/// Excluded: solver_cache_hits / solver_inc_reuses (two workers can miss
-/// the same entry concurrently where one worker would hit) and the
-/// solver_ns / engine_ns wall times.
+/// Every ExecStats counter by name: each total depends only on the
+/// explored paths.
 std::map<std::string, uint64_t> deterministicCounters(const ExecStats &S) {
-  return {{"cmds_executed", S.CmdsExecuted.load()},
-          {"branches", S.Branches.load()},
-          {"paths_finished", S.PathsFinished.load()},
-          {"paths_vanished", S.PathsVanished.load()},
-          {"paths_errored", S.PathsErrored.load()},
-          {"paths_bounded", S.PathsBounded.load()},
-          {"action_calls", S.ActionCalls.load()},
-          {"proc_calls", S.ProcCalls.load()}};
+  std::map<std::string, uint64_t> Out;
+  S.forEachField([&Out](const obs::CounterField &F, uint64_t V) {
+    Out.emplace(F.Name, V);
+  });
+  return Out;
 }
 
 using ActionSnapshot = std::map<std::string, std::map<std::string, uint64_t>>;
@@ -243,7 +234,7 @@ TEST(ObsScheduleIndependence, MjsSuiteCounterTotalsAreWorkerInvariant) {
 TEST(ObsScheduleIndependence, JournalChromeViewAtEightWorkersMatchesOne) {
   // Eight workers emit journal events concurrently; the chrome view of
   // the capture must validate, keep every track's slices nested or
-  // disjoint, and carry the sequential run's branch decisions. (This is
+  // disjoint, and carry the 1-worker run's branch decisions. (This is
   // the TSan coverage of concurrent journal emission into the view.)
   for (const BucketsSuite &S : bucketsSuites()) {
     if (std::string_view(S.Name) != "bag")
@@ -272,8 +263,8 @@ TEST(ObsScheduleIndependence, McSuiteCounterTotalsAreWorkerInvariant) {
 TEST(ObsScheduleIndependence, BudgetCutStatsMatchAcrossWorkerCounts) {
   // A single concrete path much longer than the budget: no branching, so
   // the cut point is deterministic at every worker count, and the one
-  // path must be accounted as Bound — through finish() — identically by
-  // the sequential worklist (workers=1) and the scheduler (workers=4).
+  // path must be accounted as Bound — through finish() — identically at
+  // workers 1 and 4.
   Result<Prog> P = whilelang::compileWhileSource(R"(
     function main() {
       i := 0;
