@@ -125,12 +125,6 @@ int main(int argc, char **argv) {
          O.Solver.UseIncremental = false;
          return O;
        }},
-      {"no native solver", false,
-       [] {
-         EngineOptions O;
-         O.Solver.UseNative = false;
-         return O;
-       }},
       // Every callee body re-executed at every call site — the ablation
       // of the procedure summary cache (DESIGN.md §4g). Identical
       // results by the summary_differential_test invariant; the delta is
@@ -141,11 +135,10 @@ int main(int argc, char **argv) {
          O.UseSummaries = false;
          return O;
        }},
-      // The decidable (equality/disequality) subset never leaves the
-      // process; arithmetic queries answer Unknown instead of reaching
-      // Z3, so this row also measures how much of the workload the
-      // native layer covers on its own.
-      {"native only, no Z3 fallback on decidable subset", false,
+      // Every query the syntactic core leaves undecided answers Unknown
+      // instead of reaching Z3, so this row also measures how much of the
+      // workload the in-process layer covers on its own.
+      {"in-process only (no Z3)", false,
        [] {
          EngineOptions O;
          O.Solver.UseZ3 = false;
@@ -167,7 +160,6 @@ int main(int argc, char **argv) {
        [&Args] {
          EngineOptions O;
          O.Scheduler.Workers = Args.Workers;
-         O.Solver.UseNative = Args.Native;
          O.Solver.AsyncSolvers = Args.Async;
          return O;
        }},

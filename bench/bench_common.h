@@ -84,9 +84,6 @@ namespace gillian::bench {
 
 struct BenchArgs {
   uint32_t Workers = 4; ///< worker count of the parallel configurations
-  /// Native theory layer of the default configurations (--no-native turns
-  /// it off; the ablation driver also toggles it per row).
-  bool Native = true;
   /// Async solver service threads of the default configurations (0 =
   /// inline solving; --async=N routes undecided queries through the
   /// batching/deduplicating service).
@@ -142,8 +139,6 @@ inline BenchArgs parseBenchArgs(int &argc, char **argv) {
       Args.Workers = parseWorkers(A + 10);
     } else if (std::strcmp(A, "--workers") == 0) {
       Args.Workers = parseWorkers(nextValue(In, "--workers"));
-    } else if (std::strcmp(A, "--no-native") == 0) {
-      Args.Native = false;
     } else if (std::strcmp(A, "--no-summaries") == 0) {
       Args.Summaries = false;
     } else if (std::strncmp(A, "--async=", 8) == 0) {
@@ -356,7 +351,7 @@ inline void finishObs(BenchArgs Args) {
 /// Solver::resetCache over the process-wide result cache colds every
 /// memoised layer runSuite feeds (which would otherwise warm every later
 /// row) — the result cache, the simplifier memo, every thread's
-/// incremental and native sessions, and the procedure summary store.
+/// incremental Z3 sessions, and the procedure summary store.
 /// Under --cache-file the result cache and the summary store are then
 /// re-seeded from the persisted entries — the explicit opt-in warm start,
 /// identical for every row.

@@ -64,7 +64,7 @@ std::string deadCodeProgram(int L) {
 }
 
 SymbolicTestResult runProgram(const std::string &Src, uint32_t Workers = 1,
-                              bool Native = true, uint32_t Async = 0,
+                              uint32_t Async = 0,
                               bool Summaries = true) {
   Result<Prog> P = compileWhileSource(Src);
   if (!P)
@@ -73,7 +73,6 @@ SymbolicTestResult runProgram(const std::string &Src, uint32_t Workers = 1,
   Opts.UseSummaries = Summaries;
   Opts.LoopBound = 64;
   Opts.Scheduler.Workers = Workers;
-  Opts.Solver.UseNative = Native;
   Opts.Solver.AsyncSolvers = Async;
   Solver Slv(Opts.Solver);
   SymbolicTestResult R = runSymbolicTest<WhileSMem>(*P, "main", Opts, Slv);
@@ -174,7 +173,7 @@ int main(int argc, char **argv) {
     bench::coldStart(); // cold per count: same starting state for all
     auto T0 = std::chrono::steady_clock::now();
     SymbolicTestResult R =
-        runProgram(Src, Workers, Args.Native, Args.Async, Args.Summaries);
+        runProgram(Src, Workers, Args.Async, Args.Summaries);
     double Sec = bench::seconds(T0);
     if (Workers == 1)
       BaseSec = Sec;

@@ -69,7 +69,6 @@ int main(int argc, char **argv) {
     EngineOptions ParOpts;
     ParOpts.UseSummaries = Args.Summaries;
     ParOpts.Scheduler.Workers = ParWorkers;
-    ParOpts.Solver.UseNative = Args.Native;
     ParOpts.Solver.AsyncSolvers = Args.Async;
     T0 = std::chrono::steady_clock::now();
     SuiteResult RPar = runSuite<LinearSMem>(S.Name, *P, ParOpts);

@@ -58,8 +58,6 @@ using bench::seconds;
 /// Worker count of the parallel configuration; set from --workers
 /// (default 4, the acceptance target's core count).
 uint32_t ParWorkers = 4;
-/// Native theory layer of the parallel configuration (--no-native).
-bool ParNative = true;
 /// Async solver service threads of the parallel configuration (--async).
 uint32_t ParAsync = 0;
 
@@ -73,7 +71,6 @@ std::string rowJson(const Row &R) {
   W.field("time_gjs_s", R.TimeGjs, 6);
   W.field("time_par_s", R.TimePar, 6);
   W.field("par_workers", ParWorkers);
-  W.field("par_native", ParNative);
   W.field("par_async", static_cast<uint64_t>(ParAsync));
   W.key("solver_j2");
   W.raw(solverStatsJson(R.SolverJ2));
@@ -102,7 +99,6 @@ int main(int argc, char **argv) {
   bench::rejectLeftoverArgs(argc, argv);
   bench::setupObs(Args);
   ParWorkers = Args.Workers;
-  ParNative = Args.Native;
   ParAsync = Args.Async;
   std::printf("Table 1: Buckets.js-style symbolic test suites "
               "(Gillian-JS / MJS)\n");
@@ -151,7 +147,6 @@ int main(int argc, char **argv) {
     EngineOptions Par;
     Par.UseSummaries = Args.Summaries;
     Par.Scheduler.Workers = ParWorkers;
-    Par.Solver.UseNative = ParNative;
     Par.Solver.AsyncSolvers = ParAsync;
     T0 = std::chrono::steady_clock::now();
     SuiteResult RPar = runSuite<MjsSMem>(S.Name, *P, Par);

@@ -78,7 +78,6 @@ int main(int argc, char **argv) {
     EngineOptions ParOpts;
     ParOpts.UseSummaries = Args.Summaries;
     ParOpts.Scheduler.Workers = ParWorkers;
-    ParOpts.Solver.UseNative = Args.Native;
     ParOpts.Solver.AsyncSolvers = Args.Async;
     T0 = std::chrono::steady_clock::now();
     SuiteResult RPar = runSuite<McSMem>(S.Name, *P, ParOpts);

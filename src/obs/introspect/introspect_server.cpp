@@ -68,8 +68,8 @@ std::string gillian::obs::metricsExposition() {
   // Registry-driven sets: every field appears with zero exporter edits.
   counterSetInto(W, schedCounters());
   counterSetInto(W, progressCounters());
-  // Native theory layer + async solver service (process-wide aggregate —
-  // still rendered after per-suite sources unregister).
+  // Async solver service (process-wide aggregate — still rendered after
+  // per-suite sources unregister).
   counterSetInto(W, nativeGlobalStats());
   // Procedure summary cache (process-wide store; DESIGN.md §4g).
   counterSetInto(W, summaryGlobalStats());

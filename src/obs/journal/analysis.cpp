@@ -564,8 +564,8 @@ std::vector<SiteDelta> siteDeltas(const RunProfile &PA,
     SD.WallDelta = static_cast<int64_t>(SD.B.WallNs) -
                    static_cast<int64_t>(SD.A.WallNs);
     // Any change in the per-layer decision histogram counts as a shift —
-    // a site sliding from native to Z3 on some (not all) queries is
-    // exactly what the diff exists to surface.
+    // a site sliding from the syntactic core to Z3 on some (not all)
+    // queries is exactly what the diff exists to surface.
     SD.LayerShift = (SD.A.Queries > 0 || SD.B.Queries > 0) &&
                     !std::equal(std::begin(SD.A.LayerCount),
                                 std::end(SD.A.LayerCount),

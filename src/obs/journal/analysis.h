@@ -107,7 +107,7 @@ bool whyText(const JournalData &D, const std::string &Query,
              std::string &Out);
 
 /// Branch-trace-aligned diff of two journals: diverging prunes, per-site
-/// verdict-layer shifts (the native→Z3 view of `--no-native` ablations),
+/// verdict-layer shifts (the cache→Z3 view of a cache ablation),
 /// and per-site solver-wall deltas. \p Top caps each report section.
 std::string diffText(const JournalData &A, const JournalData &B, size_t Top);
 std::string diffJson(const JournalData &A, const JournalData &B, size_t Top);

@@ -30,8 +30,6 @@ const char *verdictLayerName(VerdictLayer L) {
     return "cache";
   case VerdictLayer::Syntactic:
     return "syntactic";
-  case VerdictLayer::Native:
-    return "native";
   case VerdictLayer::Incremental:
     return "incremental";
   case VerdictLayer::Z3:

@@ -68,7 +68,7 @@ enum class VerdictLayer : uint8_t {
   Trivial = 1,
   Cache = 2,
   Syntactic = 3,
-  Native = 4,
+  // 4 marked the native theory layer in earlier builds; nothing writes it.
   Incremental = 5,
   Z3 = 6,
   Async = 7,

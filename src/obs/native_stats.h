@@ -1,19 +1,19 @@
-//===- obs/native_stats.h - Process-wide native-solver counters *- C++ -*-===//
+//===- obs/native_stats.h - Process-wide async-solver counters -*- C++ -*-===//
 //
 // Part of the Gillian-C++ reproduction of "Gillian, Part I" (PLDI 2020).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Process-wide counters of the native theory layer and the async solver
-/// service (src/solver/native/, DESIGN.md §4f). Per-Solver numbers live in
-/// SolverStats; this set is the always-on aggregate the /metrics endpoint
-/// renders after per-suite sources unregister. It lives in obs (not in the
-/// solver) so the introspection server can render it without depending on
-/// the solver library.
+/// Process-wide counters of the async solver service
+/// (src/solver/native/query_service.h, DESIGN.md §4f). Per-Solver numbers
+/// live in SolverStats; this set is the always-on aggregate the /metrics
+/// endpoint renders after per-suite sources unregister. It lives in obs
+/// (not in the solver) so the introspection server can render it without
+/// depending on the solver library.
 ///
-/// Category "solver" + `native_*`/`async_*` names yield the
-/// `gillian_solver_native_*` / `gillian_solver_async_*` metric families.
+/// Category "solver" + `async_*` names yield the `gillian_solver_async_*`
+/// metric family.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,12 +25,6 @@
 namespace gillian::obs {
 
 struct NativeGlobalStats : CounterSet<NativeGlobalStats> {
-  // Native theory layer (decides / falls through per query).
-  Counter NativeQueries{*this, "native_queries", "solver"};
-  Counter NativeSat{*this, "native_sat", "solver"};
-  Counter NativeUnsat{*this, "native_unsat", "solver"};
-  Counter NativeFallbacks{*this, "native_fallbacks", "solver"};
-
   // Async batched query service.
   Counter AsyncSubmitted{*this, "async_submitted", "solver"};
   Counter AsyncDedupHits{*this, "async_dedup_hits", "solver"};

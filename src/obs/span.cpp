@@ -17,7 +17,6 @@ std::string_view gillian::obs::spanKindName(SpanKind K) {
   case SpanKind::IncExtend: return "inc_extend";
   case SpanKind::ColdZ3: return "cold_z3";
   case SpanKind::ModelSearch: return "model_search";
-  case SpanKind::NativeSolve: return "native_solve";
   case SpanKind::AsyncWait: return "async_wait";
   }
   return "unknown";

@@ -60,7 +60,6 @@ enum class SpanKind : uint8_t {
   IncExtend,   ///< incremental-session query (scoped Z3 push/pop)
   ColdZ3,      ///< cold re-encode Z3 round-trip
   ModelSearch, ///< counter-model search beyond checkSat
-  NativeSolve, ///< native theory layer (clause store + equality core)
   AsyncWait,   ///< blocked on the async solver service's future
 };
 inline constexpr size_t NumSpanKinds =

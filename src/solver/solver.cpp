@@ -4,12 +4,10 @@
 
 #include "gil/parser.h"
 #include "obs/journal/journal.h"
-#include "obs/native_stats.h"
 #include "obs/progress.h"
 #include "obs/summary_stats.h"
 #include "obs/span.h"
 #include "solver/incremental_session.h"
-#include "solver/native/native_session.h"
 #include "solver/native/query_service.h"
 #include "solver/simplifier.h"
 #include "solver/z3_backend.h"
@@ -91,64 +89,32 @@ SatResult Solver::solveLayers(const PathCondition &PC) {
       }
     }
   }
-  if (R == SatResult::Unknown &&
-      (Opts.UseNative || (Opts.UseZ3 && z3Available()))) {
-    // Type inference is shared by the native layer (model construction)
-    // and the Z3 backends (sort assignment); a type conflict among the
-    // conjuncts is Unsat without consulting either.
+  if (R == SatResult::Unknown && Opts.UseZ3 && z3Available()) {
+    // Type inference assigns the Z3 sorts; a type conflict among the
+    // conjuncts is Unsat without consulting Z3.
     TypeEnv Types;
     if (!inferTypes(PC.conjuncts(), Types)) {
       R = SatResult::Unsat;
       obs::journal::noteLayer(obs::journal::VerdictLayer::Syntactic);
     } else {
-      if (Opts.UseNative) {
-        // The native theory layer: decides the boolean/equality/
-        // disequality skeleton in-process, answers Unknown on anything
-        // arithmetic so the SMT layers below stay the authority there.
-        Span T(SpanKind::NativeSolve, &Stats.NativeNs);
-        obs::NativeGlobalStats &G = obs::nativeGlobalStats();
-        ++Stats.NativeQueries;
-        ++G.NativeQueries;
-        R = native::NativeSessionPool::forThread().checkSat(PC, Types,
-                                                            Stats);
-        switch (R) {
-        case SatResult::Sat:
-          ++Stats.NativeSat;
-          ++G.NativeSat;
-          obs::journal::noteLayer(obs::journal::VerdictLayer::Native);
-          break;
-        case SatResult::Unsat:
-          ++Stats.NativeUnsat;
-          ++G.NativeUnsat;
-          obs::journal::noteLayer(obs::journal::VerdictLayer::Native);
-          break;
-        case SatResult::Unknown:
-          ++Stats.NativeFallbacks;
-          ++G.NativeFallbacks;
-          break;
-        }
-      }
-      if (R == SatResult::Unknown && Opts.UseZ3 && z3Available()) {
-        Span T(Opts.UseIncremental ? SpanKind::IncExtend : SpanKind::ColdZ3,
-               &Stats.Z3Ns);
-        ++Stats.Z3Calls;
-        if (Opts.UseIncremental) {
-          // Layer 2: the thread's incremental session pool pushes only the
-          // delta against an already-asserted path-condition prefix. A
-          // diverging query that shares less than this fraction of its
-          // conjuncts with a session's prefix resets the session instead
-          // of popping frame by frame.
-          constexpr double IncrementalResetThreshold = 0.25;
-          R = IncrementalSessionPool::forThread().checkSat(
-              PC, Types, IncrementalResetThreshold, Stats);
-          if (R != SatResult::Unknown)
-            obs::journal::noteLayer(
-                obs::journal::VerdictLayer::Incremental);
-        } else {
-          R = checkSatZ3(PC, Types, /*WantModel=*/false).Verdict;
-          if (R != SatResult::Unknown)
-            obs::journal::noteLayer(obs::journal::VerdictLayer::Z3);
-        }
+      Span T(Opts.UseIncremental ? SpanKind::IncExtend : SpanKind::ColdZ3,
+             &Stats.Z3Ns);
+      ++Stats.Z3Calls;
+      if (Opts.UseIncremental) {
+        // Layer 2: the thread's incremental session pool pushes only the
+        // delta against an already-asserted path-condition prefix. A
+        // diverging query that shares less than this fraction of its
+        // conjuncts with a session's prefix resets the session instead
+        // of popping frame by frame.
+        constexpr double IncrementalResetThreshold = 0.25;
+        R = IncrementalSessionPool::forThread().checkSat(
+            PC, Types, IncrementalResetThreshold, Stats);
+        if (R != SatResult::Unknown)
+          obs::journal::noteLayer(obs::journal::VerdictLayer::Incremental);
+      } else {
+        R = checkSatZ3(PC, Types, /*WantModel=*/false).Verdict;
+        if (R != SatResult::Unknown)
+          obs::journal::noteLayer(obs::journal::VerdictLayer::Z3);
       }
     }
   }
@@ -167,11 +133,6 @@ void Solver::resetCache() {
   resetSimplifyCache();
   IncrementalSessionPool::invalidateAll();
   IncrementalSessionPool::forThread().reset();
-  // The native layer's clause stores and equality cores are memoised
-  // state of the same kind: invalidate every thread's sessions (lazy
-  // drop) and this thread's eagerly.
-  native::NativeSessionPool::invalidateAll();
-  native::NativeSessionPool::forThread().reset();
   // Upper-layer memoisation stores (the engine's procedure summary
   // store) register themselves here, so "cold" is cold for the whole
   // stack, not just the solver's own layers.

@@ -67,12 +67,6 @@ struct SolverOptions {
   /// instead of the cold re-encode-everything backend. Layer 2 of the
   /// solver stack; verdict-identical to the cold path (see DESIGN.md §4b).
   bool UseIncremental = true;
-  /// Try the native theory layer (src/solver/native/) on queries the
-  /// syntactic core leaves undecided, before any Z3 round-trip. The layer
-  /// decides the boolean/equality/disequality skeleton natively and
-  /// answers Unknown on anything arithmetic, so disabling it only moves
-  /// work back to Z3 — verdicts are identical by construction.
-  bool UseNative = true;
   /// When > 0, route undecided full queries through the process-wide async
   /// solver service: a pool of that many solver threads with a bounded
   /// submission queue that batches and deduplicates in-flight identical or
@@ -144,21 +138,11 @@ struct SolverStats : obs::CounterSet<SolverStats> {
   obs::Counter EncodeMemoHits{*this, "encode_memo_hits", "incremental"};
   obs::Counter EncodeMemoMisses{*this, "encode_memo_misses", "incremental"};
 
-  // Native theory layer (boolean/equality/disequality skeleton; between
-  // the syntactic core and the Z3 backends — DESIGN.md §4f).
-  /// Queries reaching the native layer.
+  // Read 0; kept because `perfbench/run.py --trace 1` reads these keys
+  // (and native_ns).
   obs::Counter NativeQueries{*this, "native_queries", "solver"};
-  /// Decided Sat (verified model).
   obs::Counter NativeSat{*this, "native_sat", "solver"};
-  /// Decided Unsat (native proof).
   obs::Counter NativeUnsat{*this, "native_unsat", "solver"};
-  /// Unknown → delegated to Z3.
-  obs::Counter NativeFallbacks{*this, "native_fallbacks", "solver"};
-  /// Frames reused across queries.
-  obs::Counter NativeFramesReused{*this, "native_frames_reused", "solver"};
-  /// Conjuncts not re-asserted.
-  obs::Counter NativeConjunctsReused{*this, "native_conjuncts_reused",
-                                     "solver"};
 
   // Async batched query service (SolverOptions::AsyncSolvers > 0).
   obs::Counter AsyncSubmitted{*this, "async_submitted", "solver"};
@@ -184,7 +168,7 @@ struct SolverStats : obs::CounterSet<SolverStats> {
   obs::Counter SliceNs{*this, "slice_ns", "time"};     ///< slicing split
   obs::Counter CanonNs{*this, "canon_ns", "time"};     ///< slice keys
   obs::Counter SyntacticNs{*this, "syntactic_ns", "time"};
-  obs::Counter NativeNs{*this, "native_ns", "time"};   ///< native layer
+  obs::Counter NativeNs{*this, "native_ns", "time"};   ///< always 0
   obs::Counter AsyncWaitNs{*this, "async_wait_ns", "time"}; ///< future waits
   obs::Counter Z3Ns{*this, "z3_ns", "time"};           ///< SMT round-trips
   obs::Counter TotalNs{*this, "total_ns", "time"};     ///< inside checkSat

@@ -2,6 +2,7 @@
 
 #include "solver/syntactic.h"
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <set>
@@ -23,8 +24,9 @@ namespace {
 constexpr int64_t IntMin = std::numeric_limits<int64_t>::min();
 constexpr int64_t IntMax = std::numeric_limits<int64_t>::max();
 
-/// Equality classes over expressions (treated as opaque terms except for
-/// literals), plus per-class integer intervals and literal bindings.
+/// Equality classes over expressions (opaque terms except for literals,
+/// until closeCongruence relates applications), plus per-class integer
+/// intervals and literal bindings.
 class Egraph {
 public:
   /// Returns the node id for \p E, creating it on first sight.
@@ -42,6 +44,16 @@ public:
     if (E.isLit())
       Lit.back() = E.litValue();
     return Id;
+  }
+
+  /// Room for \p N nodes, so interning one condition does not regrow.
+  void reserve(size_t N) {
+    Ids.reserve(N);
+    Parent.reserve(N);
+    Lit.reserve(N);
+    Lo.reserve(N);
+    Hi.reserve(N);
+    Terms.reserve(N);
   }
 
   int find(int X) {
@@ -83,8 +95,107 @@ public:
   int64_t hiOf(int X) { return Hi[find(X)]; }
 
   const std::unordered_map<Expr, int> &ids() const { return Ids; }
+  const std::vector<Expr> &terms() const { return Terms; }
+
+  /// Congruence closure: two applications of one operator whose arguments
+  /// lie pairwise in one class evaluate alike, since GIL evaluation is
+  /// deterministic (and an application that faults falsifies its conjunct
+  /// either way), so their classes merge. Comparisons and connectives stay
+  /// opaque. The closure runs only when two applications of one operator
+  /// could be congruent already, so other conditions pay one scan.
+  /// Returns false on a conflict.
+  bool closeCongruence() {
+    if (std::count_if(Terms.begin(), Terms.end(),
+                      [](const Expr &T) { return opKey(T) != 0; }) < 2)
+      return true;
+    std::vector<std::pair<unsigned, int>> Apps; // operator key, node
+    for (size_t I = 0; I != Terms.size(); ++I)
+      if (unsigned K = opKey(Terms[I]))
+        Apps.emplace_back(K, static_cast<int>(I));
+    std::sort(Apps.begin(), Apps.end());
+    bool Candidate = false;
+    for (size_t I = 0; I != Apps.size() && !Candidate; ++I)
+      for (size_t J = I + 1;
+           J != Apps.size() && Apps[J].first == Apps[I].first && !Candidate;
+           ++J)
+        Candidate = mayBeCongruent(Terms[Apps[I].second],
+                                   Terms[Apps[J].second]);
+    if (!Candidate)
+      return true;
+    // Intern every argument (Terms grows, so nested applications too).
+    for (size_t I = 0; I != Terms.size(); ++I) {
+      Expr T = Terms[I];
+      if (opKey(T))
+        for (size_t C = 0; C != T.numChildren(); ++C)
+          node(T.child(C));
+    }
+    std::map<std::vector<int>, int> Sig; // operator + argument classes
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      Sig.clear();
+      for (size_t I = 0; I != Terms.size(); ++I) {
+        const Expr &T = Terms[I];
+        std::vector<int> Key{static_cast<int>(opKey(T))};
+        if (!Key[0])
+          continue;
+        for (size_t C = 0; C != T.numChildren(); ++C)
+          Key.push_back(find(Ids.at(T.child(C))));
+        auto [It, Fresh] = Sig.emplace(std::move(Key), static_cast<int>(I));
+        if (!Fresh && find(It->second) != find(static_cast<int>(I))) {
+          if (!merge(It->second, static_cast<int>(I)))
+            return false;
+          Changed = true;
+        }
+      }
+    }
+    return true;
+  }
 
 private:
+  /// Whether every argument pair of two applications of one operator is
+  /// one term, lies in one class, or is an application that congruence
+  /// may yet merge. An argument the graph never interned is a class of
+  /// its own.
+  bool mayBeCongruent(const Expr &A, const Expr &B) {
+    if (A.numChildren() != B.numChildren())
+      return false;
+    for (size_t C = 0; C != A.numChildren(); ++C) {
+      const Expr &X = A.child(C), &Y = B.child(C);
+      if (X == Y || opKey(X) || opKey(Y))
+        continue;
+      auto IX = Ids.find(X), IY = Ids.find(Y);
+      if (IX == Ids.end() || IY == Ids.end() ||
+          find(IX->second) != find(IY->second))
+        return false;
+    }
+    return true;
+  }
+
+  /// Nonzero key of a value-producing application's operator.
+  static unsigned opKey(const Expr &E) {
+    switch (E.kind()) {
+    case ExprKind::UnOp:
+      return E.unOpKind() == UnOpKind::Not
+                 ? 0
+                 : 1 + static_cast<unsigned>(E.unOpKind());
+    case ExprKind::BinOp:
+      switch (E.binOpKind()) {
+      case BinOpKind::Eq:
+      case BinOpKind::Lt:
+      case BinOpKind::Le:
+      case BinOpKind::And:
+      case BinOpKind::Or:
+        return 0;
+      default:
+        return 64 + static_cast<unsigned>(E.binOpKind());
+      }
+    case ExprKind::List:
+      return 128;
+    default:
+      return 0;
+    }
+  }
+
   bool checkClass(int R) {
     if (Lo[R] > Hi[R])
       return false;
@@ -120,12 +231,31 @@ struct Analysis {
   /// b < a for model proposal, but is NOT a sound deduction (NaN makes
   /// both comparisons false), so these never feed the cycle check.
   std::vector<OrderEdge> SuggestOrder;
+  /// Variables compared against a Num literal: the proposer's type guess
+  /// when inference leaves them untyped (comparisons take Int or Num).
+  std::set<InternedString> NumHint;
   bool Contradiction = false;
+
+  /// Records the sides of comparison \p A vs \p B that NumHint covers.
+  void noteNumHint(const Expr &A, const Expr &B) {
+    auto note = [this](const Expr &V, const Expr &Other) {
+      if (V.isLVar() && Other.isLit() &&
+          Other.litValue().type() == GilType::Num)
+        NumHint.insert(V.varName());
+    };
+    note(A, B);
+    note(B, A);
+  }
+
+  /// Whether \p E is e + c with an Int literal c.
+  static bool isOffset(const Expr &E) {
+    return E.kind() == ExprKind::BinOp && E.binOpKind() == BinOpKind::Add &&
+           E.child(1).isLit() && E.child(1).litValue().isInt();
+  }
 
   /// Decomposes e + c (Int) so interval facts about the base propagate.
   static bool splitOffset(const Expr &E, Expr &Base, int64_t &Off) {
-    if (E.kind() == ExprKind::BinOp && E.binOpKind() == BinOpKind::Add &&
-        E.child(1).isLit() && E.child(1).litValue().isInt()) {
+    if (isOffset(E)) {
       Base = E.child(0);
       Off = E.child(1).litValue().asInt();
       return true;
@@ -178,6 +308,13 @@ struct Analysis {
       }
       case BinOpKind::Lt:
       case BinOpKind::Le: {
+        // The comparison term itself is true, so a negated copy of it
+        // (bound to false) conflicts.
+        if (!G.merge(G.node(E), G.node(Expr::boolE(true)))) {
+          Contradiction = true;
+          return;
+        }
+        noteNumHint(A, B);
         int64_t Slack = Op == BinOpKind::Lt ? 1 : 0;
         Expr BaseA, BaseB;
         int64_t OffA, OffB;
@@ -231,6 +368,7 @@ struct Analysis {
         // model proposer only.
         SuggestOrder.push_back({G.node(C.child(1)), G.node(C.child(0)),
                                 C.binOpKind() == BinOpKind::Le, false});
+        noteNumHint(C.child(0), C.child(1));
         // Still record the opaque boolean fact for congruence.
       }
       if (C.isLVar()) {
@@ -361,10 +499,28 @@ struct Analysis {
       Contradiction = true;
       return;
     }
+    G.reserve(4 * PC.size() + 4);
     for (const Expr &C : PC.conjuncts()) {
       assumeTrue(C);
       if (Contradiction)
         return;
+    }
+    if (!G.closeCongruence()) {
+      Contradiction = true;
+      return;
+    }
+    // x == x + c is false over Int for every c != 0, wrapping or not.
+    for (size_t I = 0; I != G.terms().size(); ++I) {
+      const Expr &T = G.terms()[I];
+      if (!isOffset(T) || T.child(1).litValue().asInt() == 0 ||
+          staticType(T.child(0), Types) != GilType::Int)
+        continue;
+      auto It = G.ids().find(T.child(0));
+      if (It != G.ids().end() &&
+          G.find(It->second) == G.find(static_cast<int>(I))) {
+        Contradiction = true;
+        return;
+      }
     }
     checkOrderCycles();
     if (Contradiction)
@@ -479,6 +635,19 @@ std::optional<Model> gillian::proposeModelSyntactic(const PathCondition &PC) {
 
   std::set<InternedString> LVars;
   PC.collectLVars(LVars);
+  // Every variable gets a node, so every class has its own id (and its
+  // own default value), variables the analysis never met included.
+  std::vector<std::pair<int, InternedString>> Vars; // class, variable
+  for (InternedString X : LVars)
+    Vars.emplace_back(A.G.node(Expr::lvar(X)), X);
+  auto rep = [&](int N) { return A.G.find(N); };
+  for (auto &[R, X] : Vars)
+    R = rep(R);
+  std::map<int, std::vector<int>> DiseqOf; // class -> disequal classes
+  for (auto [X, Y] : A.Diseqs) {
+    DiseqOf[rep(X)].push_back(rep(Y));
+    DiseqOf[rep(Y)].push_back(rep(X));
+  }
 
   // Order-aware numeric suggestions: propagate lower bounds along the
   // <=-graph (strict edges add 1) from literal anchors and unanchored
@@ -487,16 +656,23 @@ std::optional<Model> gillian::proposeModelSyntactic(const PathCondition &PC) {
   // verifies it by evaluation, so imperfect suggestions only cost a
   // fallback.
   std::map<int, double> Suggested; // representative -> value
+  std::map<int, double> Ceiling;   // representative -> upper bound
   std::vector<Analysis::OrderEdge> AllOrder = A.Order;
   AllOrder.insert(AllOrder.end(), A.SuggestOrder.begin(),
                   A.SuggestOrder.end());
+  // a <= b together with a != b proposes a < b.
+  for (Analysis::OrderEdge &E : AllOrder) {
+    auto It = DiseqOf.find(rep(E.A));
+    E.Strict = E.Strict ||
+               (It != DiseqOf.end() &&
+                std::count(It->second.begin(), It->second.end(), rep(E.B)));
+  }
   if (!AllOrder.empty() && AllOrder.size() < 512) {
     std::map<int, double> Low, High;
-    auto reps = [&](int N) { return A.G.find(N); };
     std::set<int> Nodes;
     for (const auto &E : AllOrder) {
-      Nodes.insert(reps(E.A));
-      Nodes.insert(reps(E.B));
+      Nodes.insert(rep(E.A));
+      Nodes.insert(rep(E.B));
     }
     for (int R : Nodes) {
       const std::optional<Value> &L = A.G.litOf(R);
@@ -508,7 +684,7 @@ std::optional<Model> gillian::proposeModelSyntactic(const PathCondition &PC) {
     for (size_t Round = 0; Round <= Nodes.size(); ++Round) {
       bool Changed = false;
       for (const auto &E : AllOrder) {
-        int RA = reps(E.A), RB = reps(E.B);
+        int RA = rep(E.A), RB = rep(E.B);
         double W = E.Strict ? 1.0 : 0.0;
         auto LA = Low.find(RA);
         if (LA != Low.end()) {
@@ -544,6 +720,8 @@ std::optional<Model> gillian::proposeModelSyntactic(const PathCondition &PC) {
         Suggested[R] = L->second;
       else if (H != High.end())
         Suggested[R] = H->second;
+      if (H != High.end())
+        Ceiling[R] = H->second;
     }
     // Seed unanchored order sources at 0 and re-run one lower-bound pass
     // so fully-relative chains (a < b < c with no literals) get values.
@@ -557,7 +735,7 @@ std::optional<Model> gillian::proposeModelSyntactic(const PathCondition &PC) {
       for (size_t Round = 0; Round <= Nodes.size(); ++Round) {
         bool Changed = false;
         for (const auto &E : AllOrder) {
-          int RA = reps(E.A), RB = reps(E.B);
+          int RA = rep(E.A), RB = rep(E.B);
           double W = E.Strict ? 1.0 : 0.0;
           auto IA = Suggested.find(RA), IB = Suggested.find(RB);
           if (IA != Suggested.end() && IB != Suggested.end() &&
@@ -576,81 +754,151 @@ std::optional<Model> gillian::proposeModelSyntactic(const PathCondition &PC) {
     }
   }
 
-  std::map<InternedString, unsigned> Excluded = excludedTypes(PC);
-  Model M;
-  uint32_t FreshSym = 0;
-  // Distinct default integers per disequality-entangled class would need a
-  // real solver; pick class literals when available, else spread values by
-  // class id to make x != y defaults likely to verify.
-  for (InternedString X : LVars) {
-    Expr V = Expr::lvar(X);
-    auto It = A.G.ids().find(V);
-    std::optional<Value> Bound;
-    int64_t Lo = IntMin, Hi = IntMax, ClassId = 0;
-    if (It != A.G.ids().end()) {
-      int Id = It->second;
-      if (const auto &L = A.G.litOf(Id))
-        Bound = *L;
-      Lo = A.G.loOf(Id);
-      Hi = A.G.hiOf(Id);
-      ClassId = A.G.find(Id);
+  // A class holding `x + c` takes x's value plus c.
+  struct Offset {
+    int BaseClass;
+    InternedString Base;
+    int64_t Off;
+  };
+  std::map<int, Offset> OffsetOf;
+  for (size_t Id = 0; Id != A.G.terms().size(); ++Id) {
+    const Expr &T = A.G.terms()[Id];
+    if (Analysis::isOffset(T) && T.child(0).isLVar())
+      OffsetOf.emplace(rep(static_cast<int>(Id)),
+                       Offset{rep(A.G.ids().at(T.child(0))),
+                              T.child(0).varName(),
+                              T.child(1).litValue().asInt()});
+  }
+
+  std::map<int, Value> Chosen; // class representative -> value
+  // A value fits a class unless a disequal class holds it, or an order
+  // edge to a class chosen earlier rules it out.
+  auto fits = [&](int R, const Value &V) {
+    if (auto It = DiseqOf.find(R); It != DiseqOf.end())
+      for (int N : It->second) {
+        auto C = Chosen.find(N);
+        const std::optional<Value> &L = A.G.litOf(N);
+        if ((C != Chosen.end() && C->second == V) || (L && *L == V))
+          return false;
+      }
+    if (!V.isNumeric())
+      return true;
+    for (const Analysis::OrderEdge &E : AllOrder) {
+      int RA = rep(E.A), RB = rep(E.B);
+      if (RA == RB || (RA != R && RB != R))
+        continue;
+      auto C = Chosen.find(RA == R ? RB : RA);
+      if (C == Chosen.end() || !C->second.isNumeric())
+        continue;
+      double Lo = RA == R ? V.asDouble() : C->second.asDouble();
+      double Hi = RA == R ? C->second.asDouble() : V.asDouble();
+      if (E.Strict ? !(Lo < Hi) : !(Lo <= Hi))
+        return false;
     }
-    if (Bound) {
-      M.bind(X, *Bound);
-      continue;
+    return true;
+  };
+
+  std::map<InternedString, unsigned> Excluded = excludedTypes(PC);
+  constexpr int Attempts = 64;
+  uint32_t FreshSym = 0;
+  std::set<int> Busy; // classes whose offset base is being chosen
+  auto choose = [&](auto &Self, int R, InternedString X) -> Value {
+    if (auto It = Chosen.find(R); It != Chosen.end())
+      return It->second;
+    if (const auto &L = A.G.litOf(R))
+      return Chosen.emplace(R, *L).first->second;
+    if (auto Off = OffsetOf.find(R);
+        Off != OffsetOf.end() && Busy.insert(R).second) {
+      Value Base = Self(Self, Off->second.BaseClass, Off->second.Base);
+      Busy.erase(R);
+      if (Result<Value> V =
+              evalBinOp(BinOpKind::Add, Base, Value::intV(Off->second.Off)))
+        return Chosen.emplace(R, *V).first->second;
     }
     // An untyped variable takes the first of Int/Num/Str/Bool that no
     // `!(typeof(#x) == ^T)` conjunct excludes (Int when all four are):
     // the witness the typed-symbol vanish edges of every frontend need.
+    // Num goes first for a variable compared against a Num literal.
     std::optional<GilType> T = A.Types.lookup(X);
     if (!T) {
       auto Ex = Excluded.find(X);
       unsigned Mask = Ex == Excluded.end() ? 0u : Ex->second;
+      GilType First = A.NumHint.count(X) ? GilType::Num : GilType::Int;
       for (GilType Cand :
-           {GilType::Int, GilType::Num, GilType::Str, GilType::Bool})
+           {First, GilType::Int, GilType::Num, GilType::Str, GilType::Bool})
         if (!T && !(Mask & (1u << static_cast<unsigned>(Cand))))
           T = Cand;
     }
-    auto Sug = Suggested.find(ClassId);
-    switch (T.value_or(GilType::Int)) {
-    case GilType::Int: {
-      int64_t Pick = 0;
-      if (Sug != Suggested.end())
-        Pick = static_cast<int64_t>(Sug->second);
-      if (Lo != IntMin && Lo > Pick)
-        Pick = Lo;
-      if (Hi != IntMax && Hi < Pick)
-        Pick = Hi;
-      // Spread untouched variables so simple disequalities hold.
-      if (Lo == IntMin && Hi == IntMax && Sug == Suggested.end())
-        Pick = ClassId;
-      M.bind(X, Value::intV(Pick));
-      break;
-    }
-    case GilType::Num:
-      M.bind(X, Sug != Suggested.end()
-                    ? Value::numV(Sug->second)
-                    : Value::numV(static_cast<double>(ClassId)));
-      break;
-    case GilType::Str:
-      M.bind(X, Value::strV("s" + std::to_string(ClassId)));
-      break;
-    case GilType::Bool:
-      M.bind(X, Value::boolV(true));
-      break;
-    case GilType::Sym:
-      M.bind(X, Value::symV("$model_" + std::to_string(FreshSym++)));
-      break;
-    case GilType::Type:
-      M.bind(X, Value::typeV(GilType::Int));
-      break;
-    case GilType::Proc:
-      M.bind(X, Value::procV("main"));
-      break;
-    case GilType::List:
-      M.bind(X, Value::listV({}));
-      break;
-    }
-  }
+    auto Sug = Suggested.find(R);
+    auto Ceil = Ceiling.find(R);
+    const int64_t Lo = A.G.loOf(R), Hi = A.G.hiOf(R);
+    // The K-th candidate: K = 0 is the class's suggestion, later ones step
+    // away from it inside the class's window, for disequalities.
+    auto candidate = [&](int K) -> std::optional<Value> {
+      switch (T.value_or(GilType::Int)) {
+      case GilType::Int: {
+        int64_t Pick = 0;
+        if (Sug != Suggested.end())
+          Pick = static_cast<int64_t>(Sug->second);
+        if (Lo != IntMin && Lo > Pick)
+          Pick = Lo;
+        if (Hi != IntMax && Hi < Pick)
+          Pick = Hi;
+        // Spread untouched variables so simple disequalities hold.
+        if (Lo == IntMin && Hi == IntMax && Sug == Suggested.end())
+          Pick = R;
+        if (K > 0 && (Pick > IntMax - K || (Hi != IntMax && Pick + K > Hi) ||
+                      (Ceil != Ceiling.end() && Pick + K > Ceil->second)))
+          return std::nullopt;
+        return Value::intV(Pick + K);
+      }
+      case GilType::Num: {
+        double Base = Sug != Suggested.end() ? Sug->second : R;
+        if (Ceil == Ceiling.end() || Base + K <= Ceil->second)
+          return Value::numV(Base + K);
+        if (Ceil->second <= Base)
+          return std::nullopt;
+        return Value::numV(Base + (Ceil->second - Base) * K / (Attempts + 1));
+      }
+      case GilType::Str:
+        return Value::strV("s" + std::to_string(R) +
+                           (K ? "_" + std::to_string(K) : ""));
+      case GilType::Bool:
+        return K < 2 ? std::optional(Value::boolV(K == 0)) : std::nullopt;
+      case GilType::Sym:
+        return Value::symV("$model_" + std::to_string(FreshSym++));
+      case GilType::Type:
+        return K ? std::nullopt : std::optional(Value::typeV(GilType::Int));
+      case GilType::Proc:
+        return K ? std::nullopt : std::optional(Value::procV("main"));
+      case GilType::List:
+        return K ? std::nullopt : std::optional(Value::listV({}));
+      }
+      return std::nullopt;
+    };
+    std::optional<Value> V = candidate(0);
+    for (int K = 1; K < Attempts && V && !fits(R, *V); ++K)
+      if (std::optional<Value> Next = candidate(K))
+        V = Next;
+      else
+        break;
+    return Chosen.emplace(R, V ? *V : Value::intV(0)).first->second;
+  };
+
+  // Smaller suggestions first, so an order edge meets its lower end
+  // already chosen when a disequality moves the upper one.
+  auto suggestion = [&](int R) {
+    auto It = Suggested.find(R);
+    return It == Suggested.end() ? std::numeric_limits<double>::infinity()
+                                 : It->second;
+  };
+  if (!Suggested.empty())
+    std::stable_sort(Vars.begin(), Vars.end(),
+                     [&](const auto &L, const auto &R) {
+                       return suggestion(L.first) < suggestion(R.first);
+                     });
+  Model M;
+  for (const auto &[R, X] : Vars)
+    M.bind(X, choose(choose, R, X));
   return M;
 }

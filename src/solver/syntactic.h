@@ -6,12 +6,16 @@
 ///
 /// \file
 /// A cheap, sound-for-UNSAT satisfiability core that handles the bulk of
-/// the path conditions symbolic execution produces, without an SMT call:
+/// the path conditions symbolic execution produces, without an SMT call —
+/// the solver's one in-process decision layer (DESIGN.md §4f):
 ///
 ///  * equality reasoning: union-find over logical variables, literals and
-///    opaque terms, with literal-conflict detection;
-///  * disequalities checked against the equality classes;
-///  * integer interval propagation for `x < c`-shaped conjuncts;
+///    terms, closed under congruence through applications, with
+///    literal-conflict detection;
+///  * disequalities checked against the equality classes; comparison
+///    terms bound to true or false, so complementary literals conflict;
+///  * integer interval propagation for `x < c`-shaped conjuncts, and
+///    order cycles;
 ///  * type conflicts via the shared type-inference pass.
 ///
 /// It never answers Sat — only Unsat (proved) or Unknown — and can propose
@@ -45,8 +49,9 @@ std::string_view satResultName(SatResult R);
 SatResult checkSatSyntactic(const PathCondition &PC);
 
 /// Proposes a model for \p PC from the syntactic analysis (equality-class
-/// representatives, interval bounds, typed defaults). The result is only a
-/// *candidate*: callers must verify it with Model::satisfies before use.
+/// literals, interval and order bounds, values kept apart across
+/// disequalities, typed defaults). The result is only a *candidate*:
+/// callers must verify it with Model::satisfies before use.
 /// Returns nullopt when the analysis found a contradiction.
 std::optional<Model> proposeModelSyntactic(const PathCondition &PC);
 

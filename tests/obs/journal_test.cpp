@@ -79,7 +79,7 @@ JournalData tinyJournal(uint8_t TrueLayer, bool TruePruned) {
   };
   bool Both = !TruePruned;
   D.Events.push_back(Branch(1, 3, 7, 0, true,
-                            static_cast<uint8_t>(VerdictLayer::Native),
+                            static_cast<uint8_t>(VerdictLayer::Syntactic),
                             50000, Both ? 2 : 0));
   D.Events.push_back(
       Branch(1, 3, 7, 1, !TruePruned, TrueLayer, 90000, Both ? 3 : 0));
@@ -270,8 +270,29 @@ TEST(JournalIoTest, ReaderDropsRetiredSpawnRecords) {
   EXPECT_EQ(serializeJournal(Back), serializeJournal(D));
 }
 
+TEST(JournalIoTest, ReaderLoadsRetiredLayerByte) {
+  // Earlier builds marked verdicts of the native theory layer with layer
+  // byte 4. A Branch event carrying it still loads, byte for byte.
+  constexpr uint8_t RetiredNativeLayer = 4;
+  JournalData D = tinyJournal(RetiredNativeLayer, /*TruePruned=*/false);
+  std::string Bytes = serializeJournal(D);
+  ASSERT_EQ(Bytes.compare(0, 4, "GJL1"), 0);
+  JournalData Back;
+  std::string Err;
+  ASSERT_TRUE(parseJournal(Bytes, Back, Err)) << Err;
+  ASSERT_EQ(Back.Events.size(), D.Events.size());
+  EXPECT_EQ(serializeJournal(Back), Bytes);
+  size_t Retired = 0;
+  for (const Event &E : Back.Events)
+    if (E.Kind == static_cast<uint8_t>(EventKind::Branch) &&
+        static_cast<uint8_t>(layerOf(E)) == RetiredNativeLayer)
+      ++Retired;
+  EXPECT_EQ(Retired, 1u);
+  EXPECT_TRUE(obs::validateJson(treeJson(Back, 4)));
+}
+
 TEST(JournalIoTest, FileWriteReadRoundTrip) {
-  JournalData D = tinyJournal(static_cast<uint8_t>(VerdictLayer::Native),
+  JournalData D = tinyJournal(static_cast<uint8_t>(VerdictLayer::Syntactic),
                               /*TruePruned=*/true);
   std::string Path = ::testing::TempDir() + "journal_test_rt.gjl";
   uint64_t Bytes = 0;
@@ -314,7 +335,7 @@ TEST(JournalAnalysisTest, TreeOutputsAreWellFormed) {
   JournalData D = tinyJournal(static_cast<uint8_t>(VerdictLayer::Z3), false);
   std::string Text = treeText(D, 4);
   EXPECT_NE(Text.find("test_t#0"), std::string::npos);
-  EXPECT_NE(Text.find("native"), std::string::npos);
+  EXPECT_NE(Text.find("syntactic"), std::string::npos);
   std::string Json = treeJson(D, 4);
   EXPECT_TRUE(obs::validateJson(Json)) << Json;
   EXPECT_NE(Json.find("\"roots\""), std::string::npos);
@@ -345,12 +366,12 @@ TEST(JournalAnalysisTest, WhyResolvesNodeIdAndBranchTrace) {
 }
 
 TEST(JournalAnalysisTest, DiffReportsLayerShiftPruneAndWallDelta) {
-  JournalData A = tinyJournal(static_cast<uint8_t>(VerdictLayer::Native),
+  JournalData A = tinyJournal(static_cast<uint8_t>(VerdictLayer::Syntactic),
                               /*TruePruned=*/false);
   JournalData B = tinyJournal(static_cast<uint8_t>(VerdictLayer::Z3),
                               /*TruePruned=*/false);
   std::string Text = diffText(A, B, 8);
-  EXPECT_NE(Text.find("native"), std::string::npos);
+  EXPECT_NE(Text.find("syntactic"), std::string::npos);
   EXPECT_NE(Text.find("z3"), std::string::npos);
   std::string Json = diffJson(A, B, 8);
   EXPECT_TRUE(obs::validateJson(Json)) << Json;
@@ -367,7 +388,7 @@ TEST(JournalAnalysisTest, DiffReportsLayerShiftPruneAndWallDelta) {
 }
 
 TEST(JournalAnalysisTest, SignatureIgnoresLayerAndWall) {
-  JournalData A = tinyJournal(static_cast<uint8_t>(VerdictLayer::Native),
+  JournalData A = tinyJournal(static_cast<uint8_t>(VerdictLayer::Syntactic),
                               /*TruePruned=*/false);
   JournalData B = tinyJournal(static_cast<uint8_t>(VerdictLayer::Z3),
                               /*TruePruned=*/false);

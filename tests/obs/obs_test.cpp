@@ -329,7 +329,7 @@ TEST(ExportersTest, ChromeTraceIsValidJsonWithBalancedSpans) {
   True->A = 1;
   True->B = 1;
   True->WallNs = 2000;
-  True->C = Layer(journal::VerdictLayer::Native, journal::Verdict::Sat);
+  True->C = Layer(journal::VerdictLayer::Syntactic, journal::Verdict::Sat);
   journal::Event *Act = Ev(journal::EventKind::Action, 0, 12000);
   Act->X = 2;
   Act->WallNs = 500;
@@ -358,7 +358,7 @@ TEST(ExportersTest, ChromeTraceIsValidJsonWithBalancedSpans) {
   EXPECT_NE(J.find("\"ts\":0.000,\"dur\":3.000"), std::string::npos) << J;
   EXPECT_NE(J.find("\"ts\":3.000,\"dur\":2.000"), std::string::npos) << J;
   EXPECT_NE(J.find("\"layer\":\"z3\""), std::string::npos);
-  EXPECT_NE(J.find("\"layer\":\"native\""), std::string::npos);
+  EXPECT_NE(J.find("\"layer\":\"syntactic\""), std::string::npos);
   EXPECT_NE(J.find("\"site\":\"test_t:4\""), std::string::npos);
   EXPECT_NE(J.find("\"action\":\"setProp\""), std::string::npos);
   EXPECT_NE(J.find("\"tid\":1"), std::string::npos);

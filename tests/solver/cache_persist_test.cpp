@@ -107,7 +107,6 @@ TEST(CachePersistTest, UndecidedQueriesAreNeverPersisted) {
   const std::string Path = tempPath("gillian_cache_unknown.txt");
   SolverOptions NoLayers;
   NoLayers.UseSyntactic = false;
-  NoLayers.UseNative = false;
   NoLayers.UseZ3 = false;
   NoLayers.UseSlicing = false;
   Solver S(NoLayers);

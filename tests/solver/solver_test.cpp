@@ -301,3 +301,91 @@ TEST(SolverFacade, ExcludedTypeIsSatWithoutZ3) {
   EXPECT_EQ(S.stats().Z3Calls, 0u);
   EXPECT_EQ(S.stats().CacheHits, 1u);
 }
+
+//===----------------------------------------------------------------------===//
+// The in-process layer (DESIGN.md §4f)
+//===----------------------------------------------------------------------===//
+
+TEST(SolverFacade, InProcessLayerDecidesPerfbenchShapes) {
+  // One path condition per shape the syntactic core decides without Z3,
+  // verbatim from the perfbench buckets and collections passes (simplified
+  // and canonical already, so added as printed).
+  struct Case {
+    const char *Shape;
+    SatResult Expected;
+    std::vector<const char *> Conjuncts;
+  };
+  const Case Cases[] = {
+      {"complementary comparison literals", SatResult::Unsat,
+       {"typeof(#i_16_0) == ^Num", "#i_16_0 <= #i_17_0",
+        "typeof(#i_17_0) == ^Num", "! (#i_16_0 <= #i_17_0)"}},
+      {"complementary literal bound", SatResult::Unsat,
+       {"#i_21_0 <= 1.0", "0.0 <= #i_21_0", "! (0.0 <= #i_21_0)",
+        "typeof(#i_21_0) == ^Num"}},
+      {"congruence through num_to_str", SatResult::Unsat,
+       {"typeof(#i_19_0) == ^Num", "typeof(#i_20_0) == ^Num",
+        "#i_19_0 == #i_20_0",
+        "! (num_to_str(#i_20_0) == num_to_str(#i_19_0))"}},
+      {"x == x + c over Int", SatResult::Unsat,
+       {"#i_22_0 == (#i_22_0 + 1)", "typeof(#i_22_0) == ^Int"}},
+      {"order plus disequality over Num", SatResult::Sat,
+       {"! (#i_28_0 == #i_29_0)", "typeof(#i_29_0) == ^Num",
+        "typeof(#i_28_0) == ^Num", "! (#i_29_0 < #i_28_0)",
+        "! (#i_29_0 == #i_28_0)"}},
+      {"order plus disequality over Int", SatResult::Sat,
+       {"typeof(#i_24_0) == ^Int", "! (#i_25_0 == #i_24_0)",
+        "! (#i_24_0 == #i_25_0)", "typeof(#i_25_0) == ^Int",
+        "#i_24_0 <= #i_25_0"}},
+      {"values a literal disequality forbids", SatResult::Sat,
+       {"! (#i_27_0 < 1e+01)", "! (#i_27_0 == 15.0)",
+        "! (#i_27_0 == 5.0)", "typeof(#i_27_0) == ^Num",
+        "! (#i_27_0 == 1e+01)"}},
+      {"distinct values under order edges", SatResult::Sat,
+       {"typeof(#i_23_0) == ^Num", "! (#i_23_0 == #i_22_0)",
+        "! (#i_22_0 == #i_23_0)", "#i_23_0 < #i_22_0",
+        "typeof(#i_24_0) == ^Num", "! (#i_22_0 == #i_24_0)",
+        "! (#i_24_0 == #i_22_0)", "! (#i_23_0 == #i_24_0)",
+        "#i_24_0 < #i_22_0", "typeof(#i_22_0) == ^Num"}},
+      {"offset class", SatResult::Sat,
+       {"! (#i_19_0 == #i_20_0)", "typeof(#i_19_0) == ^Int",
+        "typeof(#i_20_0) == ^Int", "#i_20_0 == (#i_19_0 + 1)"}},
+      {"variables the analysis never met", SatResult::Sat,
+       {"typeof(#i_23_0) == ^Num", "typeof(#i_24_0) == ^Num",
+        "! (num_to_str(#i_24_0) == num_to_str(#i_23_0))"}},
+  };
+  SolverOptions O;
+  O.UseCache = false;
+  O.UseSlicing = false;
+  O.UseZ3 = false;
+  for (const Case &C : Cases) {
+    PathCondition P;
+    for (const char *Conj : C.Conjuncts)
+      P.add(parseGilExpr(Conj).take());
+    Solver S(O);
+    EXPECT_EQ(S.checkSat(P), C.Expected) << C.Shape << ": " << P.toString();
+    EXPECT_EQ(S.stats().SyntacticSat + S.stats().SyntacticUnsat, 1u)
+        << C.Shape;
+    EXPECT_EQ(S.stats().Z3Calls, 0u) << C.Shape;
+  }
+}
+
+TEST(SolverFacade, DiseqChainNeedsNoZ3RoundTrip) {
+  // The BM_DiseqChain shape on the default stack: pairwise-distinct Num
+  // keys in [0.5, 100.0), decided with a verified in-process model.
+  SolverOptions O;
+  O.UseCache = false;
+  Solver S(O);
+  S.resetCache();
+  std::vector<Expr> Ks;
+  PathCondition PC;
+  for (int I = 0; I < 6; ++I) {
+    Expr K = Expr::lvar("#k" + std::to_string(I));
+    PC.add(Expr::le(Expr::numE(0.5), K));
+    PC.add(Expr::lt(K, Expr::numE(100.0)));
+    for (const Expr &J : Ks)
+      PC.add(Expr::notE(Expr::eq(K, J)));
+    Ks.push_back(K);
+  }
+  EXPECT_EQ(S.checkSat(PC), SatResult::Sat);
+  EXPECT_EQ(S.stats().Z3Calls, 0u);
+}

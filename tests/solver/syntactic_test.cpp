@@ -4,6 +4,7 @@
 
 #include "gil/parser.h"
 #include "solver/simplifier.h"
+#include "solver/z3_backend.h"
 
 #include <gtest/gtest.h>
 
@@ -163,4 +164,195 @@ TEST(Syntactic, ExcludedTypeNeverYieldsAFalseWitness) {
   PathCondition P = pc({"!(typeof(#x) == ^Int)", "#x + 1 == 3"});
   std::optional<Model> M = proposeModelSyntactic(P);
   EXPECT_FALSE(M && M->satisfies(P)) << M->toString();
+}
+
+//===----------------------------------------------------------------------===//
+// Shapes the syntactic core decides in-process (DESIGN.md §4f)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The verdict of the in-process layer alone: the syntactic core, then a
+/// proposed model that must survive evaluation.
+SatResult decideInProcess(const PathCondition &P) {
+  SatResult R = checkSatSyntactic(P);
+  if (R != SatResult::Unknown)
+    return R;
+  std::optional<Model> M = proposeModelSyntactic(P);
+  return M && M->satisfies(P) ? SatResult::Sat : SatResult::Unknown;
+}
+
+} // namespace
+
+TEST(Syntactic, ComplementaryComparisonLiteralsAreUnsat) {
+  EXPECT_EQ(checkSatSyntactic(pc({"#a <= #b", "!(#a <= #b)"})),
+            SatResult::Unsat);
+  EXPECT_EQ(checkSatSyntactic(pc({"typeof(#i) == ^Num", "0.0 <= #i",
+                                  "#i <= 1.0", "!(0.0 <= #i)"})),
+            SatResult::Unsat);
+  // Int comparisons against literals feed intervals; the term is still
+  // bound to true.
+  EXPECT_EQ(checkSatSyntactic(
+                pc({"typeof(#i) == ^Int", "#i < 5", "!(#i < 5)"})),
+            SatResult::Unsat);
+}
+
+TEST(Syntactic, CongruenceThroughApplications) {
+  EXPECT_EQ(checkSatSyntactic(pc({"#a == #b",
+                                  "!(num_to_str(#b) == num_to_str(#a))"})),
+            SatResult::Unsat);
+  // Nested applications close too.
+  EXPECT_EQ(checkSatSyntactic(
+                pc({"#a == #b", "!(slen(num_to_str(#a)) == "
+                                "slen(num_to_str(#b)))"})),
+            SatResult::Unsat);
+  // Different arguments: nothing to conclude.
+  EXPECT_EQ(checkSatSyntactic(pc({"!(num_to_str(#b) == num_to_str(#a))"})),
+            SatResult::Unknown);
+}
+
+TEST(Syntactic, CongruenceMeetsLiteralClasses) {
+  EXPECT_EQ(checkSatSyntactic(pc({"#a == 1", "#b == 1",
+                                  "num_to_str(#a) == \"1\"",
+                                  "num_to_str(#b) == \"2\""})),
+            SatResult::Unsat);
+}
+
+TEST(Syntactic, UnseenVariablesGetDistinctWitnesses) {
+  // Neither variable is a node of the analysis before the proposer runs;
+  // each still needs its own class, or both take one value and the
+  // disequality fails its own proposal.
+  PathCondition P = pc({"typeof(#a) == ^Num", "typeof(#b) == ^Num",
+                        "!(num_to_str(#a) == num_to_str(#b))"});
+  EXPECT_EQ(decideInProcess(P), SatResult::Sat);
+}
+
+TEST(Syntactic, OrderPlusDisequalityProposesStrictOrder) {
+  EXPECT_EQ(decideInProcess(pc({"typeof(#a) == ^Num", "typeof(#b) == ^Num",
+                                "!(#b == #a)", "!(#b < #a)"})),
+            SatResult::Sat);
+  EXPECT_EQ(decideInProcess(pc({"typeof(#a) == ^Int", "typeof(#b) == ^Int",
+                                "#a <= #b", "!(#a == #b)"})),
+            SatResult::Sat);
+}
+
+TEST(Syntactic, WitnessSkipsValuesDisequalitiesForbid) {
+  PathCondition P =
+      pc({"!(#x < 10.0)", "!(#x == 10.0)", "!(#x == 11.0)", "!(#x == 15.0)"});
+  std::optional<Model> M = proposeModelSyntactic(P);
+  ASSERT_TRUE(M.has_value());
+  EXPECT_TRUE(M->satisfies(P)) << M->toString();
+  // Compared against Num literals, an untyped variable is proposed as Num.
+  const Value *V = M->lookup(InternedString::get("#x"));
+  ASSERT_NE(V, nullptr);
+  EXPECT_EQ(V->type(), GilType::Num) << V->toString();
+}
+
+TEST(Syntactic, DisequalityChainStaysInsideItsWindow) {
+  // The bst/pqueue shape: pairwise-distinct keys in [0.5, 100.0).
+  std::vector<std::string> Store;
+  for (int I = 0; I < 6; ++I) {
+    std::string V = "#k" + std::to_string(I);
+    Store.push_back("0.5 <= " + V);
+    Store.push_back(V + " < 100.0");
+    for (int J = 0; J < I; ++J)
+      Store.push_back("!(" + V + " == #k" + std::to_string(J) + ")");
+  }
+  PathCondition P;
+  for (const std::string &S : Store)
+    P.add(parseGilExpr(S).take());
+  EXPECT_EQ(decideInProcess(P), SatResult::Sat);
+  // A narrow window takes fractions.
+  EXPECT_EQ(decideInProcess(pc({"0.0 <= #p", "#p <= 1.0", "0.0 <= #q",
+                                "#q <= 1.0", "0.0 <= #r", "#r <= 1.0",
+                                "!(#p == #q)", "!(#q == #r)",
+                                "!(#p == #r)"})),
+            SatResult::Sat);
+}
+
+TEST(Syntactic, OffsetClassTakesItsBasePlusTheOffset) {
+  EXPECT_EQ(decideInProcess(pc({"typeof(#i) == ^Int", "#j == #i + 1",
+                                "!(#i == #j)"})),
+            SatResult::Sat);
+}
+
+//===----------------------------------------------------------------------===//
+// Randomized walks vs the cold Z3 backend
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Deterministic xorshift64* — fixed seed, so a failure reproduces.
+struct Rng {
+  uint64_t S;
+  uint64_t next() {
+    S ^= S >> 12;
+    S ^= S << 25;
+    S ^= S >> 27;
+    return S * 0x2545F4914F6CDD1Dull;
+  }
+  uint64_t below(uint64_t N) { return next() % N; }
+};
+
+/// Equalities, disequalities, Int order atoms and `num_to_str`
+/// applications over a small variable universe, each negated half the
+/// time.
+PathCondition randomWalk(Rng &R, int Vars, int Conjuncts) {
+  std::vector<Expr> Xs;
+  for (int I = 0; I < Vars; ++I)
+    Xs.push_back(Expr::lvar("#v" + std::to_string(I)));
+  PathCondition PC;
+  for (int I = 0; I < Conjuncts; ++I) {
+    Expr A = Xs[R.below(Xs.size())];
+    Expr B = R.below(3) == 0 ? Expr::intE(static_cast<int64_t>(R.below(3)))
+                             : Xs[R.below(Xs.size())];
+    Expr Atom;
+    switch (R.below(6)) {
+    case 0:
+      Atom = Expr::lt(A, B);
+      break;
+    case 1:
+      Atom = Expr::le(A, B);
+      break;
+    case 2:
+      Atom = Expr::eq(Expr::unOp(UnOpKind::NumToStr, A),
+                      Expr::unOp(UnOpKind::NumToStr, B));
+      break;
+    default:
+      Atom = Expr::eq(A, B);
+      break;
+    }
+    PC.add(R.below(2) == 0 ? Atom : Expr::notE(Atom));
+  }
+  return PC;
+}
+
+} // namespace
+
+TEST(SyntacticFuzzTest, NeverContradictsZ3OnEqDiseqWalks) {
+  if (!z3Available())
+    GTEST_SKIP() << "built without Z3";
+  Rng R{0x9E3779B97F4A7C15ull};
+  int Decided = 0;
+  for (int Iter = 0; Iter < 200; ++Iter) {
+    PathCondition PC = randomWalk(R, /*Vars=*/4, /*Conjuncts=*/6);
+    if (PC.isTriviallyFalse() || PC.empty())
+      continue;
+    SatResult Ours = decideInProcess(PC);
+    TypeEnv Types;
+    SatResult Z3 = inferTypes(PC.conjuncts(), Types)
+                       ? checkSatZ3(PC, Types, /*WantModel=*/false).Verdict
+                       : SatResult::Unsat;
+    if (Ours == SatResult::Sat) {
+      EXPECT_NE(Z3, SatResult::Unsat) << PC.toString();
+    }
+    if (Ours == SatResult::Unsat) {
+      EXPECT_NE(Z3, SatResult::Sat) << PC.toString();
+    }
+    if (Ours != SatResult::Unknown)
+      ++Decided;
+  }
+  // The walks are shallow: the in-process layer must decide the
+  // overwhelming majority, or Z3 is doing its work.
+  EXPECT_GT(Decided, 150);
 }
