@@ -1,9 +1,9 @@
 //===- bench/bench_solver.cpp ---------------------------------------------===//
 //
 // Micro-benchmarks of the first-order solver layers (google-benchmark):
-// simplification, simplification memo, syntactic SAT, Z3 round-trips and
-// the result cache. These support the timing claims of Tables 1/2 —
-// solver work dominates symbolic execution time.
+// simplification, simplification memo, syntactic SAT, Z3 round-trips,
+// session set-up and the result cache. These support the timing claims of
+// Tables 1/2 — solver work dominates symbolic execution time.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace gillian;
@@ -58,6 +59,21 @@ std::vector<PathCondition> prefixGrowthChain(int Len) {
     Chain.push_back(PC);
   }
   return Chain;
+}
+
+/// Single-conjunct queries `0 < #z_i` over \p N fresh variables, with
+/// their types: no two share a conjunct.
+std::vector<std::pair<PathCondition, TypeEnv>> freshVariableQueries(int N) {
+  std::vector<std::pair<PathCondition, TypeEnv>> Queries;
+  for (int I = 0; I < N; ++I) {
+    PathCondition PC;
+    PC.add(parse(("0 < #z" + std::to_string(I)).c_str()));
+    TypeEnv Types;
+    if (!inferTypes(PC.conjuncts(), Types))
+      std::abort();
+    Queries.emplace_back(std::move(PC), std::move(Types));
+  }
+  return Queries;
 }
 
 /// One pass over the chain with every layer but Z3 disabled, so the cost
@@ -182,9 +198,13 @@ static void BM_SolverUncachedSyntactic(benchmark::State &State) {
 BENCHMARK(BM_SolverUncachedSyntactic);
 
 static void BM_Z3RoundTrip(benchmark::State &State) {
+  // The one-shot path: every query builds a Z3 solver, encodes, checks
+  // and drops it, as model extraction, the J2 baseline and
+  // UseIncremental = false do.
   SolverOptions Opts;
   Opts.UseCache = false;
   Opts.UseSyntactic = false; // force the SMT layer
+  Opts.UseIncremental = false;
   Solver S(Opts);
   PathCondition PC;
   PC.add(parse("typeof(#x) == ^Int"));
@@ -266,15 +286,7 @@ static void BM_ZeroSharingChurn(benchmark::State &State) {
   // once the pool is full every query evicts one, pops it back to its
   // base scope and pushes the new conjunct. This is the shape of a
   // vanish-edge slice; it measures what a session reset costs.
-  std::vector<std::pair<PathCondition, TypeEnv>> Queries;
-  for (int I = 0; I < 256; ++I) {
-    PathCondition PC;
-    PC.add(parse(("0 < #z" + std::to_string(I)).c_str()));
-    TypeEnv Types;
-    if (!inferTypes(PC.conjuncts(), Types))
-      std::abort();
-    Queries.emplace_back(std::move(PC), std::move(Types));
-  }
+  const auto Queries = freshVariableQueries(256);
   IncrementalSessionPool Pool;
   SolverStats Stats;
   size_t Q = 0;
@@ -285,6 +297,23 @@ static void BM_ZeroSharingChurn(benchmark::State &State) {
   State.SetLabel("every query evicts a session");
 }
 BENCHMARK(BM_ZeroSharingChurn);
+
+static void BM_FreshSessionFirstCheck(benchmark::State &State) {
+  // The same queries as BM_ZeroSharingChurn, each on a session built for
+  // it and destroyed after its one check: what every new session pays
+  // (after a cold start, and for each of a thread's pooled sessions) on
+  // top of a check on a live one.
+  const auto Queries = freshVariableQueries(256);
+  SolverStats Stats;
+  size_t Q = 0;
+  for (auto _ : State) {
+    const auto &[PC, Types] = Queries[Q++ % Queries.size()];
+    IncrementalSession S;
+    benchmark::DoNotOptimize(S.checkSat(PC, Types, 0.25, Stats));
+  }
+  State.SetLabel("one session per query");
+}
+BENCHMARK(BM_FreshSessionFirstCheck);
 
 static void BM_DiseqChain(benchmark::State &State) {
   // The bst/pqueue shape (EXPERIMENTS.md): Num-typed variables in a

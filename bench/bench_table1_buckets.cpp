@@ -195,11 +195,10 @@ int main(int argc, char **argv) {
   std::printf("Paper shape check: 74 tests; J2 slower than GJS overall and on "
               "the solver-heavy rows (paper: ~2x overall; sub-millisecond "
               "rows are noise-dominated).\n"
-              "Our measured gap is larger than the paper's because this "
-              "baseline removes result caching entirely, on which our "
-              "engine leans harder than JaVerT 2.0 did (J2 cached inside "
-              "its custom solver); see bench_ablation_engine for the "
-              "decomposition.\n"
+              "The baseline runs without the result cache, slicing, "
+              "incremental sessions, the simplifier memo and summaries, "
+              "so its gap grows with the solver queries a row repeats; "
+              "see bench_ablation_engine for the decomposition.\n"
               "Time(P4) explores each test on a 4-worker work-stealing "
               "pool sharing one solver cache; ParSpd = Time(GJS)/Time(P4) "
               "tracks core count (expect ~1x on a single-core runner, "

@@ -38,7 +38,7 @@ struct IncrementalSession::Impl {
   /// construction: a delta never repeats an asserted conjunct).
   std::unordered_set<Expr> Asserted;
 
-  Impl() : Solver(threadZ3Context()) {}
+  Impl() : Solver(newZ3Solver()) {}
 
   /// Is \p F sound to keep for a query with conjunct set \p Query under
   /// \p Types? Every frame conjunct must still be a query conjunct, and
@@ -87,7 +87,7 @@ struct IncrementalSession::Impl {
   /// Replaces the solver outright: only after a Z3 exception, when the
   /// scope stack may no longer match the frames.
   void rebuild() {
-    Solver = z3::solver(threadZ3Context());
+    Solver = newZ3Solver();
     Frames.clear();
     Asserted.clear();
   }

@@ -18,10 +18,11 @@
 ///  - on divergence the frames that no longer belong to the query are
 ///    popped, and when the surviving share drops below a threshold the
 ///    session resets: every frame pops back to the base scope. The Z3
-///    solver lives as long as the session (Z3's first push on a new
-///    solver costs milliseconds, pop/push/check on a live one tens of
-///    microseconds); only a Z3 exception, after which the scope stack may
-///    not match the frames, builds a new one;
+///    solver lives as long as the session (a new one, built by
+///    newZ3Solver(), costs 0.1–0.2 ms up to its first check,
+///    pop/push/check on a live one tens of microseconds); only a Z3
+///    exception, after which the scope stack may not match the frames,
+///    builds a new one;
 ///  - encoding reuse is independent of scope reuse: a per-session
 ///    Z3EncodingMemo hash-conses GIL→Z3 translation per (expression
 ///    identity, TypeEnv fingerprint), so re-encoding unchanged conjuncts

@@ -19,6 +19,20 @@ z3::context &gillian::threadZ3Context() {
 }
 
 namespace {
+/// Resource units one Z3 check may spend (Z3's deterministic `rlimit`,
+/// counted per check, so verdicts never depend on host speed). The
+/// largest check of the test suite spends 1,275 units; DESIGN.md §4b has
+/// the measured headroom.
+constexpr unsigned Z3CheckRlimit = 200'000;
+} // namespace
+
+z3::solver gillian::newZ3Solver() {
+  z3::solver S(threadZ3Context(), z3::solver::simple());
+  S.set("rlimit", Z3CheckRlimit);
+  return S;
+}
+
+namespace {
 
 /// Converts one Z3 model value back into a GIL value of type \p T.
 std::optional<Value> decodeModelValue(z3::context &Ctx, const z3::expr &V,
@@ -97,7 +111,7 @@ Z3Outcome gillian::checkSatZ3(const PathCondition &PC, const TypeEnv &Types,
     // a fresh solver over it. No encoding memo here: model extraction
     // needs the symbol codes a memo hit would skip harvesting.
     z3::context &Ctx = threadZ3Context();
-    z3::solver S(Ctx);
+    z3::solver S = newZ3Solver();
     Encoder Enc(Ctx, Types);
     size_t Encoded = 0;
     for (const Expr &C : PC.conjuncts()) {

@@ -18,6 +18,9 @@
 ///  - Sat answers are downgraded to Unknown when anything was dropped, and
 ///    all models are verified by evaluation before being trusted.
 ///
+/// Every check is bounded by a deterministic resource limit and answers
+/// Unknown when it runs out (newZ3Solver in z3_encoder.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GILLIAN_SOLVER_Z3_BACKEND_H

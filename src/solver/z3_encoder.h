@@ -55,6 +55,14 @@ namespace gillian {
 /// must be destructed on the same thread, before thread exit).
 z3::context &threadZ3Context();
 
+/// The one place a Z3 solver is built: over the thread's context, as Z3's
+/// SMT core without the tactic front end of its default solver (which
+/// costs milliseconds to set up per solver and only adds tactics for
+/// one-shot checks and a tactic retry of incremental unknowns; DESIGN.md
+/// §4b), with a deterministic resource limit per check, past which the
+/// check answers unknown.
+z3::solver newZ3Solver();
+
 /// Thrown (internally only) when a subterm has no Z3 encoding; caught at
 /// conjunct granularity so the conjunct is dropped rather than the query
 /// aborted.

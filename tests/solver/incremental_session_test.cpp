@@ -6,8 +6,10 @@
 // soundness guards (per-frame type assumptions, per-frame dropped-conjunct
 // downgrades), the per-thread session pool (prefix routing, LRU eviction,
 // lazy cross-thread invalidation), a randomised differential check against
-// the cold one-shot backend, and the Solver::resetCache contract that a
-// reset clears every memo layer (result cache, simplifier memo, sessions).
+// the cold one-shot backend, nonlinear verdicts in sessions and one-shot
+// checks, the per-check resource bound, and the Solver::resetCache contract
+// that a reset clears every memo layer (result cache, simplifier memo,
+// sessions).
 //
 //===----------------------------------------------------------------------===//
 
@@ -455,6 +457,68 @@ TEST_F(IncrementalSessionTest, InvalidateAllDropsThreadSessions) {
   IncrementalSessionPool::invalidateAll();
   EXPECT_EQ(Pool.sessions(), 0u)
       << "the generation bump empties the pool on next use";
+}
+
+//===----------------------------------------------------------------------===//
+// Nonlinear verdicts and bounded checks
+//===----------------------------------------------------------------------===//
+
+TEST_F(IncrementalSessionTest, NonlinearVerdictsHoldInSessionsAndOneShot) {
+  // Every Z3 solver is Z3's SMT core without the default solver's tactics
+  // (nlsat among them), which the default solver would retry an
+  // incremental unknown with. The core must still decide these nonlinear
+  // shapes, in a pooled session and in a one-shot check alike.
+  struct Case {
+    std::vector<std::string> Conjuncts;
+    SatResult Want;
+    /// Int witnesses decode exactly; the Real witness of x*x == 2 is
+    /// irrational and has no GIL value.
+    bool ModelVerifies = false;
+  };
+  const std::vector<Case> Cases = {
+      {{"typeof(#x) == ^Num", "#x * #x == 2.0"}, SatResult::Sat},
+      {{"typeof(#x) == ^Int", "typeof(#y) == ^Int", "#x * #y == 6",
+        "1 < #x", "1 < #y"},
+       SatResult::Sat,
+       /*ModelVerifies=*/true},
+      {{"typeof(#x) == ^Int", "#x * #x == 2"}, SatResult::Unsat},
+      {{"typeof(#x) == ^Num", "#x * #x < 0.0"}, SatResult::Unsat},
+      {{"typeof(#x) == ^Num", "typeof(#y) == ^Num", "0.0 < #x", "0.0 < #y",
+        "#x * #y < 0.0"},
+       SatResult::Unsat},
+  };
+  IncrementalSessionPool Pool;
+  for (const Case &C : Cases) {
+    PathCondition P;
+    for (const std::string &T : C.Conjuncts)
+      P.add(parseGilExpr(T).take());
+    TypeEnv Types = typesOf(P);
+    EXPECT_EQ(Pool.checkSat(P, Types, 0.25, Stats), C.Want)
+        << "session: " << P.toString();
+    Z3Outcome Cold = checkSatZ3(P, Types, /*WantModel=*/true);
+    EXPECT_EQ(Cold.Verdict, C.Want) << "one-shot: " << P.toString();
+    if (C.ModelVerifies) {
+      ASSERT_TRUE(Cold.CandidateModel) << P.toString();
+      EXPECT_TRUE(Cold.CandidateModel->satisfies(P)) << P.toString();
+    }
+  }
+}
+
+TEST_F(IncrementalSessionTest, HardCheckIsBoundedAndLeavesTheSessionUsable) {
+  // x*x == y*y + 1 with 5 < x is Unsat over Int (x*x - y*y == 1 forces
+  // x = ±1), but no Z3 solver kind decides it: left unbounded, the first
+  // check outlasts the test's time bound. Every check is bounded by a
+  // deterministic resource limit, so it answers Unknown instead, and the
+  // session pops back and decides the next query.
+  PathCondition Hard = pc({"typeof(#x) == ^Int", "typeof(#y) == ^Int",
+                           "#x * #x == #y * #y + 1", "5 < #x"});
+  PathCondition Easy = pc({"typeof(#x) == ^Int", "3 < #x", "#x < 5"});
+  IncrementalSession S;
+  EXPECT_NE(check(S, Hard), SatResult::Sat);
+  EXPECT_EQ(check(S, Easy), SatResult::Sat)
+      << "the bounded check left the session usable";
+  EXPECT_NE(checkSatZ3(Hard, typesOf(Hard), /*WantModel=*/false).Verdict,
+            SatResult::Sat);
 }
 
 //===----------------------------------------------------------------------===//
