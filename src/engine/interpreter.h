@@ -41,6 +41,7 @@
 #include "obs/span.h"
 #include "obs/summary_stats.h"
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <string>
@@ -164,13 +165,15 @@ public:
       obs::BranchCoverage::instance().registerProc(Name.id(), Sites);
     }
     // Summary eligibility is syntactic and per-procedure: decide it once
-    // here (with the content fingerprint that keys the process-wide
-    // store) so the Call hot path is one hash-map probe.
+    // here so the Call hot path is one hash-map probe. The content
+    // fingerprint that keys the process-wide store is rendered on the
+    // procedure's first call (trySummary), not for every procedure of
+    // every test.
     if constexpr (SummarizableState<St>)
       if (Opts.UseSummaries)
         for (const auto &[Name, Proc] : P.procs())
           if (summaryEligible(Proc))
-            SummaryFp.emplace(Name.id(), summaryFingerprint(Proc));
+            SummaryFp.try_emplace(Name.id(), 0);
   }
 
   const EngineOptions &options() const { return Opts; }
@@ -595,8 +598,15 @@ private:
       ++G.Ineligible;
       return false;
     }
+    // Workers share this Interpreter: racing first calls render the same
+    // fingerprint, and 0 reads as "not rendered yet".
+    uint64_t Fp = It->second.load(std::memory_order_relaxed);
+    if (Fp == 0) {
+      Fp = summaryFingerprint(*PP);
+      It->second.store(Fp, std::memory_order_relaxed);
+    }
     SummaryKey Key;
-    Key.Fingerprint = It->second;
+    Key.Fingerprint = Fp;
     Key.Arg = Arg;
     Key.Slice = summarySliceForArg(C.State.pathCondition(), Arg);
 
@@ -845,9 +855,10 @@ private:
   const Prog &P;
   const EngineOptions &Opts;
   ExecStats &Stats;
-  /// Eligible procedures of P: interned name id -> content fingerprint.
-  /// Empty when summaries are off or St is not summarizable.
-  std::unordered_map<uint32_t, uint64_t> SummaryFp;
+  /// Eligible procedures of P: interned name id -> content fingerprint,
+  /// 0 until the procedure's first call. Empty when summaries are off or
+  /// St is not summarizable.
+  std::unordered_map<uint32_t, std::atomic<uint64_t>> SummaryFp;
 };
 
 } // namespace gillian

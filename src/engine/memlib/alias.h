@@ -44,9 +44,13 @@ inline Tri decide(Expr C, const PathCondition &PC, Solver &S, Expr &CondOut) {
 }
 
 /// Classifies the aliasing condition A == B under \p PC — the core
-/// question of the [S-Lookup]/[S-Mutate-*] branch loops.
+/// question of the [S-Lookup]/[S-Mutate-*] branch loops. Two literals
+/// are compared as values: simplify folds A == B through evalBinOp(Eq),
+/// which is Value equality (bitwise on Num), so no node is built.
 inline Tri decideEq(const Expr &A, const Expr &B, const PathCondition &PC,
                     Solver &S, Expr &CondOut) {
+  if (A.isLit() && B.isLit())
+    return A.litValue() == B.litValue() ? Tri::Yes : Tri::No;
   return decide(Expr::eq(A, B), PC, S, CondOut);
 }
 

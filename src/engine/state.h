@@ -184,7 +184,26 @@ public:
 
   /// [EvalExpr] of §2.3: substitute program variables by their store
   /// expressions, then simplify (when enabled).
+  ///
+  /// When every program variable \p E reads is bound to a literal, the
+  /// simplifier would fold the substituted tree to one literal through
+  /// evalUnOp/evalBinOp; that literal is computed here on values instead,
+  /// without building the tree (DESIGN.md §4j). Anything else — an
+  /// unbound or symbolic binding, an evaluation error, a state without
+  /// options (which does not simplify) — takes the symbolic path.
   Result<Expr> evalExpr(const Expr &E) const {
+    if (Opts) {
+      // A bare literal, or a variable bound to one, is its own node.
+      if (E.isLit())
+        return E;
+      if (E.isPVar()) {
+        const Expr *B = Store.lookup(E.varName());
+        if (B && B->isLit())
+          return *B;
+      } else if (std::optional<Value> V = foldLiterals(E)) {
+        return Expr::lit(std::move(*V));
+      }
+    }
     std::string Unbound;
     Expr S = E.substPVars([&](InternedString X) -> Expr {
       const Expr *B = Store.lookup(X);
@@ -298,6 +317,58 @@ public:
   const EngineOptions &options() const { return *Opts; }
 
 private:
+  /// The value of \p E over the store when every program variable it
+  /// reads is bound to a literal and no operator faults; nullopt
+  /// otherwise. Both operands of && and || are evaluated: short-circuiting
+  /// past an unbound variable would answer where substitution reports it.
+  std::optional<Value> foldLiterals(const Expr &E) const {
+    switch (E.kind()) {
+    case ExprKind::Lit:
+      return E.litValue();
+    case ExprKind::PVar: {
+      const Expr *B = Store.lookup(E.varName());
+      if (!B || !B->isLit())
+        return std::nullopt;
+      return B->litValue();
+    }
+    case ExprKind::LVar:
+      return std::nullopt;
+    case ExprKind::UnOp: {
+      std::optional<Value> C = foldLiterals(E.child(0));
+      if (!C)
+        return std::nullopt;
+      Result<Value> R = evalUnOp(E.unOpKind(), *C);
+      if (!R)
+        return std::nullopt;
+      return R.take();
+    }
+    case ExprKind::BinOp: {
+      std::optional<Value> A = foldLiterals(E.child(0));
+      if (!A)
+        return std::nullopt;
+      std::optional<Value> B = foldLiterals(E.child(1));
+      if (!B)
+        return std::nullopt;
+      Result<Value> R = evalBinOp(E.binOpKind(), *A, *B);
+      if (!R)
+        return std::nullopt;
+      return R.take();
+    }
+    case ExprKind::List: {
+      std::vector<Value> Elems;
+      Elems.reserve(E.numChildren());
+      for (size_t I = 0, N = E.numChildren(); I != N; ++I) {
+        std::optional<Value> V = foldLiterals(E.child(I));
+        if (!V)
+          return std::nullopt;
+        Elems.push_back(std::move(*V));
+      }
+      return Value::listV(std::move(Elems));
+    }
+    }
+    return std::nullopt;
+  }
+
   Expr simplified(const Expr &E) const {
     if (!Opts)
       return E;

@@ -90,7 +90,7 @@ Result<Value> gillian::evalUnOp(UnOpKind Op, const Value &V) {
   switch (Op) {
   case UnOpKind::Neg:
     if (V.isInt())
-      return Value::intV(-V.asInt());
+      return Value::intV(wrappingNeg(V.asInt()));
     if (V.isNum())
       return Value::numV(-V.asNum());
     return typeError("-", V);
@@ -132,7 +132,11 @@ Result<Value> gillian::evalUnOp(UnOpKind Op, const Value &V) {
       double D = V.asNum();
       if (std::isnan(D) || std::isinf(D))
         return Err("to_int applied to non-finite number");
-      return Value::intV(static_cast<int64_t>(std::trunc(D)));
+      // Truncations outside [-2^63, 2^63) have no int64 value.
+      double T = std::trunc(D);
+      if (T < -0x1p63 || T >= 0x1p63)
+        return Err("to_int applied to out-of-range number " + V.toString());
+      return Value::intV(static_cast<int64_t>(T));
     }
     return typeError("to_int", V);
   case UnOpKind::NumToStr: {
@@ -161,19 +165,22 @@ Result<Value> gillian::evalUnOp(UnOpKind Op, const Value &V) {
   return Err("unknown unary operator");
 }
 
-/// Shared arithmetic: exact on Int×Int, double otherwise.
+/// Shared arithmetic: two's-complement int64 on Int×Int, double otherwise.
 static Result<Value> arith(BinOpKind Op, const Value &A, const Value &B) {
   if (!A.isNumeric() || !B.isNumeric())
     return typeError(binOpSpelling(Op), A, B);
   if (A.isInt() && B.isInt()) {
     int64_t X = A.asInt(), Y = B.asInt();
     switch (Op) {
-    case BinOpKind::Add: return Value::intV(X + Y);
-    case BinOpKind::Sub: return Value::intV(X - Y);
-    case BinOpKind::Mul: return Value::intV(X * Y);
+    case BinOpKind::Add: return Value::intV(wrappingAdd(X, Y));
+    case BinOpKind::Sub: return Value::intV(wrappingSub(X, Y));
+    case BinOpKind::Mul: return Value::intV(wrappingMul(X, Y));
     case BinOpKind::Div:
       if (Y == 0)
         return Err("integer division by zero");
+      // INT64_MIN / -1 traps in hardware; it wraps to INT64_MIN.
+      if (Y == -1)
+        return Value::intV(wrappingNeg(X));
       return Value::intV(X / Y);
     default: break;
     }
@@ -214,6 +221,9 @@ Result<Value> gillian::evalBinOp(BinOpKind Op, const Value &A,
     if (A.isInt() && B.isInt()) {
       if (B.asInt() == 0)
         return Err("integer modulo by zero");
+      // INT64_MIN % -1 traps in hardware; every Int is divisible by -1.
+      if (B.asInt() == -1)
+        return Value::intV(0);
       return Value::intV(A.asInt() % B.asInt());
     }
     if (A.isNumeric() && B.isNumeric())

@@ -78,6 +78,24 @@ bool isBooleanResult(BinOpKind Op);
 /// True for Add/Sub/Mul/Div on which algebraic identities apply.
 bool isArithmetic(BinOpKind Op);
 
+/// Int arithmetic wraps in two's complement (GIL's Int is int64; the Z3
+/// encoding's Int is unbounded, see DESIGN.md §1). These are the only
+/// spellings of +, - and unary - on Ints that the operator semantics and
+/// the simplifier's offset rewrites use, so no overflow is undefined.
+inline int64_t wrappingAdd(int64_t X, int64_t Y) {
+  return static_cast<int64_t>(static_cast<uint64_t>(X) +
+                              static_cast<uint64_t>(Y));
+}
+inline int64_t wrappingSub(int64_t X, int64_t Y) {
+  return static_cast<int64_t>(static_cast<uint64_t>(X) -
+                              static_cast<uint64_t>(Y));
+}
+inline int64_t wrappingMul(int64_t X, int64_t Y) {
+  return static_cast<int64_t>(static_cast<uint64_t>(X) *
+                              static_cast<uint64_t>(Y));
+}
+inline int64_t wrappingNeg(int64_t X) { return wrappingSub(0, X); }
+
 } // namespace gillian
 
 #endif // GILLIAN_GIL_OPS_H

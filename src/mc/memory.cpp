@@ -8,6 +8,7 @@
 #include "solver/simplifier.h"
 
 #include <cstring>
+#include <optional>
 
 using namespace gillian;
 using namespace gillian::mc;
@@ -529,6 +530,25 @@ bool permOk(const SBlock &B, int64_t O, int64_t N, Perm Needed) {
 
 constexpr int64_t MaxSymbolicOffsetBlock = 1 << 12;
 
+/// The offset \p Off of an access through \p Ch into \p Blk when it is a
+/// literal Int on which int64 arithmetic reproduces the simplifier's
+/// folds of the side conditions: compare() compares Ints as doubles, so
+/// the offset, both sizes and off + size must lie strictly inside ±2^53
+/// (which also rules out overflow). Nullopt sends the access down the
+/// symbolic path.
+std::optional<int64_t> exactLiteralOffset(const Expr &Off, const Chunk &Ch,
+                                          const SBlock &Blk) {
+  if (!Off.isLit() || !Off.litValue().isInt())
+    return std::nullopt;
+  constexpr int64_t Exact = int64_t(1) << 53;
+  auto exact = [](int64_t V) { return V > -Exact && V < Exact; };
+  int64_t O = Off.litValue().asInt();
+  if (!exact(O) || !exact(Ch.Size) || !exact(Blk.Size) ||
+      !exact(O + Ch.Size))
+    return std::nullopt;
+  return O;
+}
+
 /// Resolves the block expression to stored blocks through the shared
 /// memlib alias loop (structural fast path on: blocks are distinct uSym
 /// symbols in practice); calls Body(key, block, takenCond) per alias and
@@ -632,6 +652,49 @@ McSMem::execAction(InternedString Act, const Expr &Arg,
         C.error(std::string("UB: ") + What + " after free", Taken);
         return;
       }
+      // The access at one concrete offset, once the side conditions hold:
+      // one body for literal and symbolic offsets.
+      auto AccessAt = [&](int64_t O, const Expr &Under) {
+        if (!permOk(*Blk, O, Ch->Size,
+                    IsStore ? Perm::Writable : Perm::Readable)) {
+          C.error(std::string("UB: ") + What +
+                      " without sufficient permission",
+                  Under);
+          return;
+        }
+        if (IsStore) {
+          Result<std::vector<SMemVal>> Enc = encodeSymbolic(StoredVal, *Ch);
+          if (!Enc) {
+            C.error(Enc.error(), Under);
+            return;
+          }
+          McSMem Next = *this;
+          SBlock NB = *Blk;
+          for (int64_t I = 0; I < Ch->Size; ++I)
+            NB.Bytes.set(O + I, (*Enc)[static_cast<size_t>(I)]);
+          Next.putBlock(Key, std::move(NB));
+          C.ok(std::move(Next), StoredVal, Under);
+        } else {
+          Result<Expr> V = decodeSymbolic(*Blk, O, *Ch);
+          if (!V) {
+            C.error(V.error(), Under);
+            return;
+          }
+          C.ok(*this, V.take(), Under);
+        }
+      };
+      // A literal offset decides both side conditions on int64s, to the
+      // verdicts simplify folds them to: the branches checkOrError emits,
+      // in its order, under Taken (DESIGN.md §4j).
+      if (std::optional<int64_t> O = exactLiteralOffset(Off, *Ch, *Blk)) {
+        if (*O < 0 || *O + Ch->Size > Blk->Size)
+          C.error(std::string("UB: out-of-bounds ") + What, Taken);
+        else if (Ch->Align > 1 && *O % Ch->Align != 0)
+          C.error(std::string("UB: unaligned ") + What, Taken);
+        else
+          AccessAt(*O, Taken);
+        return;
+      }
       // Bounds: 0 <= off && off + sz <= size (the SLoad side conditions).
       Expr InBounds = Expr::andE(
           Expr::le(Expr::intE(0), Off),
@@ -649,58 +712,22 @@ McSMem::execAction(InternedString Act, const Expr &Arg,
         C.checkOrError(Aligned, U1,
                        std::string("UB: unaligned ") + What, [&](Expr U2) {
           // Concrete-offset fast path, or branch over candidates.
-          std::vector<int64_t> Candidates;
           Expr OffS = simplify(Off);
           if (OffS.isLit() && OffS.litValue().isInt()) {
-            Candidates.push_back(OffS.litValue().asInt());
-          } else {
-            if (Blk->Size > MaxSymbolicOffsetBlock) {
-              C.error("engine limit: symbolic offset into a large block",
-                      U2);
-              return;
-            }
-            int64_t Step = std::max<int64_t>(Ch->Align, 1);
-            for (int64_t O = 0; O + Ch->Size <= Blk->Size; O += Step)
-              Candidates.push_back(O);
+            AccessAt(OffS.litValue().asInt(), U2);
+            return;
           }
-          for (int64_t O : Candidates) {
-            Expr Under = U2;
-            if (!(OffS.isLit() && OffS.litValue().isInt())) {
-              Expr Cond;
-              Tri T = memlib::decide(Expr::eq(Off, Expr::intE(O)), PC, S, Cond);
-              if (T == Tri::No)
-                continue;
-              if (T == Tri::Maybe)
-                Under = simplify(Expr::andE(U2, Cond));
-            }
-            if (!permOk(*Blk, O, Ch->Size,
-                        IsStore ? Perm::Writable : Perm::Readable)) {
-              C.error(std::string("UB: ") + What +
-                          " without sufficient permission",
-                      Under);
+          if (Blk->Size > MaxSymbolicOffsetBlock) {
+            C.error("engine limit: symbolic offset into a large block", U2);
+            return;
+          }
+          int64_t Step = std::max<int64_t>(Ch->Align, 1);
+          for (int64_t O = 0; O + Ch->Size <= Blk->Size; O += Step) {
+            Expr Cond;
+            Tri T = memlib::decide(Expr::eq(Off, Expr::intE(O)), PC, S, Cond);
+            if (T == Tri::No)
               continue;
-            }
-            if (IsStore) {
-              Result<std::vector<SMemVal>> Enc =
-                  encodeSymbolic(StoredVal, *Ch);
-              if (!Enc) {
-                C.error(Enc.error(), Under);
-                continue;
-              }
-              McSMem Next = *this;
-              SBlock NB = *Blk;
-              for (int64_t I = 0; I < Ch->Size; ++I)
-                NB.Bytes.set(O + I, (*Enc)[static_cast<size_t>(I)]);
-              Next.putBlock(Key, std::move(NB));
-              C.ok(std::move(Next), StoredVal, Under);
-            } else {
-              Result<Expr> V = decodeSymbolic(*Blk, O, *Ch);
-              if (!V) {
-                C.error(V.error(), Under);
-                continue;
-              }
-              C.ok(*this, V.take(), Under);
-            }
+            AccessAt(O, T == Tri::Maybe ? simplify(Expr::andE(U2, Cond)) : U2);
           }
         });
       });

@@ -335,7 +335,8 @@ Expr simplifyBinOp(BinOpKind Op, const Expr &A, const Expr &B,
       if (asIntOffset(A, Base, Off) && B.isLit() && B.litValue().isInt() &&
           intTyped(Base))
         return simplifyNode(
-            Expr::eq(Base, Expr::intE(B.litValue().asInt() - Off)), Env);
+            Expr::eq(Base, Expr::intE(wrappingSub(B.litValue().asInt(), Off))),
+            Env);
     }
     break;
   }
@@ -355,7 +356,8 @@ Expr simplifyBinOp(BinOpKind Op, const Expr &A, const Expr &B,
     if (asIntOffset(A, Base, Off) && B.isLit() && B.litValue().isInt() &&
         intTyped(Base))
       return simplifyNode(
-          Expr::add(Base, Expr::intE(Off + B.litValue().asInt())), Env);
+          Expr::add(Base, Expr::intE(wrappingAdd(Off, B.litValue().asInt()))),
+          Env);
     break;
   }
   case BinOpKind::Sub: {
@@ -363,7 +365,8 @@ Expr simplifyBinOp(BinOpKind Op, const Expr &A, const Expr &B,
       if (B.litValue().asInt() == 0)
         return A;
       // e - c -> e + (-c), canonicalising offset chains.
-      return simplifyNode(Expr::add(A, Expr::intE(-B.litValue().asInt())), Env);
+      return simplifyNode(
+          Expr::add(A, Expr::intE(wrappingNeg(B.litValue().asInt()))), Env);
     }
     if (A == B && intTyped(A) && isTotal(A, Env))
       return Expr::intE(0);
@@ -392,11 +395,11 @@ Expr simplifyBinOp(BinOpKind Op, const Expr &A, const Expr &B,
     if (asIntOffset(A, Base, Off) && B.isLit() && B.litValue().isInt() &&
         intTyped(Base))
       return simplifyNode(Expr::binOp(
-          Op, Base, Expr::intE(B.litValue().asInt() - Off)), Env);
+          Op, Base, Expr::intE(wrappingSub(B.litValue().asInt(), Off))), Env);
     if (asIntOffset(B, Base, Off) && A.isLit() && A.litValue().isInt() &&
         intTyped(Base))
       return simplifyNode(Expr::binOp(
-          Op, Expr::intE(A.litValue().asInt() - Off), Base), Env);
+          Op, Expr::intE(wrappingSub(A.litValue().asInt(), Off)), Base), Env);
     if (A == B && isTotal(A, Env) &&
         (intTyped(A) || staticType(A, Env) == GilType::Str))
       return Expr::boolE(Op == BinOpKind::Le);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 using namespace gillian;
 
@@ -31,6 +32,31 @@ TEST(Ops, IntArithmeticIsExact) {
   int64_t Big = (1ll << 60) + 1;
   EXPECT_EQ(binop(BinOpKind::Add, Value::intV(Big), Value::intV(1)).asInt(),
             Big + 1);
+}
+
+TEST(Ops, IntArithmeticWrapsInTwosComplement) {
+  const int64_t Max = std::numeric_limits<int64_t>::max();
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  auto I = [](int64_t X) { return Value::intV(X); };
+  EXPECT_EQ(binop(BinOpKind::Add, I(Max), I(1)).asInt(), Min);
+  EXPECT_EQ(binop(BinOpKind::Sub, I(Min), I(1)).asInt(), Max);
+  EXPECT_EQ(binop(BinOpKind::Mul, I(Max), I(2)).asInt(), -2);
+  EXPECT_EQ(binop(BinOpKind::Mul, I(Min), I(-1)).asInt(), Min);
+  EXPECT_EQ(unop(UnOpKind::Neg, I(Min)).asInt(), Min);
+  EXPECT_EQ(unop(UnOpKind::Neg, I(Max)).asInt(), Min + 1);
+}
+
+TEST(Ops, DivisionByMinusOneNeverTraps) {
+  // INT64_MIN / -1 and INT64_MIN % -1 raise SIGFPE on x86-64 when done
+  // natively; they wrap to INT64_MIN and 0.
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  auto I = [](int64_t X) { return Value::intV(X); };
+  EXPECT_EQ(binop(BinOpKind::Div, I(Min), I(-1)).asInt(), Min);
+  EXPECT_EQ(binop(BinOpKind::Mod, I(Min), I(-1)).asInt(), 0);
+  EXPECT_EQ(binop(BinOpKind::Div, I(7), I(-1)).asInt(), -7);
+  EXPECT_EQ(binop(BinOpKind::Mod, I(7), I(-1)).asInt(), 0);
+  EXPECT_EQ(binop(BinOpKind::Div, I(Min), I(1)).asInt(), Min);
+  EXPECT_EQ(binop(BinOpKind::Mod, I(Min), I(2)).asInt(), 0);
 }
 
 TEST(Ops, MixedArithmeticWidensToNum) {
@@ -132,9 +158,25 @@ TEST(Ops, Conversions) {
   EXPECT_EQ(unop(UnOpKind::ToInt, Value::numV(-2.7)).asInt(), -2)
       << "to_int truncates toward zero";
   EXPECT_FALSE(evalUnOp(UnOpKind::ToInt, Value::numV(INFINITY)).ok());
+  EXPECT_FALSE(evalUnOp(UnOpKind::ToInt, Value::numV(NAN)).ok());
   EXPECT_EQ(unop(UnOpKind::NumToStr, Value::intV(12)).asStr().str(), "12");
   EXPECT_DOUBLE_EQ(unop(UnOpKind::StrToNum, Value::strV("2.5")).asNum(), 2.5);
   EXPECT_FALSE(evalUnOp(UnOpKind::StrToNum, Value::strV("2x")).ok());
+}
+
+TEST(Ops, ToIntOutsideInt64Faults) {
+  // Truncations in [-2^63, 2^63) convert; anything outside has no int64.
+  auto ToInt = [](double D) {
+    return evalUnOp(UnOpKind::ToInt, Value::numV(D));
+  };
+  EXPECT_EQ(ToInt(-0x1p63)->asInt(), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(ToInt(0x1.fffffffffffffp62)->asInt(), 9223372036854774784);
+  EXPECT_EQ(ToInt(-0.0)->asInt(), 0);
+  EXPECT_FALSE(ToInt(0x1p63).ok());
+  EXPECT_FALSE(ToInt(-0x1.0000000000001p63).ok());
+  EXPECT_FALSE(ToInt(9.3e18).ok());
+  EXPECT_FALSE(ToInt(-1e300).ok());
+  EXPECT_NE(ToInt(1e19).error().find("out-of-range"), std::string::npos);
 }
 
 TEST(Ops, BitwiseAndShifts) {

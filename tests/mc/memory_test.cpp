@@ -298,3 +298,140 @@ TEST(McSMemT, InterpretationEncodesFragmentsAsBytes) {
                 ->asInt(),
             0x08);
 }
+
+// --- Symbolic, literal offsets ----------------------------------------------
+//
+// A literal offset decides the bounds and alignment side conditions on
+// int64s. These pin the branches it must emit — the ones checkOrError
+// emits when simplify folds the conditions: one fault, with checkOrError's
+// message, under the block's taken condition (`true` for a structural
+// block hit), bounds before alignment before permission.
+
+namespace {
+
+/// A symbolic memory holding one 16-byte block $b with 7 stored at 0.
+McSMem sblock16(const PathCondition &PC, Solver &S) {
+  McSMem M;
+  Expr B = Expr::lit(blockSym("$b"));
+  auto A = M.execAction(actAlloc(), eargs({B, Expr::intE(16)}), PC, S);
+  EXPECT_TRUE(A.ok());
+  Chunk C8{8, 8, ChunkKind::Int};
+  auto St = (*A)[0].Mem.execAction(actStore(),
+                                   eargs({Expr::lit(chunkValue(C8)), B,
+                                          Expr::intE(0), Expr::intE(7)}),
+                                   PC, S);
+  EXPECT_TRUE(St.ok());
+  return (*St)[0].Mem;
+}
+
+std::vector<SymActionBranch<McSMem>> sAccess(const McSMem &M, bool IsStore,
+                                             Chunk C, Expr Off,
+                                             const PathCondition &PC,
+                                             Solver &S) {
+  Expr B = Expr::lit(blockSym("$b"));
+  Expr Arg = IsStore ? eargs({Expr::lit(chunkValue(C)), B, Off, Expr::intE(1)})
+                     : eargs({Expr::lit(chunkValue(C)), B, Off});
+  auto R = M.execAction(IsStore ? actStore() : actLoad(), Arg, PC, S);
+  EXPECT_TRUE(R.ok()) << (R.ok() ? "" : R.error());
+  return R.ok() ? R.take() : std::vector<SymActionBranch<McSMem>>();
+}
+
+/// Exactly one fault branch carrying \p Msg under the condition `true`.
+void expectOneFault(const std::vector<SymActionBranch<McSMem>> &Out,
+                    const std::string &Msg) {
+  ASSERT_EQ(Out.size(), 1u) << Msg;
+  EXPECT_TRUE(Out[0].IsError);
+  EXPECT_EQ(Out[0].Ret, Expr::strE(Msg));
+  ASSERT_TRUE(Out[0].Cond);
+  EXPECT_TRUE(Out[0].Cond.isTrue()) << Out[0].Cond.toString();
+}
+
+} // namespace
+
+TEST(McSMemT, LiteralOffsetPastTheEndIsOutOfBounds) {
+  Solver S;
+  PathCondition PC;
+  McSMem M = sblock16(PC, S);
+  Chunk C8{8, 8, ChunkKind::Int};
+  expectOneFault(sAccess(M, false, C8, Expr::intE(16), PC, S),
+                 "UB: out-of-bounds load");
+  expectOneFault(sAccess(M, true, C8, Expr::intE(16), PC, S),
+                 "UB: out-of-bounds store");
+  // Straddling the end: the offset is in, the last byte is not.
+  expectOneFault(sAccess(M, false, Chunk{4, 4, ChunkKind::Int},
+                         Expr::intE(14), PC, S),
+                 "UB: out-of-bounds load");
+  // The last slot is in bounds.
+  auto Last = sAccess(M, true, C8, Expr::intE(8), PC, S);
+  ASSERT_EQ(Last.size(), 1u);
+  EXPECT_FALSE(Last[0].IsError);
+}
+
+TEST(McSMemT, LiteralNegativeOffsetIsOutOfBounds) {
+  Solver S;
+  PathCondition PC;
+  McSMem M = sblock16(PC, S);
+  expectOneFault(sAccess(M, true, Chunk{8, 8, ChunkKind::Int}, Expr::intE(-8),
+                         PC, S),
+                 "UB: out-of-bounds store");
+  expectOneFault(sAccess(M, false, Chunk{1, 1, ChunkKind::Int},
+                         Expr::intE(-1), PC, S),
+                 "UB: out-of-bounds load");
+}
+
+TEST(McSMemT, LiteralUnalignedOffsetFaultsAfterTheBoundsCheck) {
+  Solver S;
+  PathCondition PC;
+  McSMem M = sblock16(PC, S);
+  Chunk C8{8, 8, ChunkKind::Int};
+  expectOneFault(sAccess(M, false, C8, Expr::intE(4), PC, S),
+                 "UB: unaligned load");
+  expectOneFault(sAccess(M, true, C8, Expr::intE(2), PC, S),
+                 "UB: unaligned store");
+  // Out of bounds and unaligned: the bounds fault is the one reported.
+  expectOneFault(sAccess(M, true, C8, Expr::intE(12), PC, S),
+                 "UB: out-of-bounds store");
+  // Byte chunks have no alignment requirement.
+  auto Byte = sAccess(M, false, Chunk{1, 1, ChunkKind::Int}, Expr::intE(3),
+                      PC, S);
+  ASSERT_EQ(Byte.size(), 1u);
+  EXPECT_FALSE(Byte[0].IsError);
+}
+
+TEST(McSMemT, LiteralOffsetWithoutPermissionFaults) {
+  Solver S;
+  PathCondition PC;
+  McSMem M = sblock16(PC, S);
+  auto D = M.execAction(actDropPerm(),
+                        eargs({Expr::lit(blockSym("$b")), Expr::intE(0),
+                               Expr::intE(8),
+                               Expr::intE(static_cast<int64_t>(
+                                   Perm::Readable))}),
+                        PC, S);
+  ASSERT_TRUE(D.ok());
+  const McSMem &RO = (*D)[0].Mem;
+  Chunk C8{8, 8, ChunkKind::Int};
+  expectOneFault(sAccess(RO, true, C8, Expr::intE(0), PC, S),
+                 "UB: store without sufficient permission");
+  auto Ld = sAccess(RO, false, C8, Expr::intE(0), PC, S);
+  ASSERT_EQ(Ld.size(), 1u);
+  EXPECT_FALSE(Ld[0].IsError);
+  EXPECT_EQ(Ld[0].Ret, Expr::intE(7));
+  // The other half of the block stays writable.
+  auto St = sAccess(RO, true, C8, Expr::intE(8), PC, S);
+  ASSERT_EQ(St.size(), 1u);
+  EXPECT_FALSE(St[0].IsError);
+}
+
+TEST(McSMemT, LiteralOffsetsOutsideTheExactRangeKeepTheSymbolicVerdict) {
+  // Offsets whose double image is inexact take the symbolic path, which
+  // reaches the same fault for these.
+  Solver S;
+  PathCondition PC;
+  McSMem M = sblock16(PC, S);
+  Chunk C8{8, 8, ChunkKind::Int};
+  expectOneFault(sAccess(M, false, C8, Expr::intE((1ll << 53) + 8), PC, S),
+                 "UB: out-of-bounds load");
+  expectOneFault(sAccess(M, false, C8, Expr::intE(-(1ll << 60)), PC, S),
+                 "UB: out-of-bounds load");
+}

@@ -171,3 +171,20 @@ TEST(McSymbolic, LegacyConfigAgrees) {
   EXPECT_EQ(Fast.ok(), Slow.ok());
   EXPECT_EQ(Fast.PathsReturned, Slow.PathsReturned);
 }
+
+TEST(McSymbolic, Int64MinByMinusOneWrapsInsteadOfTrapping) {
+  // Done natively, INT64_MIN % -1 and INT64_MIN / -1 raise SIGFPE; GIL
+  // Int arithmetic wraps in two's complement instead.
+  SymbolicTestResult R = runSym(R"(
+    fn main() -> i64 {
+      var x: i64 = 0 - 9223372036854775807 - 1;
+      var y: i64 = x % (0 - 1);
+      var z: i64 = x / (0 - 1);
+      assert(y == 0);
+      assert(z == x);
+      assert(0 - x == x);
+      return y;
+    })");
+  EXPECT_TRUE(R.verified()) << (R.Bugs.empty() ? "" : R.Bugs[0].Message);
+  EXPECT_EQ(R.PathsReturned, 1u);
+}
