@@ -1,12 +1,11 @@
 //===- bench/bench_ablation_engine.cpp ------------------------------------===//
 //
 // Ablation of the engine improvements §4.1 credits for the ~2x speedup of
-// Gillian-JS over JaVerT 2.0: expression simplification, the
-// simplification memo, solver result caching, independence slicing, the
-// syntactic solver layer, and incremental Z3 sessions. Each row disables
-// one ingredient on the
-// full Buckets workload and reports the solver cache hit rate; a final
-// JSON line carries the per-configuration solver-layer statistics.
+// Gillian-JS over JaVerT 2.0: solver result caching, independence
+// slicing, the syntactic solver layer, and incremental Z3 sessions. Each
+// row disables one ingredient on the full Buckets workload and reports
+// the solver cache hit rate; a final JSON line carries the
+// per-configuration solver-layer statistics.
 // --quick runs only the full and parallel rows.
 //
 //===----------------------------------------------------------------------===//
@@ -95,12 +94,6 @@ int main(int argc, char **argv) {
   };
   const Config Configs[] = {
       {"full (Gillian)", true, [] { return EngineOptions(); }},
-      {"no simplifier cache", false,
-       [] {
-         EngineOptions O;
-         O.UseSimplifierCache = false;
-         return O;
-       }},
       {"no solver cache", false,
        [] {
          EngineOptions O;
@@ -123,16 +116,6 @@ int main(int argc, char **argv) {
        [] {
          EngineOptions O;
          O.Solver.UseIncremental = false;
-         return O;
-       }},
-      // Every callee body re-executed at every call site — the ablation
-      // of the procedure summary cache (DESIGN.md §4g). Identical
-      // results by the summary_differential_test invariant; the delta is
-      // pure re-execution cost.
-      {"no procedure summaries", false,
-       [] {
-         EngineOptions O;
-         O.UseSummaries = false;
          return O;
        }},
       // Every query the syntactic core leaves undecided answers Unknown
@@ -179,8 +162,6 @@ int main(int argc, char **argv) {
     // solver cache, which would otherwise warm every later row.
     bench::coldStart();
     EngineOptions O = C.Make();
-    if (!Args.Summaries)
-      O.UseSummaries = false; // --no-summaries ablates every row at once
     RunResult R = runAll(O, C.AllowAlarms);
     if (Base == 0)
       Base = R.Seconds;

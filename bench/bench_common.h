@@ -20,12 +20,7 @@
 ///   --cache-file=FILE           persist the canonical solver result cache
 ///                               across invocations: load FILE at startup
 ///                               (and re-seed it after every coldStart()),
-///                               save the cache back at exit. The
-///                               procedure summary store persists
-///                               alongside, in FILE.summaries
-///   --no-summaries              disable the procedure summary cache in
-///                               the Gillian-configured rows (the
-///                               ablation of DESIGN.md §4g)
+///                               save the cache back at exit
 ///   --serve=HOST:PORT           start the live introspection HTTP server
 ///                               (/metrics /stats /trace /progress
 ///                               /healthz); PORT 0 binds an ephemeral port,
@@ -60,7 +55,6 @@
 #ifndef GILLIAN_BENCH_BENCH_COMMON_H
 #define GILLIAN_BENCH_BENCH_COMMON_H
 
-#include "engine/summary/summary_store.h"
 #include "obs/exporters.h"
 #include "obs/introspect/introspect_server.h"
 #include "obs/introspect/sampler.h"
@@ -88,9 +82,6 @@ struct BenchArgs {
   /// inline solving; --async=N routes undecided queries through the
   /// batching/deduplicating service).
   uint32_t Async = 0;
-  /// Procedure summary cache of the Gillian-configured rows
-  /// (--no-summaries turns it off; the legacy rows never use it).
-  bool Summaries = true;
   bool Json = true;     ///< emit the trailing machine-readable JSON line
   bool ObsDetail = false; ///< per-step / per-simplify detail spans
   std::string TraceOut;   ///< chrome://tracing output path ("" = off)
@@ -139,8 +130,6 @@ inline BenchArgs parseBenchArgs(int &argc, char **argv) {
       Args.Workers = parseWorkers(A + 10);
     } else if (std::strcmp(A, "--workers") == 0) {
       Args.Workers = parseWorkers(nextValue(In, "--workers"));
-    } else if (std::strcmp(A, "--no-summaries") == 0) {
-      Args.Summaries = false;
     } else if (std::strncmp(A, "--async=", 8) == 0) {
       Args.Async = static_cast<uint32_t>(parseMs("--async", A + 8));
     } else if (std::strcmp(A, "--async") == 0) {
@@ -210,11 +199,6 @@ inline std::string &persistedCacheFile() {
   return Path;
 }
 
-/// The summary-store sibling of a --cache-file path.
-inline std::string summaryCacheFile(const std::string &CachePath) {
-  return CachePath + ".summaries";
-}
-
 /// Seeds the process-wide result cache from a persisted cache file.
 inline long loadPersistedCache(const std::string &Path) {
   Solver S(SolverOptions(), SolverCache::process());
@@ -264,12 +248,6 @@ inline void setupObs(const BenchArgs &Args) {
       std::fprintf(stderr, "[bench] warm start: %ld solver-cache entries "
                            "from %s\n",
                    N, Args.CacheFile.c_str());
-    long M =
-        ProcedureSummaryStore::process().load(summaryCacheFile(Args.CacheFile));
-    if (M > 0)
-      std::fprintf(stderr, "[bench] warm start: %ld procedure summaries "
-                           "from %s\n",
-                   M, summaryCacheFile(Args.CacheFile).c_str());
   }
 }
 
@@ -336,32 +314,20 @@ inline void finishObs(BenchArgs Args) {
     else
       std::fprintf(stderr, "[bench] failed to save solver cache to %s\n",
                    Args.CacheFile.c_str());
-    long M =
-        ProcedureSummaryStore::process().save(summaryCacheFile(Args.CacheFile));
-    if (M >= 0)
-      std::fprintf(stderr, "[bench] saved %ld procedure summaries to %s\n",
-                   M, summaryCacheFile(Args.CacheFile).c_str());
-    else
-      std::fprintf(stderr, "[bench] failed to save summaries to %s\n",
-                   summaryCacheFile(Args.CacheFile).c_str());
   }
 }
 
 /// A genuinely cold solver for the next timed configuration:
 /// Solver::resetCache over the process-wide result cache colds every
 /// memoised layer runSuite feeds (which would otherwise warm every later
-/// row) — the result cache, the simplifier memo, every thread's
-/// incremental Z3 sessions, and the procedure summary store.
-/// Under --cache-file the result cache and the summary store are then
-/// re-seeded from the persisted entries — the explicit opt-in warm start,
-/// identical for every row.
+/// row) — the result cache and every thread's incremental Z3 sessions.
+/// Under --cache-file the result cache is then re-seeded from the
+/// persisted entries — the explicit opt-in warm start, identical for
+/// every row.
 inline void coldStart() {
   Solver(SolverOptions(), SolverCache::process()).resetCache();
-  if (!persistedCacheFile().empty()) {
+  if (!persistedCacheFile().empty())
     loadPersistedCache(persistedCacheFile());
-    ProcedureSummaryStore::process().load(
-        summaryCacheFile(persistedCacheFile()));
-  }
 }
 
 inline double seconds(std::chrono::steady_clock::time_point From) {

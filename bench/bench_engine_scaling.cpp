@@ -64,13 +64,11 @@ std::string deadCodeProgram(int L) {
 }
 
 SymbolicTestResult runProgram(const std::string &Src, uint32_t Workers = 1,
-                              uint32_t Async = 0,
-                              bool Summaries = true) {
+                              uint32_t Async = 0) {
   Result<Prog> P = compileWhileSource(Src);
   if (!P)
     std::abort();
   EngineOptions Opts;
-  Opts.UseSummaries = Summaries;
   Opts.LoopBound = 64;
   Opts.Scheduler.Workers = Workers;
   Opts.Solver.AsyncSolvers = Async;
@@ -172,8 +170,7 @@ int main(int argc, char **argv) {
   for (uint32_t Workers : Sweep) {
     bench::coldStart(); // cold per count: same starting state for all
     auto T0 = std::chrono::steady_clock::now();
-    SymbolicTestResult R =
-        runProgram(Src, Workers, Args.Async, Args.Summaries);
+    SymbolicTestResult R = runProgram(Src, Workers, Args.Async);
     double Sec = bench::seconds(T0);
     if (Workers == 1)
       BaseSec = Sec;
@@ -203,7 +200,6 @@ int main(int argc, char **argv) {
   W.field("bench", "engine_scaling");
   W.field("workload", "diamond_10");
   W.field("paths", 1024);
-  W.field("summaries", Args.Summaries);
   W.key("worker_sweep");
   W.beginArray();
   W.raw(SweepJson);

@@ -60,14 +60,12 @@ int main(int argc, char **argv) {
     }
     coldStart();
     EngineOptions Opts;
-    Opts.UseSummaries = Args.Summaries;
     auto T0 = std::chrono::steady_clock::now();
     SuiteResult R = runSuite<LinearSMem>(S.Name, *P, Opts);
     double Sec = seconds(T0);
 
     coldStart();
     EngineOptions ParOpts;
-    ParOpts.UseSummaries = Args.Summaries;
     ParOpts.Scheduler.Workers = ParWorkers;
     ParOpts.Solver.AsyncSolvers = Args.Async;
     T0 = std::chrono::steady_clock::now();
@@ -140,7 +138,6 @@ int main(int argc, char **argv) {
     obs::JsonWriter W;
     W.beginObject();
     W.field("bench", "linear");
-    W.field("summaries", Args.Summaries);
     W.key("suites");
     W.beginArray();
     W.raw(SuitesJson);

@@ -101,16 +101,6 @@ static void BM_SimplifyOffsetChain(benchmark::State &State) {
 }
 BENCHMARK(BM_SimplifyOffsetChain);
 
-static void BM_SimplifyCachedHit(benchmark::State &State) {
-  TypeEnv Env;
-  Env.assign(InternedString::get("#p"), GilType::Int);
-  Expr E = parse("((((#p + 8) + 8) + 16) + 8) == 48");
-  simplifyCached(E, &Env); // warm
-  for (auto _ : State)
-    benchmark::DoNotOptimize(simplifyCached(E, &Env));
-}
-BENCHMARK(BM_SimplifyCachedHit);
-
 static void BM_SimplifyListDecomposition(benchmark::State &State) {
   Expr E = parse("[$a, #x + 4] == [$a, 12]");
   for (auto _ : State)

@@ -134,7 +134,6 @@ int main(int argc, char **argv) {
     // Gillian configuration.
     coldStart();
     EngineOptions Gjs;
-    Gjs.UseSummaries = Args.Summaries;
     obs::SpanSnapshot SpansBefore = obs::SpanTable::global().snapshot();
     T0 = std::chrono::steady_clock::now();
     SuiteResult RGjs = runSuite<MjsSMem>(S.Name, *P, Gjs);
@@ -145,7 +144,6 @@ int main(int argc, char **argv) {
     // Gillian configuration, parallel exploration (4 workers).
     coldStart();
     EngineOptions Par;
-    Par.UseSummaries = Args.Summaries;
     Par.Scheduler.Workers = ParWorkers;
     Par.Solver.AsyncSolvers = ParAsync;
     T0 = std::chrono::steady_clock::now();
@@ -195,9 +193,8 @@ int main(int argc, char **argv) {
   std::printf("Paper shape check: 74 tests; J2 slower than GJS overall and on "
               "the solver-heavy rows (paper: ~2x overall; sub-millisecond "
               "rows are noise-dominated).\n"
-              "The baseline runs without the result cache, slicing, "
-              "incremental sessions, the simplifier memo and summaries, "
-              "so its gap grows with the solver queries a row repeats; "
+              "The baseline runs without the result cache, slicing "
+              "and incremental sessions, so its gap grows with the solver queries a row repeats; "
               "see bench_ablation_engine for the decomposition.\n"
               "Time(P4) explores each test on a 4-worker work-stealing "
               "pool sharing one solver cache; ParSpd = Time(GJS)/Time(P4) "
@@ -251,7 +248,6 @@ int main(int argc, char **argv) {
       obs::journal::reset();
       obs::journal::setEnabled(JournalOn);
       EngineOptions G;
-      G.UseSummaries = Args.Summaries;
       obs::SpanSnapshot Spans0 = obs::SpanTable::global().snapshot();
       uint64_t Cmds = 0;
       auto T0 = std::chrono::steady_clock::now();
@@ -342,7 +338,6 @@ int main(int argc, char **argv) {
     obs::JsonWriter W;
     W.beginObject();
     W.field("bench", "table1_buckets");
-    W.field("summaries", Args.Summaries);
     W.key("suites");
     W.beginArray();
     W.raw(SuitesJson);

@@ -68,7 +68,6 @@ int main(int argc, char **argv) {
     }
     coldStart();
     EngineOptions Opts;
-    Opts.UseSummaries = Args.Summaries;
     auto T0 = std::chrono::steady_clock::now();
     SuiteResult R = runSuite<McSMem>(S.Name, *P, Opts);
     double Sec = seconds(T0);
@@ -76,7 +75,6 @@ int main(int argc, char **argv) {
     // Same suite on the 4-worker scheduler, from a cold cache again.
     coldStart();
     EngineOptions ParOpts;
-    ParOpts.UseSummaries = Args.Summaries;
     ParOpts.Scheduler.Workers = ParWorkers;
     ParOpts.Solver.AsyncSolvers = Args.Async;
     T0 = std::chrono::steady_clock::now();
@@ -154,7 +152,6 @@ int main(int argc, char **argv) {
     obs::JsonWriter W;
     W.beginObject();
     W.field("bench", "table2_collections");
-    W.field("summaries", Args.Summaries);
     W.key("suites");
     W.beginArray();
     W.raw(SuitesJson);

@@ -32,20 +32,14 @@
 #include "engine/options.h"
 #include "engine/state.h"
 #include "engine/stats.h"
-#include "engine/summary/record.h"
-#include "engine/summary/summary_store.h"
 #include "gil/prog.h"
 #include "obs/coverage.h"
 #include "obs/journal/journal.h"
 #include "obs/progress.h"
 #include "obs/span.h"
-#include "obs/summary_stats.h"
 
-#include <atomic>
-#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -76,23 +70,6 @@ concept StateModel =
         CS.asProcId(V)
       } -> std::same_as<std::optional<InternedString>>;
       { St::errorValue(std::string()) } -> std::same_as<typename St::ValueT>;
-    };
-
-/// The extra surface the procedure summary cache (engine/summary/) needs
-/// from a state model: a path condition over Expr values it can slice and
-/// splice, plus the solver/options plumbing to build recording entry
-/// states. SymbolicState models it; ConcreteState does not (concrete runs
-/// never consult the store — replay is a path-condition transformation).
-template <typename St>
-concept SummarizableState =
-    StateModel<St> && std::same_as<typename St::ValueT, Expr> &&
-    requires(St S, const St CS, const Expr &E) {
-      { CS.pathCondition() } -> std::same_as<const PathCondition &>;
-      { S.spliceConjunct(E) };
-      { CS.solver() } -> std::same_as<Solver &>;
-      { CS.options() } -> std::same_as<const EngineOptions &>;
-      requires std::constructible_from<St, typename St::MemT, Solver *,
-                                       const EngineOptions *>;
     };
 
 /// Terminal outcomes o ∈ O (§2.1), extended with the bounded-exploration
@@ -137,12 +114,6 @@ public:
     InternedString CurProc;
     size_t I;
     uint32_t Backjumps;
-    /// Summary replay position (engine/summary/): while set, step()
-    /// replays one SummaryNode per call instead of executing Body[I] —
-    /// CurProc/I stay parked at the Call command until the terminal
-    /// splices its outcome back into this caller.
-    std::shared_ptr<const SummaryEntry> Replay;
-    uint32_t ReplayNode = 0;
     /// Execution-journal path-node id (obs/journal/): extended with k
     /// fresh ids at every k>=2-output step, mirroring the scheduler's
     /// branch-trace PathId rules. 0 while the journal is disabled.
@@ -164,16 +135,6 @@ public:
           ++Sites;
       obs::BranchCoverage::instance().registerProc(Name.id(), Sites);
     }
-    // Summary eligibility is syntactic and per-procedure: decide it once
-    // here so the Call hot path is one hash-map probe. The content
-    // fingerprint that keys the process-wide store is rendered on the
-    // procedure's first call (trySummary), not for every procedure of
-    // every test.
-    if constexpr (SummarizableState<St>)
-      if (Opts.UseSummaries)
-        for (const auto &[Name, Proc] : P.procs())
-          if (summaryEligible(Proc))
-            SummaryFp.try_emplace(Name.id(), 0);
   }
 
   const EngineOptions &options() const { return Opts; }
@@ -190,7 +151,7 @@ public:
     typename St::StoreT Store;
     Store.set(Main->Param, std::move(Arg));
     Init.setStore(std::move(Store));
-    Config C{std::move(Init), {}, Entry, 0, 0, nullptr};
+    Config C{std::move(Init), {}, Entry, 0, 0};
     if (obs::journal::enabled()) {
       C.JPath = obs::journal::allocPathIds(1);
       obs::journal::emitRoot(C.JPath, Entry.id());
@@ -204,11 +165,6 @@ public:
   /// atomic counters in Stats.
   template <typename Sink> void step(Config C, Sink &S) {
     ++C.JSteps;
-    if constexpr (SummarizableState<St>)
-      if (C.Replay) {
-        replayStep(std::move(C), S);
-        return;
-      }
     obs::DetailSpan StepSpan(obs::SpanKind::Step);
     const Proc *Cur = P.find(C.CurProc);
     assert(Cur && "current procedure disappeared");
@@ -385,9 +341,6 @@ public:
                std::move(C.State));
         return;
       }
-      if constexpr (SummarizableState<St>)
-        if (!SummaryFp.empty() && trySummary(C, *F, PP, *Arg, S))
-          return;
       // The frame records the *caller's* procedure, store, resume index
       // and loop budget, all restored on return.
       C.Stack.push_back(Frame<St>{C.CurProc, Command.X, C.State.getStore(),
@@ -568,7 +521,7 @@ private:
   /// Path-condition size for journal PC-delta accounting (0 for state
   /// models without a path condition — concrete runs).
   static uint32_t journalPcSize([[maybe_unused]] const St &S) {
-    if constexpr (SummarizableState<St>)
+    if constexpr (requires { S.pathCondition(); })
       return static_cast<uint32_t>(S.pathCondition().conjuncts().size());
     else
       return 0;
@@ -580,285 +533,9 @@ private:
     finish(S, OutcomeKind::Error, St::errorValue(Msg), std::move(C.State));
   }
 
-  //===--------------------------------------------------------------------//
-  // Procedure summary cache (engine/summary/, DESIGN.md §4g)
-  //===--------------------------------------------------------------------//
-
-  /// Answers the call `Command.X := F(Arg)` at C from the process-wide
-  /// summary store if F is eligible: looks up (fingerprint, Arg,
-  /// arg-reachable PC slice), records the execution tree on a miss, and
-  /// arms C for replay. Returns false (leaving C untouched) when F is
-  /// ineligible or negative-cached — the caller executes for real.
-  template <typename Sink>
-  bool trySummary(Config &C, InternedString F, const Proc *PP,
-                  const Expr &Arg, Sink &S) {
-    auto It = SummaryFp.find(F.id());
-    obs::SummaryGlobalStats &G = obs::summaryGlobalStats();
-    if (It == SummaryFp.end()) {
-      ++G.Ineligible;
-      return false;
-    }
-    // Workers share this Interpreter: racing first calls render the same
-    // fingerprint, and 0 reads as "not rendered yet".
-    uint64_t Fp = It->second.load(std::memory_order_relaxed);
-    if (Fp == 0) {
-      Fp = summaryFingerprint(*PP);
-      It->second.store(Fp, std::memory_order_relaxed);
-    }
-    SummaryKey Key;
-    Key.Fingerprint = Fp;
-    Key.Arg = Arg;
-    Key.Slice = summarySliceForArg(C.State.pathCondition(), Arg);
-
-    ProcedureSummaryStore &Store = ProcedureSummaryStore::process();
-    std::shared_ptr<const SummaryEntry> E = Store.lookup(Key);
-    if (E && E->Negative) {
-      ++G.Ineligible;
-      return false;
-    }
-    bool WasHit = E != nullptr;
-    if (E) {
-      ++G.Hits;
-    } else {
-      ++G.Misses;
-      // Record from a synthetic entry state: the caller's solver and
-      // options, store [param -> Arg], path condition = the key slice —
-      // so recorded conjuncts and values splice back verbatim.
-      St EntrySt(typename St::MemT{}, &C.State.solver(),
-                 &C.State.options());
-      typename St::StoreT EntryStore;
-      EntryStore.set(PP->Param, Arg);
-      EntrySt.setStore(std::move(EntryStore));
-      for (const Expr &Cj : Key.Slice.conjuncts())
-        EntrySt.spliceConjunct(Cj);
-      std::shared_ptr<SummaryEntry> Rec = summary::recordSummary<St>(
-          std::move(EntrySt), *PP, F, Key.Fingerprint);
-      if (!Rec) {
-        ++G.RecordOverflows;
-        auto Neg = std::make_shared<SummaryEntry>();
-        Neg->ProcName = F;
-        Neg->Fingerprint = Key.Fingerprint;
-        Neg->Negative = true;
-        Store.insert(Key, std::move(Neg));
-        return false;
-      }
-      E = std::move(Rec);
-      Store.insert(Key, E);
-      // Fall through to replay: the recording call observes exactly what
-      // every later hit observes.
-    }
-    // Journal: one Summary event per armed replay, sited at the callee
-    // (the spliced summary's procedure) and the caller's Call index.
-    if (obs::journal::enabled())
-      obs::journal::emitSummary(C.JPath, C.JSteps, F.id(),
-                                static_cast<uint32_t>(C.I), WasHit);
-    C.Replay = std::move(E);
-    C.ReplayNode = 0;
-    S.cont(std::move(C));
-    return true;
-  }
-
-  /// Splices one recorded conjunct batch into \p State and re-runs the
-  /// feasibility decision re-execution's assumeValue made at that point:
-  /// prune iff the full, updated path condition is trivially false or
-  /// the solver refutes it. Identical conjuncts, identical query,
-  /// identical point — so the verdict matches re-execution bit-exactly.
-  /// Empty batches run the check too: the recorded delta being empty
-  /// only means the callee added nothing new, not that the *caller's*
-  /// condition was feasible — actions can strengthen it between checks,
-  /// and the callee's assumes are where re-execution would notice.
-  static bool spliceFeasible(St &State, const std::vector<Expr> &Batch) {
-    for (const Expr &Cj : Batch)
-      State.spliceConjunct(Cj);
-    if (State.pathCondition().isTriviallyFalse())
-      return false;
-    return State.solver().maybeSat(State.pathCondition());
-  }
-
-  /// Replays one SummaryNode edge. The edge's single-feasible IfGoto
-  /// batches (batch j >= 1, pairing with Cov[j-1]) are re-checked in
-  /// order; batch 0 — the branch-in delta — was already spliced and
-  /// checked by the parent split (and is empty for the root). A Split
-  /// checks each child's branch-in batch right here, where step()'s
-  /// IfGoto would have queried, then emits the surviving children false
-  /// first, true second — step()'s emission order — so result order and
-  /// PathId assignment survive replay. Dead edges vanish silently, like
-  /// the assume-pruned original. Engine-layer stats and coverage events
-  /// produced here are bit-identical to re-executing the body; only
-  /// solver counters differ (that difference is the win).
-  template <typename Sink> void replayStep(Config C, Sink &S) {
-    obs::DetailSpan StepSpan(obs::SpanKind::Step);
-    const SummaryEntry &E = *C.Replay;
-    const SummaryNode &N = E.Nodes[C.ReplayNode];
-    obs::SummaryGlobalStats &G = obs::summaryGlobalStats();
-    const bool JOn = obs::journal::enabled();
-    obs::journal::QueryAttribution &QA = obs::journal::queryAttribution();
-
-    for (size_t J = 1; J < N.Batches.size(); ++J) {
-      uint32_t JPc0 = JOn ? journalPcSize(C.State) : 0;
-      uint64_t JSeq0 = JOn ? QA.Seq : 0, JWall0 = JOn ? QA.CumWallNs : 0;
-      bool Ok = spliceFeasible(C.State, N.Batches[J]);
-      if (JOn) {
-        // Mirror re-execution's two per-side events for this recorded
-        // single-feasible IfGoto: the recorded-taken side carries the
-        // splice query's attribution; the other side was infeasible at
-        // record time (hence under the stronger caller condition too).
-        uint8_t Layer = 0, Verd = 0;
-        if (QA.Seq != JSeq0) {
-          Layer = QA.Layer;
-          Verd = QA.Verdict;
-        }
-        uint8_t TakenSide =
-            (N.Cov[J - 1].Bits & obs::BranchTrueBit) ? 1 : 0;
-        obs::journal::emitBranch(
-            C.JPath, C.JSteps, E.ProcName.id(), N.Cov[J - 1].CmdIdx,
-            TakenSide, Ok, static_cast<obs::journal::Verdict>(Verd),
-            static_cast<obs::journal::VerdictLayer>(Layer),
-            Ok ? journalPcSize(C.State) - JPc0 : 0, QA.CumWallNs - JWall0,
-            0);
-        obs::journal::emitBranch(C.JPath, C.JSteps, E.ProcName.id(),
-                                 N.Cov[J - 1].CmdIdx, TakenSide ^ 1,
-                                 /*Taken=*/false,
-                                 obs::journal::Verdict::None,
-                                 obs::journal::VerdictLayer::None, 0, 0, 0);
-      }
-      if (!Ok) {
-        // Re-execution would prune at this IfGoto: the recorded-taken
-        // side goes unsat under the caller's full condition and the
-        // other side was already infeasible at record time. It executed
-        // the commands up to and including the IfGoto and recorded a
-        // no-feasible-sides coverage event, then emitted nothing.
-        Stats.CmdsExecuted += N.Cov[J - 1].CmdsAt;
-        obs::BranchCoverage::recordBranch(E.ProcName.id(),
-                                          N.Cov[J - 1].CmdIdx, 0);
-        ++G.ReplayInfeasible;
-        return;
-      }
-      obs::BranchCoverage::recordBranch(E.ProcName.id(), N.Cov[J - 1].CmdIdx,
-                                        N.Cov[J - 1].Bits);
-    }
-    Stats.CmdsExecuted += N.Cmds;
-
-    switch (N.Kind) {
-    case SummaryNodeKind::Split: {
-      // The final Cov event is this split's IfGoto; its bits are
-      // recomputed from the children's branch-in checks, which replicate
-      // the two assumeValue queries step() would have issued here.
-      uint32_t JSite = N.Cov.empty() ? 0 : N.Cov.back().CmdIdx;
-      Config FC = C;
-      FC.ReplayNode = N.FalseChild;
-      uint32_t FPc0 = JOn ? journalPcSize(FC.State) : 0;
-      uint64_t FSeq0 = JOn ? QA.Seq : 0, FWall0 = JOn ? QA.CumWallNs : 0;
-      bool FOk = E.Nodes[N.FalseChild].Batches.empty() ||
-                 spliceFeasible(FC.State,
-                                E.Nodes[N.FalseChild].Batches.front());
-      uint64_t FWall = JOn ? QA.CumWallNs - FWall0 : 0;
-      uint8_t FLayer = 0, FVerd = 0;
-      if (JOn && QA.Seq != FSeq0) {
-        FLayer = QA.Layer;
-        FVerd = QA.Verdict;
-      }
-      C.ReplayNode = N.TrueChild;
-      uint32_t TPc0 = JOn ? journalPcSize(C.State) : 0;
-      uint64_t TSeq0 = JOn ? QA.Seq : 0, TWall0 = JOn ? QA.CumWallNs : 0;
-      bool TOk = E.Nodes[N.TrueChild].Batches.empty() ||
-                 spliceFeasible(C.State,
-                                E.Nodes[N.TrueChild].Batches.front());
-      if (FOk && TOk)
-        ++Stats.Branches;
-      if (JOn) {
-        uint64_t TWall = QA.CumWallNs - TWall0;
-        uint8_t TLayer = 0, TVerd = 0;
-        if (QA.Seq != TSeq0) {
-          TLayer = QA.Layer;
-          TVerd = QA.Verdict;
-        }
-        uint64_t JChild = 0;
-        if (FOk && TOk)
-          JChild = obs::journal::allocPathIds(2);
-        obs::journal::emitBranch(
-            C.JPath, C.JSteps, E.ProcName.id(), JSite, 0, FOk,
-            static_cast<obs::journal::Verdict>(FVerd),
-            static_cast<obs::journal::VerdictLayer>(FLayer),
-            FOk ? journalPcSize(FC.State) - FPc0 : 0, FWall,
-            (FOk && TOk) ? JChild : 0);
-        obs::journal::emitBranch(
-            C.JPath, C.JSteps, E.ProcName.id(), JSite, 1, TOk,
-            static_cast<obs::journal::Verdict>(TVerd),
-            static_cast<obs::journal::VerdictLayer>(TLayer),
-            TOk ? journalPcSize(C.State) - TPc0 : 0, TWall,
-            (FOk && TOk) ? JChild + 1 : 0);
-        if (FOk && TOk) {
-          FC.JPath = JChild;
-          C.JPath = JChild + 1;
-        }
-      }
-      if (!N.Cov.empty())
-        obs::BranchCoverage::recordBranch(
-            E.ProcName.id(), N.Cov.back().CmdIdx,
-            (FOk ? obs::BranchFalseBit : 0u) |
-                (TOk ? obs::BranchTrueBit : 0u));
-      if (!FOk)
-        ++G.ReplayInfeasible;
-      if (!TOk)
-        ++G.ReplayInfeasible;
-      if (FOk)
-        S.cont(std::move(FC));
-      if (TOk)
-        S.cont(std::move(C));
-      return;
-    }
-    case SummaryNodeKind::Dead:
-      // Both-infeasible IfGoto: re-emit its zero-bit coverage event;
-      // the path vanishes without an outcome, exactly like the
-      // assume-pruned original emits nothing.
-      if (JOn && !N.Cov.empty()) {
-        obs::journal::emitBranch(C.JPath, C.JSteps, E.ProcName.id(),
-                                 N.Cov.back().CmdIdx, 0, /*Taken=*/false,
-                                 obs::journal::Verdict::None,
-                                 obs::journal::VerdictLayer::None, 0, 0, 0);
-        obs::journal::emitBranch(C.JPath, C.JSteps, E.ProcName.id(),
-                                 N.Cov.back().CmdIdx, 1, /*Taken=*/false,
-                                 obs::journal::Verdict::None,
-                                 obs::journal::VerdictLayer::None, 0, 0, 0);
-      }
-      if (!N.Cov.empty())
-        obs::BranchCoverage::recordBranch(E.ProcName.id(),
-                                          N.Cov.back().CmdIdx,
-                                          N.Cov.back().Bits);
-      return;
-    case SummaryNodeKind::Return: {
-      ++G.ReplayedOutcomes;
-      const Proc *Cur = P.find(C.CurProc);
-      assert(Cur && "current procedure disappeared");
-      const Cmd &Command = Cur->Body[C.I]; // still the Call command
-      // N lives in the entry: once the store has replaced or cleared it,
-      // C.Replay may be its last owner, so read N before the reset.
-      C.State.setVar(Command.X, N.Val);
-      C.Replay.reset();
-      ++C.I;
-      S.cont(std::move(C));
-      return;
-    }
-    case SummaryNodeKind::Error:
-    case SummaryNodeKind::Vanish: {
-      ++G.ReplayedOutcomes;
-      OutcomeKind K = N.Kind == SummaryNodeKind::Error ? OutcomeKind::Error
-                                                       : OutcomeKind::Vanish;
-      journalEnd(C, K, obs::journal::BudgetKind::None);
-      finish(S, K, N.Val, std::move(C.State)); // C.Replay keeps N alive
-      return;
-    }
-    }
-  }
-
   const Prog &P;
   const EngineOptions &Opts;
   ExecStats &Stats;
-  /// Eligible procedures of P: interned name id -> content fingerprint,
-  /// 0 until the procedure's first call. Empty when summaries are off or
-  /// St is not summarizable.
-  std::unordered_map<uint32_t, std::atomic<uint64_t>> SummaryFp;
 };
 
 } // namespace gillian

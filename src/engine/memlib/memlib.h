@@ -32,7 +32,7 @@
 ///   branch.h  BranchCtx (error/ok/feasible/checkOrError) and the shared
 ///             symbolic-size-allocation diagnostic
 ///   print.h   printEntries / printObject — the two printing shapes every
-///             model uses (formats are summary-store-key compatible)
+///             model uses
 ///
 /// The While, MJS and MC models are dispatch layers over this kit, and
 /// `src/linear/memory.h` shows a whole new language memory in one file of

@@ -6,10 +6,8 @@
 ///
 /// \file
 /// The two printing shapes every memory model in this repo uses, written
-/// once. The formats are load-bearing: summary-store keys embed memory
-/// toString() output and must round-trip through the `<cache-file>.summaries`
-/// parser, so the model printers that now delegate here must keep their
-/// exact historical output.
+/// once. The model printers that delegate here keep the exact output they
+/// had before memlib.
 ///
 ///   printEntries:  "{" (" " <entry>)* " }"     — a memory as a set of
 ///                                                location entries

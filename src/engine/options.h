@@ -7,9 +7,8 @@
 /// \file
 /// Knobs for the symbolic execution engine. The defaults correspond to the
 /// paper's Gillian configuration; legacyJaVerT2() reconstructs the
-/// JaVerT 2.0 baseline of Table 1 (no expression simplification, no solver
-/// result caching — the two engine improvements §4.1 credits for the ~2x
-/// speedup).
+/// JaVerT 2.0 baseline of Table 1 (no solver result caching, no query
+/// slicing, no incremental sessions).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,23 +23,14 @@
 namespace gillian {
 
 struct EngineOptions {
-  /// Use the process-wide simplification memo. Store expressions and
-  /// path-condition conjuncts are always simplified as they are built
-  /// (§2.3 [EvalExpr]).
-  bool UseSimplifierCache = true;
-
+  /// Store expressions and path-condition conjuncts are always simplified
+  /// as they are built (§2.3 [EvalExpr]); the solver options select its
+  /// caching, slicing and Z3 layers.
   SolverOptions Solver;
 
   /// Exploration workers (engine/scheduler/). Workers = 1 explores on the
   /// calling thread alone; any count yields the same result sequence.
   SchedulerOptions Scheduler;
-
-  /// Memoise terminal symbolic states of eligible (loop-free, heap-free)
-  /// procedures in the process-wide ProcedureSummaryStore and replay them
-  /// at call sites instead of re-executing the body (DESIGN.md §4g).
-  /// Replay is result- and stats-identical to re-execution by
-  /// construction; only solver effort differs.
-  bool UseSummaries = true;
 
   /// Bound on back-jumps (loop iterations) per path — the paper's
   /// "unrolling loops up to a bound".
@@ -50,15 +40,13 @@ struct EngineOptions {
   /// Bound on explored paths per run (0 = unlimited).
   uint64_t MaxPaths = 0;
 
-  /// The JaVerT 2.0 baseline: basic simplification stays (every symbolic
-  /// engine folds constants), but the Gillian improvements §4.1 credits
-  /// for the ~2x speedup are off — the simplification memo, solver result
-  /// caching, and query slicing (every undecided query goes to the SMT
-  /// solver whole, every time).
+  /// The JaVerT 2.0 baseline: simplification stays (every symbolic engine
+  /// folds constants), but the solver-side improvements §4.1 credits for
+  /// the ~2x speedup are off — result caching, query slicing and
+  /// incremental sessions (every undecided query goes to the SMT solver
+  /// whole, every time).
   static EngineOptions legacyJaVerT2() {
     EngineOptions O;
-    O.UseSimplifierCache = false;
-    O.UseSummaries = false; // summaries are a Gillian-side improvement
     O.Solver = SolverOptions::legacyJaVerT2();
     return O;
   }

@@ -31,6 +31,7 @@
 #include "engine/allocator.h"
 #include "engine/options.h"
 #include "gil/expr.h"
+#include "obs/span.h"
 #include "solver/simplifier.h"
 #include "solver/solver.h"
 #include "support/cow_map.h"
@@ -183,7 +184,7 @@ public:
   // -- A_proper ----------------------------------------------------------
 
   /// [EvalExpr] of §2.3: substitute program variables by their store
-  /// expressions, then simplify (when enabled).
+  /// expressions, then simplify.
   ///
   /// When every program variable \p E reads is bound to a literal, the
   /// simplifier would fold the substituted tree to one literal through
@@ -280,14 +281,6 @@ public:
   const PathCondition &pathCondition() const { return PC; }
   void addToPathCondition(const Expr &E) { addConjunct(simplified(E)); }
 
-  /// Splices an *already-simplified* conjunct recorded by the procedure
-  /// summary cache (engine/summary/): absorbs its typing facts and adds
-  /// it to the path condition with no re-simplification and no
-  /// feasibility check — replay re-runs assumeValue's full-condition
-  /// maybeSat itself, batch by batch, at the exact points re-execution
-  /// would have queried (Interpreter::spliceFeasible).
-  void spliceConjunct(const Expr &E) { addConjunct(E); }
-
   /// The type assignment harvested from this state's path condition;
   /// drives type-guarded simplification and is reused by the solver.
   const TypeEnv &typeEnv() const { return Types; }
@@ -313,8 +306,6 @@ public:
   SymbolicAllocator &allocator() { return Alloc; }
   const SymbolicAllocator &allocator() const { return Alloc; }
   const StoreT &store() const { return Store; }
-  Solver &solver() const { return *Slv; }
-  const EngineOptions &options() const { return *Opts; }
 
 private:
   /// The value of \p E over the store when every program variable it
@@ -372,8 +363,8 @@ private:
   Expr simplified(const Expr &E) const {
     if (!Opts)
       return E;
-    return Opts->UseSimplifierCache ? simplifyCached(E, &Types)
-                                    : simplify(E, &Types);
+    obs::DetailSpan SimplifySpan(obs::SpanKind::Simplify);
+    return simplify(E, &Types);
   }
 
   /// Adds a conjunct, harvesting its typing facts first so later

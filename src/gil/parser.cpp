@@ -275,7 +275,7 @@ private:
         // Fold all-literal lists to a literal list value — the form the
         // simplifier produces at runtime — so printed lists like "[3]"
         // parse back to the expression the printer saw (persisted
-        // summary/cache keys must round-trip structurally).
+        // result-cache keys must round-trip structurally).
         bool AllLit = true;
         for (const Expr &E : Elems)
           AllLit &= E.isLit();

@@ -46,11 +46,18 @@ Value gillian::mc::chunkValue(const Chunk &C) {
 
 namespace {
 
+/// True iff the \p N bytes at offset \p Off lie inside a block of \p Size
+/// bytes. No step can overflow: `Off + N > Size` wraps for an offset near
+/// INT64_MAX and would let the access through.
+bool rangeInBlock(int64_t Off, int64_t N, int64_t Size) {
+  return 0 <= N && 0 <= Off && N <= Size && Off <= Size - N;
+}
+
 Result<Chunk> chunkFromValue(const Value &V) {
   if (!V.isList() || V.asList().size() != 3)
     return Err("malformed chunk " + V.toString());
   const auto &L = V.asList();
-  if (!L[0].isInt() || !L[1].isInt() || !L[2].isInt())
+  if (!L[0].isInt() || !L[1].isInt() || !L[2].isInt() || L[0].asInt() < 1)
     return Err("malformed chunk " + V.toString());
   int64_t K = L[2].asInt();
   if (K < 0 || K > 2)
@@ -181,7 +188,7 @@ Result<Value> McCMem::doLoad(const Value &ChunkV, const Value &B,
   if (Blk->Freed)
     return Err("UB: load after free of " + B.toString());
   int64_t O = Off.asInt();
-  if (O < 0 || O + C->Size > Blk->Size)
+  if (!rangeInBlock(O, C->Size, Blk->Size))
     return Err("UB: out-of-bounds load at offset " + std::to_string(O) +
                " (block size " + std::to_string(Blk->Size) + ")");
   if (C->Align > 1 && O % C->Align != 0)
@@ -206,7 +213,7 @@ Result<Value> McCMem::doStore(const Value &ChunkV, const Value &B,
   if (Blk->Freed)
     return Err("UB: store after free of " + B.toString());
   int64_t O = Off.asInt();
-  if (O < 0 || O + C->Size > Blk->Size)
+  if (!rangeInBlock(O, C->Size, Blk->Size))
     return Err("UB: out-of-bounds store at offset " + std::to_string(O) +
                " (block size " + std::to_string(Blk->Size) + ")");
   if (C->Align > 1 && O % C->Align != 0)
@@ -329,8 +336,7 @@ Result<Value> McCMem::execAction(InternedString Act, const Value &Arg) {
     if (!Src || !Dst || Src->Freed || Dst->Freed)
       return Err("UB: memcpy on dead memory");
     int64_t N = Len.asInt(), DO_ = DOff.asInt(), SO = SOff.asInt();
-    if (N < 0 || SO < 0 || DO_ < 0 || SO + N > Src->Size ||
-        DO_ + N > Dst->Size)
+    if (!rangeInBlock(SO, N, Src->Size) || !rangeInBlock(DO_, N, Dst->Size))
       return Err("UB: out-of-bounds memcpy");
     CBlock NB = cloneBlock(*Dst);
     for (int64_t I = 0; I < N; ++I)
@@ -351,7 +357,7 @@ Result<Value> McCMem::execAction(InternedString Act, const Value &Arg) {
     if (!Blk || Blk->Freed)
       return Err("UB: memset on dead memory");
     int64_t O = Off.asInt(), N = Len.asInt();
-    if (N < 0 || O < 0 || O + N > Blk->Size)
+    if (!rangeInBlock(O, N, Blk->Size))
       return Err("UB: out-of-bounds memset");
     CBlock NB = cloneBlock(*Blk);
     for (int64_t I = 0; I < N; ++I) {
@@ -386,7 +392,7 @@ Result<Value> McCMem::execAction(InternedString Act, const Value &Arg) {
     if (!Blk || Blk->Freed)
       return Err("UB: dropPerm on dead memory");
     int64_t O = Off.asInt(), N = Len.asInt();
-    if (N < 0 || O < 0 || O + N > Blk->Size)
+    if (!rangeInBlock(O, N, Blk->Size))
       return Err("UB: dropPerm out of bounds");
     CBlock NB = cloneBlock(*Blk);
     for (int64_t I = 0; I < N; ++I) {
@@ -412,8 +418,7 @@ Result<Value> McCMem::execAction(InternedString Act, const Value &Arg) {
     const CBlock *Blk = findBlock(B.asSym());
     if (!Blk || Blk->Freed)
       return Value::boolV(false);
-    return Value::boolV(Off.asInt() >= 0 &&
-                        Off.asInt() + Len.asInt() <= Blk->Size);
+    return Value::boolV(rangeInBlock(Off.asInt(), Len.asInt(), Blk->Size));
   }
   return Err("unknown MC action '" + std::string(Act.str()) + "'");
 }
@@ -533,9 +538,8 @@ constexpr int64_t MaxSymbolicOffsetBlock = 1 << 12;
 /// The offset \p Off of an access through \p Ch into \p Blk when it is a
 /// literal Int on which int64 arithmetic reproduces the simplifier's
 /// folds of the side conditions: compare() compares Ints as doubles, so
-/// the offset, both sizes and off + size must lie strictly inside ±2^53
-/// (which also rules out overflow). Nullopt sends the access down the
-/// symbolic path.
+/// the offset and both sizes (hence size - chunk size) must lie strictly
+/// inside ±2^53. Nullopt sends the access down the symbolic path.
 std::optional<int64_t> exactLiteralOffset(const Expr &Off, const Chunk &Ch,
                                           const SBlock &Blk) {
   if (!Off.isLit() || !Off.litValue().isInt())
@@ -543,8 +547,7 @@ std::optional<int64_t> exactLiteralOffset(const Expr &Off, const Chunk &Ch,
   constexpr int64_t Exact = int64_t(1) << 53;
   auto exact = [](int64_t V) { return V > -Exact && V < Exact; };
   int64_t O = Off.litValue().asInt();
-  if (!exact(O) || !exact(Ch.Size) || !exact(Blk.Size) ||
-      !exact(O + Ch.Size))
+  if (!exact(O) || !exact(Ch.Size) || !exact(Blk.Size))
     return std::nullopt;
   return O;
 }
@@ -687,7 +690,7 @@ McSMem::execAction(InternedString Act, const Expr &Arg,
       // verdicts simplify folds them to: the branches checkOrError emits,
       // in its order, under Taken (DESIGN.md §4j).
       if (std::optional<int64_t> O = exactLiteralOffset(Off, *Ch, *Blk)) {
-        if (*O < 0 || *O + Ch->Size > Blk->Size)
+        if (!rangeInBlock(*O, Ch->Size, Blk->Size))
           C.error(std::string("UB: out-of-bounds ") + What, Taken);
         else if (Ch->Align > 1 && *O % Ch->Align != 0)
           C.error(std::string("UB: unaligned ") + What, Taken);
@@ -695,11 +698,12 @@ McSMem::execAction(InternedString Act, const Expr &Arg,
           AccessAt(*O, Taken);
         return;
       }
-      // Bounds: 0 <= off && off + sz <= size (the SLoad side conditions).
-      Expr InBounds = Expr::andE(
-          Expr::le(Expr::intE(0), Off),
-          Expr::le(Expr::add(Off, Expr::intE(Ch->Size)),
-                   Expr::intE(Blk->Size)));
+      // Bounds: 0 <= off && off <= size - sz (the SLoad side conditions,
+      // with the subtraction on the two literal sizes: off + sz wraps for
+      // an offset near INT64_MAX).
+      Expr InBounds =
+          Expr::andE(Expr::le(Expr::intE(0), Off),
+                     Expr::le(Off, Expr::intE(Blk->Size - Ch->Size)));
       C.checkOrError(InBounds, Taken,
                      std::string("UB: out-of-bounds ") + What, [&](Expr U1) {
         // Alignment: off mod al == 0.
@@ -772,8 +776,8 @@ McSMem::execAction(InternedString Act, const Expr &Arg,
       const SBlock *Blk = Lits[0].isSym() ? findBlock(Expr::lit(Lits[0]))
                                           : nullptr;
       bool Valid = Blk && !Blk->Freed && Lits[1].isInt() &&
-                   Lits[2].isInt() && Lits[1].asInt() >= 0 &&
-                   Lits[1].asInt() + Lits[2].asInt() <= Blk->Size;
+                   Lits[2].isInt() &&
+                   rangeInBlock(Lits[1].asInt(), Lits[2].asInt(), Blk->Size);
       C.ok(*this, Expr::boolE(Valid));
       return C.Out;
     }
@@ -787,7 +791,7 @@ McSMem::execAction(InternedString Act, const Expr &Arg,
         return C.Out;
       }
       int64_t O = Lits[1].asInt(), Len = Lits[2].asInt();
-      if (Len < 0 || O < 0 || O + Len > Blk->Size) {
+      if (!rangeInBlock(O, Len, Blk->Size)) {
         C.error("UB: out-of-bounds memset");
         return C.Out;
       }
@@ -814,8 +818,8 @@ McSMem::execAction(InternedString Act, const Expr &Arg,
       }
       int64_t DO_ = Lits[1].asInt(), SO = Lits[3].asInt(),
               Len = Lits[4].asInt();
-      if (Len < 0 || DO_ < 0 || SO < 0 || DO_ + Len > Dst->Size ||
-          SO + Len > Src->Size) {
+      if (!rangeInBlock(DO_, Len, Dst->Size) ||
+          !rangeInBlock(SO, Len, Src->Size)) {
         C.error("UB: out-of-bounds memcpy");
         return C.Out;
       }
@@ -842,7 +846,7 @@ McSMem::execAction(InternedString Act, const Expr &Arg,
       return C.Out;
     }
     int64_t O = Lits[1].asInt(), Len = Lits[2].asInt();
-    if (Len < 0 || O < 0 || O + Len > Blk->Size) {
+    if (!rangeInBlock(O, Len, Blk->Size)) {
       C.error("UB: dropPerm out of bounds");
       return C.Out;
     }

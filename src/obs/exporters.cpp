@@ -32,7 +32,6 @@ const char *eventName(EventKind K) {
   case EventKind::Root: return "root";
   case EventKind::Branch: return "branch";
   case EventKind::Action: return "action";
-  case EventKind::Summary: return "summary";
   case EventKind::PathEnd: return "path_end";
   }
   return "unknown";
@@ -57,10 +56,6 @@ void eventArgs(JsonWriter &W, const journal::JournalData &D, const Event &E) {
     W.field("action", D.str(E.X));
     W.field("branches", static_cast<uint64_t>(E.A));
     W.field("solver_ns", E.WallNs);
-    break;
-  case EventKind::Summary:
-    siteArg(W, D, E);
-    W.field("hit", E.A != 0);
     break;
   case EventKind::PathEnd:
     siteArg(W, D, E);

@@ -13,7 +13,6 @@
 #include "obs/progress.h"
 #include "obs/sched_counters.h"
 #include "obs/span.h"
-#include "obs/summary_stats.h"
 
 #include <chrono>
 #include <cstdio>
@@ -71,8 +70,6 @@ std::string gillian::obs::metricsExposition() {
   // Async solver service (process-wide aggregate — still rendered after
   // per-suite sources unregister).
   counterSetInto(W, nativeGlobalStats());
-  // Procedure summary cache (process-wide store; DESIGN.md §4g).
-  counterSetInto(W, summaryGlobalStats());
   // Execution journal self-accounting (DESIGN.md §4i).
   counterSetInto(W, journal::journalStats());
 

@@ -381,9 +381,6 @@ std::string renderEvent(const JournalData &D, const Event &E) {
     if (E.B)
       Out += ", " + std::to_string(E.B) + " error(s)";
     return Out;
-  case EventKind::Summary:
-    return Out + siteOf(D, E) + "  summary replay (" +
-           (E.A ? "hit" : "recorded") + ")";
   case EventKind::PathEnd:
     Out += siteOf(D, E) + "  end " + pathOutcomeName(E.A);
     if (E.B)
@@ -738,11 +735,6 @@ std::string canonicalTreeSignature(const JournalData &D) {
         Out += "A " + std::to_string(E.Step) + " " + siteOf(D, E) + " " +
                D.str(E.X) + " n" + std::to_string(E.A) + " e" +
                std::to_string(E.B) + "\n";
-        break;
-      case EventKind::Summary:
-        // Hit/miss is a shared-store race at workers > 1; presence is the
-        // invariant.
-        Out += "S " + std::to_string(E.Step) + " " + siteOf(D, E) + "\n";
         break;
       case EventKind::PathEnd:
         Out += "E " + std::to_string(E.Step) + " " +

@@ -98,8 +98,8 @@ std::string treeJson(const JournalData &D, size_t Depth, bool Enabled = true,
 std::string liveTreeJson(size_t Depth);
 
 /// The provenance chain of one path: every branch decision from the root
-/// to the queried node, the solver layer that decided each, the summary
-/// records spliced, and the termination. \p Query is a node id ("17") or
+/// to the queried node, the solver layer that decided each, the memory
+/// actions, and the termination. \p Query is a node id ("17") or
 /// a branch trace ("test_bst#0:0.1.0" / "test_bst:0.1.0" / "test_bst").
 /// Returns false (with a diagnostic in \p Out) if the query resolves to
 /// no node.
@@ -116,7 +116,7 @@ std::string diffJson(const JournalData &A, const JournalData &B, size_t Top);
 /// allocation (= test) order, children in branch-index order, per-node
 /// events canonicalised to their semantic content (site, side, taken,
 /// PC delta, action, outcome, step) — excluding the run-dependent fields
-/// (node ids, verdict layer, wall time, summary hit/miss). Two runs of
+/// (node ids, verdict layer, wall time). Two runs of
 /// the same suites produce equal signatures at any worker count; the
 /// invariance test pins this down.
 std::string canonicalTreeSignature(const JournalData &D);

@@ -10,8 +10,8 @@
 /// event of a run: one compact record per branch decision (site,
 /// taken/pruned side, PC-conjunct delta, solver verdict and the layer
 /// that decided it, solver wall), per memory action (with the solver
-/// wall its queries took), per summary replay splice, and per path
-/// termination (outcome, budget kind, cumulative steps).
+/// wall its queries took), and per path termination (outcome, budget
+/// kind, cumulative steps).
 /// Every event also carries its emission time and the emitting thread, so
 /// the chrome://tracing export (obs/exporters.h) and the per-site solver
 /// table (obs/journal/analysis.h) are views of the same record.
@@ -52,10 +52,10 @@ namespace gillian::obs::journal {
 /// (Root sorts before the node's decisions, PathEnd after).
 enum class EventKind : uint8_t {
   Root = 0,    ///< a fresh exploration root (one per makeInitialConfig)
-  Branch = 1,  ///< one side of a branch decision (IfGoto / action / replay)
+  Branch = 1,  ///< one side of a branch decision (IfGoto / action)
   Action = 2,  ///< one memory-action execution
-  Summary = 3, ///< a summary-cache consult that armed a replay
-  // 4 recorded frontier spawns in earlier builds; the reader drops it.
+  // 3 recorded summary-cache replays and 4 frontier spawns in earlier
+  // builds; the reader drops both.
   PathEnd = 5, ///< a path termination (outcome + budget kind)
 };
 
@@ -110,7 +110,6 @@ const char *pathOutcomeName(uint8_t K);
 ///   Root     root id     0               0         entry proc    0        0          0        0
 ///   Branch   parent id   child id or 0   solver ns decision site PC delta side idx   taken    verdict<<4|layer
 ///   Action   node id     child base or 0 solver ns action site   act name n branches n errors 0
-///   Summary  node id     0               0         call site     0        hit        0        0
 ///   PathEnd  node id     0               0         end site      0        outcome    budget   0
 ///
 /// Proc (and X of Action events) hold interned-string ids in the live
@@ -248,18 +247,6 @@ inline void emitAction(uint64_t Path, uint32_t Step, uint32_t Proc,
   E.X = ActionName;
   E.A = static_cast<uint8_t>(NBranches > 255 ? 255 : NBranches);
   E.B = static_cast<uint8_t>(NErrors > 255 ? 255 : NErrors);
-  emit(E);
-}
-
-inline void emitSummary(uint64_t Path, uint32_t Step, uint32_t Proc,
-                        uint32_t Cmd, bool Hit) {
-  Event E;
-  E.Kind = static_cast<uint8_t>(EventKind::Summary);
-  E.Path = Path;
-  E.Step = Step;
-  E.Proc = Proc;
-  E.Cmd = Cmd;
-  E.A = Hit ? 1 : 0;
   emit(E);
 }
 

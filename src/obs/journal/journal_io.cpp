@@ -19,8 +19,9 @@ constexpr uint64_t FormatVersion = 1;
 /// bound the claimed event count against the remaining input.
 constexpr size_t MinEventBytes = 11;
 
-/// Earlier builds recorded frontier spawns as kind 4. Their files still
-/// load, without those records.
+/// Earlier builds recorded summary-cache replays as kind 3 and frontier
+/// spawns as kind 4. Their files still load, without those records.
+constexpr uint8_t RetiredSummaryKind = 3;
 constexpr uint8_t RetiredSpawnKind = 4;
 
 void putVarint(std::string &Out, uint64_t V) {
@@ -159,7 +160,7 @@ bool parseJournal(std::string_view Bytes, JournalData &Out,
       Err = "truncated event stream";
       return false;
     }
-    if (E.Kind == RetiredSpawnKind)
+    if (E.Kind == RetiredSummaryKind || E.Kind == RetiredSpawnKind)
       continue;
     if (Step > UINT32_MAX || Proc > UINT32_MAX || Cmd > UINT32_MAX ||
         X > UINT32_MAX) {

@@ -1,18 +1,15 @@
-//===- obs/summary_stats.h - Process-wide summary-cache counters *- C++ -*-===//
+//===- obs/summary_stats.h - Retired summary-cache counters ----*- C++ -*-===//
 //
 // Part of the Gillian-C++ reproduction of "Gillian, Part I" (PLDI 2020).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Process-wide counters of the procedure summary cache
-/// (src/engine/summary/, DESIGN.md §4g). The store itself lives in the
-/// engine library; its counters live in obs — like NativeGlobalStats —
-/// so both the introspection server and solverStatsJson can render them
-/// without a dependency on the engine.
-///
-/// Category "summary" yields the `gillian_summary_*` metric families
-/// (`gillian_summary_hits_total`, `gillian_summary_entries`, ...).
+/// The counters of the procedure summary cache, which is deleted: every
+/// call executes its callee. Nothing increments them, so they read 0.
+/// They stay only because the end-to-end benchmark (perfbench/symbench)
+/// still reports them and its runner reads these three keys; they go with
+/// the next change to that benchmark.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,24 +21,9 @@
 namespace gillian::obs {
 
 struct SummaryGlobalStats : CounterSet<SummaryGlobalStats> {
-  /// Call sites answered by replaying a cached summary.
   Counter Hits{*this, "hits", "summary"};
-  /// Eligible calls that recorded a fresh summary (then replayed it).
   Counter Misses{*this, "misses", "summary"};
-  /// Calls to procedures outside the eligible fragment (or to keys with a
-  /// negative marker from an earlier recording overflow).
-  Counter Ineligible{*this, "ineligible", "summary"};
-  /// Terminal outcomes spliced into callers by replay.
   Counter ReplayedOutcomes{*this, "replayed_outcomes", "summary"};
-  /// Recordings abandoned by the node/step caps (negative-cached).
-  Counter RecordOverflows{*this, "record_overflows", "summary"};
-  /// Replayed paths dropped by the feasibility insurance check.
-  Counter ReplayInfeasible{*this, "replay_infeasible", "summary"};
-
-  /// Entries resident in the process-wide store.
-  Gauge Entries{*this, "entries", "summary"};
-  /// Estimated bytes held by those entries.
-  Gauge Bytes{*this, "bytes", "summary"};
 
   SummaryGlobalStats() = default;
   SummaryGlobalStats(const SummaryGlobalStats &O) { copyFrom(O); }
@@ -49,17 +31,9 @@ struct SummaryGlobalStats : CounterSet<SummaryGlobalStats> {
     copyFrom(O);
     return *this;
   }
-
-  /// Fraction of summary-eligible calls answered from the store; 0 when
-  /// no eligible call happened.
-  double hitRate() const {
-    uint64_t Total = Hits + Misses;
-    return Total ? static_cast<double>(Hits) / static_cast<double>(Total)
-                 : 0.0;
-  }
 };
 
-/// The process-wide instance (relaxed atomics; safe from any thread).
+/// The process-wide instance.
 inline SummaryGlobalStats &summaryGlobalStats() {
   static SummaryGlobalStats S;
   return S;

@@ -2,14 +2,9 @@
 
 #include "solver/simplifier.h"
 
-#include "obs/span.h"
 #include "solver/type_infer.h"
 
-#include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <mutex>
-#include <unordered_map>
 
 using namespace gillian;
 
@@ -493,51 +488,6 @@ Expr simplifyNode(const Expr &E, const TypeEnv &Env) {
   return E;
 }
 
-/// Cache key: an expression under a specific type environment (by content
-/// hash). This uses EnvHash as equality, so it depends on TypeEnv::hash
-/// mixing each (variable, type) pair jointly — environments that merely
-/// swap types between variables must not collide. With that, residual
-/// collisions across distinct environments are astronomically unlikely
-/// (random 64-bit) and only affect rule applicability for open terms,
-/// never evaluated values of closed expressions.
-struct MemoKey {
-  uint64_t EnvHash;
-  Expr E;
-  friend bool operator==(const MemoKey &A, const MemoKey &B) {
-    return A.EnvHash == B.EnvHash && A.E == B.E;
-  }
-};
-
-struct MemoKeyHash {
-  size_t operator()(const MemoKey &K) const {
-    return K.E.hash() ^ (K.EnvHash * 0x9E3779B97F4A7C15ull);
-  }
-};
-
-/// The process-wide memo, striped across mutex-guarded shards (keyed by
-/// the memo hash) so the parallel exploration workers can share it: a
-/// simplification computed by one worker is a hit for every other.
-/// Stats are relaxed atomics; racing misses of one key duplicate work but
-/// never produce different results (simplify is deterministic).
-struct MemoCache {
-  static constexpr size_t NumShards = 16;
-  struct Shard {
-    std::mutex Mu;
-    std::unordered_map<MemoKey, Expr, MemoKeyHash> Map;
-  };
-  Shard Shards[NumShards];
-  std::atomic<uint64_t> Hits{0}, Misses{0}, MissNs{0};
-
-  Shard &shardFor(const MemoKey &K) {
-    return Shards[(MemoKeyHash()(K) * 0x9E3779B97F4A7C15ull) >> 60];
-  }
-};
-
-MemoCache &memo() {
-  static MemoCache C;
-  return C;
-}
-
 const TypeEnv &emptyEnv() {
   static const TypeEnv E;
   return E;
@@ -547,58 +497,4 @@ const TypeEnv &emptyEnv() {
 
 Expr gillian::simplify(const Expr &E, const TypeEnv *Env) {
   return simplifyNode(E, Env ? *Env : emptyEnv());
-}
-
-Expr gillian::simplifyCached(const Expr &E, const TypeEnv *Env) {
-  if (!E || E.isLit() || E.kind() == ExprKind::PVar || E.isLVar())
-    return E;
-  MemoCache &C = memo();
-  MemoKey Key{Env ? Env->hash() : 0, E};
-  MemoCache::Shard &Sh = C.shardFor(Key);
-  {
-    std::lock_guard<std::mutex> Lock(Sh.Mu);
-    auto It = Sh.Map.find(Key);
-    if (It != Sh.Map.end()) {
-      C.Hits.fetch_add(1, std::memory_order_relaxed);
-      return It->second;
-    }
-  }
-  // Compute outside the shard lock: simplification can be deep, and two
-  // threads simplifying different keys of one shard must not serialise.
-  C.Misses.fetch_add(1, std::memory_order_relaxed);
-  obs::DetailSpan SimplifySpan(obs::SpanKind::Simplify);
-  auto T0 = std::chrono::steady_clock::now();
-  Expr S = simplifyNode(E, Env ? *Env : emptyEnv());
-  C.MissNs.fetch_add(static_cast<uint64_t>(
-                         std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - T0)
-                             .count()),
-                     std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> Lock(Sh.Mu);
-    if (Sh.Map.size() > (1u << 16))
-      Sh.Map.clear();
-    Sh.Map.emplace(std::move(Key), S);
-  }
-  return S;
-}
-
-SimplifyCacheStats gillian::simplifyCacheStats() {
-  MemoCache &C = memo();
-  SimplifyCacheStats S;
-  S.Hits = C.Hits.load(std::memory_order_relaxed);
-  S.Misses = C.Misses.load(std::memory_order_relaxed);
-  S.MissNs = C.MissNs.load(std::memory_order_relaxed);
-  return S;
-}
-
-void gillian::resetSimplifyCache() {
-  MemoCache &C = memo();
-  for (MemoCache::Shard &Sh : C.Shards) {
-    std::lock_guard<std::mutex> Lock(Sh.Mu);
-    Sh.Map.clear();
-  }
-  C.Hits.store(0, std::memory_order_relaxed);
-  C.Misses.store(0, std::memory_order_relaxed);
-  C.MissNs.store(0, std::memory_order_relaxed);
 }

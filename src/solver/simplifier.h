@@ -13,9 +13,8 @@
 /// that depend on types, such as e*0 = 0, fire only when the operand type
 /// is statically known).
 ///
-/// The simplifier is one of the engine improvements the paper credits for
-/// Gillian-JS being ~2x faster than JaVerT 2.0; it can be disabled through
-/// EngineOptions to reconstruct the baseline (see bench/ablation).
+/// Every symbolic state simplifies the expressions it builds (§2.3
+/// [EvalExpr]); there is one path, with no memo in front of it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,22 +36,6 @@ namespace gillian {
 /// condition); type-guarded identities such as (#p + 8) + 8 -> #p + 16
 /// only fire when the operand types are known.
 Expr simplify(const Expr &E, const TypeEnv *Env = nullptr);
-
-/// simplify() with a process-wide memo cache keyed by (environment hash,
-/// expression). The cache makes repeated path-condition simplification
-/// cheap; it can be bypassed (for the JaVerT-2.0-style ablation) by
-/// calling simplify().
-Expr simplifyCached(const Expr &E, const TypeEnv *Env = nullptr);
-
-/// Number of hits/misses of the simplifyCached memo, and the wall-time
-/// spent computing misses (for bench reporting).
-struct SimplifyCacheStats {
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
-  uint64_t MissNs = 0; ///< steady-clock ns spent simplifying on misses
-};
-SimplifyCacheStats simplifyCacheStats();
-void resetSimplifyCache();
 
 } // namespace gillian
 

@@ -5,17 +5,14 @@
 #include "gil/parser.h"
 #include "obs/journal/journal.h"
 #include "obs/progress.h"
-#include "obs/summary_stats.h"
 #include "obs/span.h"
 #include "solver/incremental_session.h"
 #include "solver/native/query_service.h"
-#include "solver/simplifier.h"
 #include "solver/z3_backend.h"
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <unistd.h>
 #include <vector>
@@ -33,35 +30,8 @@ std::string gillian::solverStatsJson(const SolverStats &S) {
   W.field("cache_hit_rate", S.cacheHitRate(), 4);
   W.field("inc_session_hit_rate", S.sessionHitRate(), 4);
   W.field("inc_mean_prefix_depth", S.meanPrefixDepth(), 2);
-  // The procedure summary cache is process-global (one sharded store
-  // across every engine run); its counters ride along so bench JSON
-  // answers "did summaries engage" next to the solver layers they bypass.
-  const obs::SummaryGlobalStats &Sum = obs::summaryGlobalStats();
-  W.field("summary_hits", Sum.Hits.load());
-  W.field("summary_misses", Sum.Misses.load());
-  W.field("summary_ineligible", Sum.Ineligible.load());
-  W.field("summary_replayed_outcomes", Sum.ReplayedOutcomes.load());
-  W.field("summary_record_overflows", Sum.RecordOverflows.load());
-  W.field("summary_replay_infeasible", Sum.ReplayInfeasible.load());
-  W.field("summary_entries", Sum.Entries.load());
-  W.field("summary_bytes", Sum.Bytes.load());
-  W.field("summary_hit_rate", Sum.hitRate(), 4);
   W.endObject();
   return W.take();
-}
-
-//===----------------------------------------------------------------------===//
-// Auxiliary cache-reset hooks
-//===----------------------------------------------------------------------===//
-
-namespace {
-std::mutex ResetHooksMutex;
-std::vector<void (*)()> ResetHooks;
-} // namespace
-
-void gillian::registerCacheResetHook(void (*Hook)()) {
-  std::lock_guard<std::mutex> Lock(ResetHooksMutex);
-  ResetHooks.push_back(Hook);
 }
 
 SatResult Solver::solveLayers(const PathCondition &PC) {
@@ -127,22 +97,11 @@ void Solver::resetCache() {
   // warm answer leaking into a "cold" measurement.
   native::SolverService::process().flush();
   Cache->clear();
-  // Cold also means the upstream simplifier memo and every thread's
-  // incremental sessions + encoding memos; other threads' sessions drop
-  // lazily (Z3 handles are thread-owned), this thread's immediately.
-  resetSimplifyCache();
+  // Cold also means every thread's incremental sessions + encoding memos;
+  // other threads' sessions drop lazily (Z3 handles are thread-owned),
+  // this thread's immediately.
   IncrementalSessionPool::invalidateAll();
   IncrementalSessionPool::forThread().reset();
-  // Upper-layer memoisation stores (the engine's procedure summary
-  // store) register themselves here, so "cold" is cold for the whole
-  // stack, not just the solver's own layers.
-  std::vector<void (*)()> Hooks;
-  {
-    std::lock_guard<std::mutex> Lock(ResetHooksMutex);
-    Hooks = ResetHooks;
-  }
-  for (void (*Hook)() : Hooks)
-    Hook();
 }
 
 SatResult Solver::solveSlice(const PathCondition &Slice) {

@@ -218,13 +218,6 @@ struct SolverStats : obs::CounterSet<SolverStats> {
 /// the bench harness output; includes the derived cache_hit_rate.
 std::string solverStatsJson(const SolverStats &S);
 
-/// Registers a process-wide hook run by every Solver::resetCache() call.
-/// Upper-layer memoisation stores (the engine's procedure summary store)
-/// hook their clear() in so a "cold" reset colds every layer of the
-/// stack, not just the solver's own caches. Hooks must be callable from
-/// any thread and never unregister.
-void registerCacheResetHook(void (*Hook)());
-
 /// A stateful (caching) satisfiability oracle for path conditions.
 /// Thread-safe; see the file comment.
 class Solver {
@@ -260,10 +253,9 @@ public:
   const SolverOptions &options() const { return Opts; }
 
   /// Clears every memoised solver layer: the attached result cache
-  /// (shared or private), the process-wide sharded simplifier memo, and
-  /// the incremental sessions + encoding memos of every thread — so tests
-  /// and bench configurations that reset between timed runs measure a
-  /// genuinely cold solver.
+  /// (shared or private) and the incremental sessions + encoding memos of
+  /// every thread — so tests and bench configurations that reset between
+  /// timed runs measure a genuinely cold solver.
   void resetCache();
   SolverCache &cache() { return *Cache; }
 

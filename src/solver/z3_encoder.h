@@ -96,8 +96,8 @@ public:
   }
 
   void insert(const Expr &E, const TypeEnv &Types, const z3::expr &T) {
-    // Unbounded growth guard, same policy as the simplifier memo: a long
-    // run across many suites just starts a fresh table.
+    // Unbounded growth guard: a long run across many suites just starts
+    // a fresh table.
     if (Map.size() >= MaxEntries)
       Map.clear();
     Entry En{E, T, {}};

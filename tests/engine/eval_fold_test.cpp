@@ -179,22 +179,19 @@ Expr parse(std::string_view Src) {
 TEST(EvalFold, RandomExpressionsMatchSubstituteThenSimplify) {
   Solver Slv;
   int Literal = 0, Symbolic = 0, Unbound = 0;
-  for (bool Cached : {true, false}) {
-    EngineOptions Opts;
-    Opts.UseSimplifierCache = Cached;
-    for (uint64_t Seed = 1; Seed <= 3000; ++Seed) {
-      FoldGen G(Seed);
-      St S = G.state(&Opts, &Slv);
-      Expr E = G.gen(4);
-      Result<Expr> Got = S.evalExpr(E);
-      ASSERT_TRUE(sameResult(Got, reference(S, E))) << E.toString();
-      if (!Got.ok())
-        ++Unbound;
-      else if (Got->isLit())
-        ++Literal;
-      else
-        ++Symbolic;
-    }
+  EngineOptions Opts;
+  for (uint64_t Seed = 1; Seed <= 6000; ++Seed) {
+    FoldGen G(Seed);
+    St S = G.state(&Opts, &Slv);
+    Expr E = G.gen(4);
+    Result<Expr> Got = S.evalExpr(E);
+    ASSERT_TRUE(sameResult(Got, reference(S, E))) << E.toString();
+    if (!Got.ok())
+      ++Unbound;
+    else if (Got->isLit())
+      ++Literal;
+    else
+      ++Symbolic;
   }
   // Every kind of answer must be exercised, literal ones the most.
   EXPECT_GT(Literal, 1500);

@@ -306,17 +306,12 @@ TEST(ExplorationScheduler, CountersScheduleIndependentModuloCacheLayer) {
   // same solver queries with the same verdicts; only *which layer*
   // answered (cache vs Z3) may shift, because workers racing on a miss
   // can duplicate a round-trip whose result the 1-worker run reused.
-  // Summaries off: the process-wide summary store would stay warm across
-  // the two runs, so recording queries would hit only the first — the
-  // summaries/schedule interplay is summary_differential_test's subject.
   EngineOptions SeqOpts = withWorkers(1);
-  SeqOpts.UseSummaries = false;
   Solver SeqSlv(SeqOpts.Solver);
   ExecStats SeqStats;
   std::vector<std::string> Seq = traceSigs(SeqOpts, SeqSlv, SeqStats);
 
   EngineOptions ParOpts = withWorkers(4);
-  ParOpts.UseSummaries = false;
   Solver ParSlv(ParOpts.Solver);
   ExecStats ParStats;
   std::vector<std::string> Par = traceSigs(ParOpts, ParSlv, ParStats);

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace gillian;
 using namespace gillian::mc;
 
@@ -172,6 +174,41 @@ TEST(McCMemT, ValidPtrAndBlockSize) {
   EXPECT_EQ(*M.execAction(actValidPtr(), args({blockSym("$b"),
                                                Value::intV(5),
                                                Value::intV(8)})),
+            Value::boolV(false));
+}
+
+// Offsets near INT64_MAX: `off + size` wraps there, so a bounds check that
+// adds lets the access through (and indexes far outside the block).
+constexpr int64_t Int64Max = std::numeric_limits<int64_t>::max();
+
+TEST(McCMemT, AccessNearInt64MaxIsOutOfBounds) {
+  McCMem M = allocated("$b", 16);
+  for (auto [Sz, Off] :
+       {std::pair<int64_t, int64_t>{1, Int64Max}, {8, Int64Max - 7}}) {
+    Chunk C{Sz, Sz, ChunkKind::Int};
+    Result<Value> L = M.execAction(
+        actLoad(), args({chunkValue(C), blockSym("$b"), Value::intV(Off)}));
+    ASSERT_FALSE(L.ok()) << "chunk size " << Sz;
+    EXPECT_NE(L.error().find("out-of-bounds load"), std::string::npos)
+        << L.error();
+    Result<Value> S = M.execAction(actStore(),
+                                   args({chunkValue(C), blockSym("$b"),
+                                         Value::intV(Off), Value::intV(1)}));
+    ASSERT_FALSE(S.ok()) << "chunk size " << Sz;
+    EXPECT_NE(S.error().find("out-of-bounds store"), std::string::npos)
+        << S.error();
+  }
+}
+
+TEST(McCMemT, BulkRangesNearInt64MaxAreOutOfBounds) {
+  McCMem M = allocated("$b", 16);
+  Value B = blockSym("$b"), Max = Value::intV(Int64Max), One = Value::intV(1),
+        Zero = Value::intV(0);
+  EXPECT_FALSE(M.execAction(actMemset(), args({B, Max, One, Zero})).ok());
+  EXPECT_FALSE(M.execAction(actDropPerm(), args({B, Max, One, Zero})).ok());
+  EXPECT_FALSE(M.execAction(actMemcpy(), args({B, Max, B, Zero, One})).ok());
+  EXPECT_FALSE(M.execAction(actMemcpy(), args({B, Zero, B, Max, One})).ok());
+  EXPECT_EQ(*M.execAction(actValidPtr(), args({B, Max, One})),
             Value::boolV(false));
 }
 
@@ -434,4 +471,40 @@ TEST(McSMemT, LiteralOffsetsOutsideTheExactRangeKeepTheSymbolicVerdict) {
                  "UB: out-of-bounds load");
   expectOneFault(sAccess(M, false, C8, Expr::intE(-(1ll << 60)), PC, S),
                  "UB: out-of-bounds load");
+  // off + size wraps here; the side condition must not add.
+  Chunk C1{1, 1, ChunkKind::Int};
+  expectOneFault(sAccess(M, false, C1, Expr::intE(Int64Max), PC, S),
+                 "UB: out-of-bounds load");
+  expectOneFault(sAccess(M, true, C1, Expr::intE(Int64Max), PC, S),
+                 "UB: out-of-bounds store");
+  expectOneFault(sAccess(M, false, C8, Expr::intE(Int64Max - 7), PC, S),
+                 "UB: out-of-bounds load");
+  expectOneFault(sAccess(M, true, C8, Expr::intE(Int64Max - 7), PC, S),
+                 "UB: out-of-bounds store");
+}
+
+TEST(McSMemT, BulkRangesNearInt64MaxAreOutOfBounds) {
+  Solver S;
+  PathCondition PC;
+  McSMem M = sblock16(PC, S);
+  Expr B = Expr::lit(blockSym("$b")), Max = Expr::intE(Int64Max),
+       One = Expr::intE(1), Zero = Expr::intE(0);
+  auto OneFault = [&](InternedString Act, Expr Arg, const std::string &Msg) {
+    auto R = M.execAction(Act, Arg, PC, S);
+    ASSERT_TRUE(R.ok()) << R.error();
+    ASSERT_EQ(R->size(), 1u) << Msg;
+    EXPECT_TRUE((*R)[0].IsError) << Msg;
+    EXPECT_EQ((*R)[0].Ret, Expr::strE(Msg));
+  };
+  OneFault(actMemset(), eargs({B, Max, One, Zero}), "UB: out-of-bounds memset");
+  OneFault(actDropPerm(), eargs({B, Max, One, Zero}),
+           "UB: dropPerm out of bounds");
+  OneFault(actMemcpy(), eargs({B, Max, B, Zero, One}),
+           "UB: out-of-bounds memcpy");
+  OneFault(actMemcpy(), eargs({B, Zero, B, Max, One}),
+           "UB: out-of-bounds memcpy");
+  auto V = M.execAction(actValidPtr(), eargs({B, Max, One}), PC, S);
+  ASSERT_TRUE(V.ok());
+  ASSERT_EQ(V->size(), 1u);
+  EXPECT_EQ((*V)[0].Ret, Expr::boolE(false));
 }

@@ -85,6 +85,21 @@ TEST(McSymbolic, SymbolicIndexOffByOneIsCaught) {
   EXPECT_TRUE(FoundOob) << R.Bugs[0].Message;
 }
 
+TEST(McSymbolic, StoreAtInt64MaxOffsetIsOutOfBounds) {
+  // The offset plus the chunk size wraps to INT64_MIN: a bounds check
+  // that adds them lets this store through.
+  SymbolicTestResult R = runSym(R"(
+    fn main() -> i64 {
+      var p: ptr<i8> = alloc(i8, 16);
+      var q: ptr<i8> = p + 9223372036854775807;
+      q[0] = 1;
+      return 0;
+    })");
+  ASSERT_EQ(R.Bugs.size(), 1u);
+  EXPECT_NE(R.Bugs[0].Message.find("out-of-bounds"), std::string::npos)
+      << R.Bugs[0].Message;
+}
+
 TEST(McSymbolic, BranchOnSymbolicValueThroughHeap) {
   SymbolicTestResult R = runSym(R"(
     struct Node { val: i64; next: ptr<Node>; }

@@ -249,18 +249,18 @@ TEST(JournalIoTest, RejectsGarbageAndBadFields) {
   }
 }
 
-TEST(JournalIoTest, ReaderDropsRetiredSpawnRecords) {
-  // Earlier builds recorded each frontier spawn as a kind-4 event. A file
-  // holding one still loads, without that record.
+/// A file holding one record of the retired event kind \p Kind still
+/// loads, without that record.
+void expectRetiredKindDropped(uint8_t Kind) {
   JournalData D = tinyJournal(static_cast<uint8_t>(VerdictLayer::Z3), false);
   JournalData Old = D;
-  Event Spawn;
-  Spawn.Kind = 4;
-  Spawn.Path = 2;
-  Spawn.Step = 4;
-  Spawn.Proc = 1;
-  Spawn.Cmd = 7;
-  Old.Events.insert(Old.Events.begin() + 3, Spawn);
+  Event Retired;
+  Retired.Kind = Kind;
+  Retired.Path = 2;
+  Retired.Step = 4;
+  Retired.Proc = 1;
+  Retired.Cmd = 7;
+  Old.Events.insert(Old.Events.begin() + 3, Retired);
   std::string Bytes = serializeJournal(Old);
   ASSERT_EQ(Bytes.compare(0, 4, "GJL1"), 0);
   JournalData Back;
@@ -268,6 +268,16 @@ TEST(JournalIoTest, ReaderDropsRetiredSpawnRecords) {
   ASSERT_TRUE(parseJournal(Bytes, Back, Err)) << Err;
   EXPECT_EQ(Back.Events.size(), D.Events.size());
   EXPECT_EQ(serializeJournal(Back), serializeJournal(D));
+}
+
+TEST(JournalIoTest, ReaderDropsRetiredSpawnRecords) {
+  // Earlier builds recorded each frontier spawn as a kind-4 event.
+  expectRetiredKindDropped(4);
+}
+
+TEST(JournalIoTest, ReaderDropsRetiredSummaryRecords) {
+  // Earlier builds recorded each summary-cache replay as a kind-3 event.
+  expectRetiredKindDropped(3);
 }
 
 TEST(JournalIoTest, ReaderLoadsRetiredLayerByte) {

@@ -157,12 +157,3 @@ TEST(SimplifierProperty, Idempotent) {
     EXPECT_EQ(S1, S2) << E.toString();
   }
 }
-
-TEST(SimplifierProperty, CachedAgreesWithUncached) {
-  resetSimplifyCache();
-  for (uint64_t Seed = 3000; Seed <= 3200; ++Seed) {
-    ExprGen G(Seed);
-    Expr E = G.gen(4);
-    EXPECT_EQ(simplify(E), simplifyCached(E)) << E.toString();
-  }
-}

@@ -138,18 +138,6 @@ TEST(Simplifier, Idempotent) {
   }
 }
 
-TEST(Simplifier, CacheHitsOnRepeatedQueries) {
-  resetSimplifyCache();
-  Result<Expr> E = parseGilExpr("(#x + 1) + 1 == 5");
-  ASSERT_TRUE(E.ok());
-  Expr S1 = simplifyCached(*E);
-  Expr S2 = simplifyCached(*E);
-  EXPECT_EQ(S1, S2);
-  SimplifyCacheStats St = simplifyCacheStats();
-  EXPECT_GE(St.Hits, 1u);
-  EXPECT_GE(St.Misses, 1u);
-}
-
 TEST(Simplifier, SemanticsPreservedOnClosedExprs) {
   // Property: for closed total expressions, simplify must not change the
   // evaluated value.

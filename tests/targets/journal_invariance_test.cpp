@@ -5,9 +5,9 @@
 // the evaluation workloads (MJS Buckets, MC Collections) the reconstructed
 // path forest — roots in test order, children by branch index, per-node
 // events canonicalised to semantic content — must be identical across
-// worker counts {1, 2, 8}. Node ids, verdict layers, wall times and
-// summary hit/miss are run-dependent and excluded by
-// canonicalTreeSignature; everything else must align exactly.
+// worker counts {1, 2, 8}. Node ids, verdict layers and wall times are
+// run-dependent and excluded by canonicalTreeSignature; everything else
+// must align exactly.
 //
 // Also pinned here, on journals from a real exploration rather than
 // hand-made events: the serialize→parse→serialize byte round-trip, and
