@@ -125,16 +125,13 @@ public:
 
   Interpreter(const Prog &P, const EngineOptions &Opts, ExecStats &Stats)
       : P(P), Opts(Opts), Stats(Stats) {
-    // Register every procedure's IfGoto sites up front so branch-coverage
-    // totals are static: a branch no path ever reaches reports as
-    // uncovered instead of silently missing from the denominator.
-    for (const auto &[Name, Proc] : P.procs()) {
-      uint32_t Sites = 0;
-      for (const Cmd &C : Proc.Body)
-        if (C.Kind == CmdKind::IfGoto)
-          ++Sites;
-      obs::BranchCoverage::instance().registerProc(Name.id(), Sites);
-    }
+    // Register every procedure's IfGoto sites (counted once, when the
+    // program was built) up front so branch-coverage totals are static: a
+    // branch no path ever reaches reports as uncovered instead of
+    // silently missing from the denominator.
+    obs::BranchCoverage &Cov = obs::BranchCoverage::instance();
+    for (const auto &[Name, Sites] : P.branchSites())
+      Cov.registerProc(Name.id(), Sites);
   }
 
   const EngineOptions &options() const { return Opts; }
@@ -196,6 +193,10 @@ public:
       Result<typename St::ValueT> CondT = C.State.evalExpr(Command.E);
       if (!CondT) {
         fail(S, std::move(C), CondT.error());
+        return;
+      }
+      if (std::optional<bool> Lit = literalBool(*CondT)) {
+        jumpOnLiteral(S, std::move(C), Command, *Lit);
         return;
       }
       Result<typename St::ValueT> CondF =
@@ -279,8 +280,8 @@ public:
       }
 
       if (FalseSt.has_value()) {
-        Config FC = C;
-        FC.State = std::move(*FalseSt);
+        Config FC = successor(C, std::move(*FalseSt),
+                              /*Last=*/!TrueSt->has_value());
         if (TookBoth)
           FC.JPath = JChild;
         ++FC.I;
@@ -289,18 +290,8 @@ public:
       if (TrueSt->has_value()) {
         if (TookBoth)
           C.JPath = JChild + 1;
-        bool Backjump = Command.Target <= C.I;
-        if (Backjump && ++C.Backjumps > Opts.LoopBound) {
-          if (JOn)
-            obs::journal::emitPathEnd(
-                C.JPath, C.JSteps, C.CurProc.id(),
-                static_cast<uint32_t>(C.I),
-                static_cast<uint8_t>(OutcomeKind::Bound),
-                obs::journal::BudgetKind::Loop);
-          finish(S, OutcomeKind::Bound,
-                 St::errorValue("loop bound reached"), std::move(C.State));
+        if (loopBoundCut(S, C, Command))
           return;
-        }
         C.State = std::move(**TrueSt);
         C.I = Command.Target;
         S.cont(std::move(C));
@@ -413,8 +404,10 @@ public:
           obs::journal::queryAttribution();
       uint32_t JPc0 = JOn ? journalPcSize(C.State) : 0;
       uint64_t JWall0 = JOn ? QA.CumWallNs : 0;
+      // A state model with a consuming execAction hands C.State's parts to
+      // the branches; on Err it leaves C.State as it was, for the report.
       Result<std::vector<StateBranch<St>>> Branches =
-          C.State.execAction(Command.Action, *Arg);
+          std::move(C.State).execAction(Command.Action, *Arg);
       if (!Branches) {
         fail(S, std::move(C), Branches.error());
         return;
@@ -439,6 +432,11 @@ public:
                                  NOut >= 2 ? JChild : 0,
                                  QA.CumWallNs - JWall0);
       }
+      // The last successor continues on C's call stack; the others copy it.
+      size_t LastOk = NOut;
+      for (size_t K = 0; K != NOut; ++K)
+        if (!(*Branches)[K].IsError)
+          LastOk = K;
       uint32_t JIdx = 0;
       for (StateBranch<St> &B : *Branches) {
         uint64_t JP = NOut >= 2 ? JChild + JIdx : C.JPath;
@@ -448,6 +446,7 @@ public:
               static_cast<uint8_t>(JIdx > 255 ? 255 : JIdx), /*Taken=*/true,
               obs::journal::Verdict::None, obs::journal::VerdictLayer::None,
               journalPcSize(B.State) - JPc0, 0, JP);
+        bool Last = JIdx == LastOk;
         ++JIdx;
         if (B.IsError) {
           if (JOn)
@@ -459,8 +458,7 @@ public:
                  std::move(B.State));
           continue;
         }
-        Config NC = C;
-        NC.State = std::move(B.State);
+        Config NC = successor(C, std::move(B.State), Last);
         NC.State.setVar(Command.X, std::move(B.Ret));
         NC.JPath = JP;
         ++NC.I;
@@ -525,6 +523,70 @@ private:
       return static_cast<uint32_t>(S.pathCondition().conjuncts().size());
     else
       return 0;
+  }
+
+  /// The Bool a branch condition denotes when it is a literal one.
+  static std::optional<bool> literalBool(const typename St::ValueT &V) {
+    const Value *L = nullptr;
+    if constexpr (std::same_as<typename St::ValueT, Value>)
+      L = &V;
+    else if (V.isLit())
+      L = &V.litValue();
+    if (L && L->isBool())
+      return L->asBool();
+    return std::nullopt;
+  }
+
+  /// An IfGoto whose condition evaluated to the literal \p Taken. The
+  /// state's path condition is satisfiable (every step that extends it
+  /// checks π ∧ π'), so assume(true) would return the state unchanged and
+  /// assume(false) nothing: the step jumps or falls through with no
+  /// solver query. Coverage and both journal Branch events are recorded
+  /// as for a decided branch, with no verdict layer.
+  template <typename Sink>
+  void jumpOnLiteral(Sink &S, Config C, const Cmd &Command, bool Taken) {
+    obs::BranchCoverage::recordBranch(
+        C.CurProc.id(), static_cast<uint32_t>(C.I),
+        Taken ? obs::BranchTrueBit : obs::BranchFalseBit);
+    if (obs::journal::enabled())
+      for (uint8_t Side : {0, 1})
+        obs::journal::emitBranch(
+            C.JPath, C.JSteps, C.CurProc.id(), static_cast<uint32_t>(C.I),
+            Side, (Side == 1) == Taken, obs::journal::Verdict::None,
+            obs::journal::VerdictLayer::None, 0, 0, 0);
+    if (!Taken) {
+      ++C.I;
+      S.cont(std::move(C));
+      return;
+    }
+    if (loopBoundCut(S, C, Command))
+      return;
+    C.I = Command.Target;
+    S.cont(std::move(C));
+  }
+
+  /// Ends \p C as Bound when jumping to \p Command's target is a back-jump
+  /// past the frame's loop budget; returns whether it did.
+  template <typename Sink>
+  bool loopBoundCut(Sink &S, Config &C, const Cmd &Command) {
+    if (Command.Target > C.I || ++C.Backjumps <= Opts.LoopBound)
+      return false;
+    journalEnd(C, OutcomeKind::Bound, obs::journal::BudgetKind::Loop);
+    finish(S, OutcomeKind::Bound, St::errorValue("loop bound reached"),
+           std::move(C.State));
+    return true;
+  }
+
+  /// A successor of \p C in \p State at C's program point. The last
+  /// successor of a step takes C's call stack; the others copy it.
+  static Config successor(Config &C, St State, bool Last) {
+    Config N{std::move(State), {}, C.CurProc, C.I, C.Backjumps, C.JPath,
+             C.JSteps};
+    if (Last)
+      N.Stack = std::move(C.Stack);
+    else
+      N.Stack = C.Stack;
+    return N;
   }
 
   template <typename Sink>

@@ -27,8 +27,15 @@
 
 namespace gillian::memlib {
 
-inline InternedString actCellGet() { return InternedString::get("cget"); }
-inline InternedString actCellSet() { return InternedString::get("cset"); }
+// Action names are interned once; every dispatch compares the handles.
+inline InternedString actCellGet() {
+  static const InternedString A = InternedString::get("cget");
+  return A;
+}
+inline InternedString actCellSet() {
+  static const InternedString A = InternedString::get("cset");
+  return A;
+}
 
 /// A single expression-valued cell; the default codomain of PMap.
 struct ExprCell {

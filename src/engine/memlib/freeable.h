@@ -61,25 +61,26 @@ public:
   bool empty() const { return Keys.empty(); }
   void mark(const Expr &K) { Keys.set(K, true); }
 
-  /// Emits a fault branch (message \p Msg) for every freed key that
-  /// \p Loc may alias under the path condition. Returns false when the
-  /// alias is definite — the action is over, the caller returns its
-  /// branches. Otherwise \p LiveOut accumulates the "aliases none of the
-  /// freed keys" condition under which the action proceeds.
-  template <typename M>
-  bool guard(BranchCtx<M> &Ctx, const Expr &Loc, const std::string &Msg,
+  /// Emits a fault branch (message \p Msg(), built only for a fault that
+  /// is emitted) for every freed key that \p Loc may alias under the path
+  /// condition. Returns false when the alias is definite — the action is
+  /// over, the caller returns its branches. Otherwise \p LiveOut
+  /// accumulates the "aliases none of the freed keys" condition under
+  /// which the action proceeds.
+  template <typename M, typename MsgFn>
+  bool guard(BranchCtx<M> &Ctx, const Expr &Loc, const MsgFn &Msg,
              Expr &LiveOut) const {
     for (const auto &[D, Unused] : Keys) {
       (void)Unused;
       Expr Cond;
       switch (decideEq(Loc, D, Ctx.PC, Ctx.S, Cond)) {
       case Tri::Yes:
-        Ctx.error(Msg);
+        Ctx.error(Msg());
         return false;
       case Tri::No:
         break;
       case Tri::Maybe:
-        Ctx.error(Msg, Cond);
+        Ctx.error(Msg(), Cond);
         LiveOut = conj(LiveOut, Expr::notE(Cond));
         break;
       }
@@ -115,7 +116,11 @@ private:
 // Cell form
 //===----------------------------------------------------------------------===//
 
-inline InternedString actFreeableFree() { return InternedString::get("ffree"); }
+// Action names are interned once; every dispatch compares the handles.
+inline InternedString actFreeableFree() {
+  static const InternedString A = InternedString::get("ffree");
+  return A;
+}
 
 /// Freeable<Cell>: the payload keeps its identity after free, but every
 /// inner-cell action on a freed payload is a memory fault, and a double

@@ -93,10 +93,23 @@ void resolveAliases(BranchCtx<M> &Ctx, const MapT &Map, const Expr &Key,
 // PMap<Cell>: the combinator pair
 //===----------------------------------------------------------------------===//
 
-inline InternedString actMapGet() { return InternedString::get("mget"); }
-inline InternedString actMapSet() { return InternedString::get("mset"); }
-inline InternedString actMapHas() { return InternedString::get("mhas"); }
-inline InternedString actMapFree() { return InternedString::get("mfree"); }
+// Action names are interned once; every dispatch compares the handles.
+inline InternedString actMapGet() {
+  static const InternedString A = InternedString::get("mget");
+  return A;
+}
+inline InternedString actMapSet() {
+  static const InternedString A = InternedString::get("mset");
+  return A;
+}
+inline InternedString actMapHas() {
+  static const InternedString A = InternedString::get("mhas");
+  return A;
+}
+inline InternedString actMapFree() {
+  static const InternedString A = InternedString::get("mfree");
+  return A;
+}
 
 /// A partial map from locations to cells, with use-after-free tracking in
 /// the key-index form (freed cells drop their payload; see freeable.h).
@@ -202,18 +215,18 @@ template <typename Cell = ExprCell> struct PMap {
       if (!A)
         return Err(A.error());
       const Expr &K = (*A)[0];
-      std::string ActName(Act.str());
       BranchCtx<Symbolic> Ctx(*this, PC, S);
 
       if (!hasAction(Act))
-        return Err("unknown PMap action '" + ActName + "'");
+        return Err("unknown PMap action '" + std::string(Act.str()) + "'");
 
       Expr Live = Expr::boolE(true);
       // mhas observes freed locations as absent rather than faulting.
-      if (Act != actMapHas() &&
-          !Freed.guard(Ctx, K,
-                       "memory fault: " + ActName + " on freed location",
-                       Live))
+      auto FreedMsg = [Act] {
+        return "memory fault: " + std::string(Act.str()) +
+               " on freed location";
+      };
+      if (Act != actMapHas() && !Freed.guard(Ctx, K, FreedMsg, Live))
         return Ctx.Out;
 
       if (Act == actMapGet()) {

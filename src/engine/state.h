@@ -239,26 +239,48 @@ public:
   }
   Expr allocISym(uint32_t Site) { return Alloc.allocISym(Site); }
 
+  /// [Action] of Fig. 3, leaving this state as it was.
   Result<std::vector<StateBranch<SymbolicState>>>
-  execAction(InternedString Act, const Expr &Arg) const {
+  execAction(InternedString Act, const Expr &Arg) const & {
+    return SymbolicState(*this).execAction(Act, Arg);
+  }
+
+  /// [Action] of Fig. 3, consuming this state: every branch but the last
+  /// copies the store, allocator, path condition and type environment,
+  /// and the last takes them. A branch that conjoins π' to the path
+  /// condition is kept only when π ∧ π' is not provably unsatisfiable.
+  /// On Err (malformed arguments) the state is left untouched.
+  Result<std::vector<StateBranch<SymbolicState>>>
+  execAction(InternedString Act, const Expr &Arg) && {
     Result<std::vector<SymActionBranch<M>>> Branches =
         Mem.execAction(Act, Arg, PC, *Slv);
     if (!Branches)
       return Err(Branches.error());
     std::vector<StateBranch<SymbolicState>> Out;
     Out.reserve(Branches->size());
-    for (SymActionBranch<M> &B : *Branches) {
-      SymbolicState Next = *this;
-      Next.Mem = std::move(B.Mem);
+    for (size_t I = 0, N = Branches->size(); I != N; ++I) {
+      SymActionBranch<M> &B = (*Branches)[I];
+      SymbolicState Next =
+          I + 1 == N
+              ? SymbolicState(std::move(B.Mem), std::move(Store),
+                              std::move(Alloc), std::move(PC),
+                              std::move(Types), Slv, Opts)
+              : SymbolicState(std::move(B.Mem), Store, Alloc, PC, Types, Slv,
+                              Opts);
+      // `this` may have been moved from: simplify under Next, whose type
+      // environment is still the pre-action one.
+      Expr Ret = Next.simplified(B.Ret);
       if (B.Cond) {
-        Expr C = simplified(B.Cond);
+        Expr C = Next.simplified(B.Cond);
         if (C.isFalse())
           continue;
+        size_t Before = Next.PC.size();
         Next.addConjunct(C);
-        if (Next.PC.isTriviallyFalse())
+        if (Next.PC.isTriviallyFalse() ||
+            (Next.PC.size() != Before && !Slv->maybeSat(Next.PC)))
           continue;
       }
-      Out.push_back({std::move(Next), simplified(B.Ret), B.IsError});
+      Out.push_back({std::move(Next), std::move(Ret), B.IsError});
     }
     return Out;
   }
@@ -308,6 +330,12 @@ public:
   const StoreT &store() const { return Store; }
 
 private:
+  SymbolicState(M Mem, StoreT Store, SymbolicAllocator Alloc,
+                PathCondition PC, TypeEnv Types, Solver *Slv,
+                const EngineOptions *Opts)
+      : Mem(std::move(Mem)), Store(std::move(Store)), Alloc(std::move(Alloc)),
+        PC(std::move(PC)), Types(std::move(Types)), Slv(Slv), Opts(Opts) {}
+
   /// The value of \p E over the store when every program variable it
   /// reads is bound to a literal and no operator faults; nullopt
   /// otherwise. Both operands of && and || are evaluated: short-circuiting

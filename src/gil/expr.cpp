@@ -7,15 +7,6 @@
 
 using namespace gillian;
 
-struct Expr::Node {
-  ExprKind Kind;
-  uint8_t Op = 0; ///< UnOpKind or BinOpKind, depending on Kind
-  Value Lit;
-  InternedString Var;
-  std::vector<Expr> Kids;
-  size_t Hash = 0;
-};
-
 namespace {
 
 size_t mix(size_t H, size_t X) {
@@ -93,41 +84,6 @@ Expr Expr::list(std::vector<Expr> Elems) {
   R.N = std::move(N);
   return R;
 }
-
-ExprKind Expr::kind() const {
-  assert(N && "kind() on null Expr");
-  return N->Kind;
-}
-
-const Value &Expr::litValue() const {
-  assert(N && N->Kind == ExprKind::Lit && "not a literal");
-  return N->Lit;
-}
-
-InternedString Expr::varName() const {
-  assert(N && (N->Kind == ExprKind::PVar || N->Kind == ExprKind::LVar) &&
-         "not a variable");
-  return N->Var;
-}
-
-UnOpKind Expr::unOpKind() const {
-  assert(N && N->Kind == ExprKind::UnOp && "not a unary operator");
-  return static_cast<UnOpKind>(N->Op);
-}
-
-BinOpKind Expr::binOpKind() const {
-  assert(N && N->Kind == ExprKind::BinOp && "not a binary operator");
-  return static_cast<BinOpKind>(N->Op);
-}
-
-size_t Expr::numChildren() const { return N ? N->Kids.size() : 0; }
-
-const Expr &Expr::child(size_t I) const {
-  assert(N && I < N->Kids.size() && "child index out of range");
-  return N->Kids[I];
-}
-
-size_t Expr::hash() const { return N ? N->Hash : 0; }
 
 bool gillian::operator==(const Expr &A, const Expr &B) {
   if (A.N == B.N)

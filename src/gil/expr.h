@@ -24,6 +24,7 @@
 #include "gil/value.h"
 #include "support/result.h"
 
+#include <cassert>
 #include <functional>
 #include <memory>
 #include <set>
@@ -142,6 +143,52 @@ public:
 private:
   std::shared_ptr<const Node> N;
 };
+
+/// The shared node behind an Expr. Defined here so the accessors below
+/// inline into the engine's and solver's tree walks.
+struct Expr::Node {
+  ExprKind Kind;
+  uint8_t Op = 0; ///< UnOpKind or BinOpKind, depending on Kind
+  Value Lit;
+  InternedString Var;
+  std::vector<Expr> Kids;
+  size_t Hash = 0;
+};
+
+inline ExprKind Expr::kind() const {
+  assert(N && "kind() on null Expr");
+  return N->Kind;
+}
+
+inline const Value &Expr::litValue() const {
+  assert(N && N->Kind == ExprKind::Lit && "not a literal");
+  return N->Lit;
+}
+
+inline InternedString Expr::varName() const {
+  assert(N && (N->Kind == ExprKind::PVar || N->Kind == ExprKind::LVar) &&
+         "not a variable");
+  return N->Var;
+}
+
+inline UnOpKind Expr::unOpKind() const {
+  assert(N && N->Kind == ExprKind::UnOp && "not a unary operator");
+  return static_cast<UnOpKind>(N->Op);
+}
+
+inline BinOpKind Expr::binOpKind() const {
+  assert(N && N->Kind == ExprKind::BinOp && "not a binary operator");
+  return static_cast<BinOpKind>(N->Op);
+}
+
+inline size_t Expr::numChildren() const { return N ? N->Kids.size() : 0; }
+
+inline const Expr &Expr::child(size_t I) const {
+  assert(N && I < N->Kids.size() && "child index out of range");
+  return N->Kids[I];
+}
+
+inline size_t Expr::hash() const { return N ? N->Hash : 0; }
 
 bool operator==(const Expr &A, const Expr &B);
 

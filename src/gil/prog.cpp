@@ -100,6 +100,18 @@ std::string Cmd::toString() const {
   return "<bad-cmd>";
 }
 
+void Prog::add(Proc P) {
+  uint32_t Sites = 0;
+  for (const Cmd &C : P.Body)
+    if (C.Kind == CmdKind::IfGoto)
+      ++Sites;
+  if (Sites)
+    BranchSites[P.Name] = Sites;
+  else
+    BranchSites.erase(P.Name);
+  Procs[P.Name] = std::move(P);
+}
+
 std::string Prog::toString() const {
   std::string Out;
   for (const auto &[Name, P] : Procs) {

@@ -76,8 +76,9 @@ struct Proc {
 /// A GIL program: a map from procedure identifiers to procedures.
 class Prog {
 public:
-  /// Adds \p P, replacing any same-named procedure.
-  void add(Proc P) { Procs[P.Name] = std::move(P); }
+  /// Adds \p P, replacing any same-named procedure, and counts its
+  /// IfGoto commands.
+  void add(Proc P);
 
   /// Returns the procedure named \p F, or null.
   const Proc *find(InternedString F) const {
@@ -91,12 +92,19 @@ public:
   const std::map<InternedString, Proc> &procs() const { return Procs; }
   size_t size() const { return Procs.size(); }
 
+  /// The IfGoto count of every procedure that has at least one, counted
+  /// once by add(): the static denominator of branch coverage.
+  const std::map<InternedString, uint32_t> &branchSites() const {
+    return BranchSites;
+  }
+
   /// Renders the whole program in textual-GIL syntax (round-trips through
   /// parseGilProg).
   std::string toString() const;
 
 private:
   std::map<InternedString, Proc> Procs;
+  std::map<InternedString, uint32_t> BranchSites;
 };
 
 } // namespace gillian

@@ -45,11 +45,23 @@
 
 namespace gillian::linear {
 
-// Action names.
-inline InternedString actGrow() { return InternedString::get("grow"); }
-inline InternedString actMSize() { return InternedString::get("msize"); }
-inline InternedString actLoad() { return InternedString::get("load"); }
-inline InternedString actStore() { return InternedString::get("store"); }
+// Action names, interned once; every dispatch compares the handles.
+inline InternedString actGrow() {
+  static const InternedString A = InternedString::get("grow");
+  return A;
+}
+inline InternedString actMSize() {
+  static const InternedString A = InternedString::get("msize");
+  return A;
+}
+inline InternedString actLoad() {
+  static const InternedString A = InternedString::get("load");
+  return A;
+}
+inline InternedString actStore() {
+  static const InternedString A = InternedString::get("store");
+  return A;
+}
 
 //===----------------------------------------------------------------------===//
 // Concrete linear memory

@@ -15,23 +15,46 @@ using namespace gillian::mc;
 using memlib::BranchCtx;
 using memlib::Tri;
 
-InternedString gillian::mc::actAlloc() { return InternedString::get("alloc"); }
-InternedString gillian::mc::actFree() { return InternedString::get("free"); }
-InternedString gillian::mc::actLoad() { return InternedString::get("load"); }
-InternedString gillian::mc::actStore() { return InternedString::get("store"); }
-InternedString gillian::mc::actMemcpy() { return InternedString::get("memcpy"); }
-InternedString gillian::mc::actMemset() { return InternedString::get("memset"); }
+// Action names are interned once; every dispatch compares the handles.
+InternedString gillian::mc::actAlloc() {
+  static const InternedString A = InternedString::get("alloc");
+  return A;
+}
+InternedString gillian::mc::actFree() {
+  static const InternedString A = InternedString::get("free");
+  return A;
+}
+InternedString gillian::mc::actLoad() {
+  static const InternedString A = InternedString::get("load");
+  return A;
+}
+InternedString gillian::mc::actStore() {
+  static const InternedString A = InternedString::get("store");
+  return A;
+}
+InternedString gillian::mc::actMemcpy() {
+  static const InternedString A = InternedString::get("memcpy");
+  return A;
+}
+InternedString gillian::mc::actMemset() {
+  static const InternedString A = InternedString::get("memset");
+  return A;
+}
 InternedString gillian::mc::actBlockSize() {
-  return InternedString::get("blockSize");
+  static const InternedString A = InternedString::get("blockSize");
+  return A;
 }
 InternedString gillian::mc::actDropPerm() {
-  return InternedString::get("dropPerm");
+  static const InternedString A = InternedString::get("dropPerm");
+  return A;
 }
 InternedString gillian::mc::actComparePtr() {
-  return InternedString::get("comparePtr");
+  static const InternedString A = InternedString::get("comparePtr");
+  return A;
 }
 InternedString gillian::mc::actValidPtr() {
-  return InternedString::get("validPtr");
+  static const InternedString A = InternedString::get("validPtr");
+  return A;
 }
 
 Value gillian::mc::nullPtr() {

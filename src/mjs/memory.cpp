@@ -10,14 +10,39 @@ using namespace gillian::mjs;
 using memlib::BranchCtx;
 using memlib::resolveAliases;
 
-InternedString gillian::mjs::actNewObj() { return InternedString::get("newObj"); }
-InternedString gillian::mjs::actDelObj() { return InternedString::get("delObj"); }
-InternedString gillian::mjs::actGetProp() { return InternedString::get("getProp"); }
-InternedString gillian::mjs::actSetProp() { return InternedString::get("setProp"); }
-InternedString gillian::mjs::actDelProp() { return InternedString::get("delProp"); }
-InternedString gillian::mjs::actHasProp() { return InternedString::get("hasProp"); }
-InternedString gillian::mjs::actGetMeta() { return InternedString::get("getMeta"); }
-InternedString gillian::mjs::actSetMeta() { return InternedString::get("setMeta"); }
+// Action names are interned once; every dispatch compares the handles.
+InternedString gillian::mjs::actNewObj() {
+  static const InternedString A = InternedString::get("newObj");
+  return A;
+}
+InternedString gillian::mjs::actDelObj() {
+  static const InternedString A = InternedString::get("delObj");
+  return A;
+}
+InternedString gillian::mjs::actGetProp() {
+  static const InternedString A = InternedString::get("getProp");
+  return A;
+}
+InternedString gillian::mjs::actSetProp() {
+  static const InternedString A = InternedString::get("setProp");
+  return A;
+}
+InternedString gillian::mjs::actDelProp() {
+  static const InternedString A = InternedString::get("delProp");
+  return A;
+}
+InternedString gillian::mjs::actHasProp() {
+  static const InternedString A = InternedString::get("hasProp");
+  return A;
+}
+InternedString gillian::mjs::actGetMeta() {
+  static const InternedString A = InternedString::get("getMeta");
+  return A;
+}
+InternedString gillian::mjs::actSetMeta() {
+  static const InternedString A = InternedString::get("setMeta");
+  return A;
+}
 
 Value gillian::mjs::jsUndefined() { return Value::symV("$undefined"); }
 Value gillian::mjs::jsNull() { return Value::symV("$null"); }
@@ -204,10 +229,11 @@ MjsSMem::execAction(InternedString Act, const Expr &Arg,
   const Expr &Loc = (*A)[0];
 
   BranchCtx<MjsSMem> Ctx(*this, PC, S);
-  std::string ActName(Act.str());
   Expr Live = Expr::boolE(true);
-  if (!Deleted.guard(Ctx, Loc, "TypeError: " + ActName + " on deleted object",
-                     Live))
+  auto DeletedMsg = [Act] {
+    return "TypeError: " + std::string(Act.str()) + " on deleted object";
+  };
+  if (!Deleted.guard(Ctx, Loc, DeletedMsg, Live))
     return Ctx.Out;
 
   /// Runs \p Body(objectKey, props, takenCond) for every stored object the

@@ -19,9 +19,8 @@
 /// interpreter registers every procedure's IfGoto count up front, so
 /// never-executed branches show up as uncovered instead of disappearing.
 ///
-/// recordBranch() is a shard-mutex acquisition plus a bitwise OR; an
-/// IfGoto typically evaluates its condition against the path condition
-/// (a solver query), so the bookkeeping is noise.
+/// recordBranch() is a shard-mutex acquisition plus a bitwise OR, paid by
+/// every IfGoto, including the literal ones that make no solver query.
 ///
 //===----------------------------------------------------------------------===//
 

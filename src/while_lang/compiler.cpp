@@ -7,14 +7,18 @@
 using namespace gillian;
 using namespace gillian::whilelang;
 
+// Action names are interned once; every dispatch compares the handles.
 InternedString gillian::whilelang::actLookup() {
-  return InternedString::get("lookup");
+  static const InternedString A = InternedString::get("lookup");
+  return A;
 }
 InternedString gillian::whilelang::actMutate() {
-  return InternedString::get("mutate");
+  static const InternedString A = InternedString::get("mutate");
+  return A;
 }
 InternedString gillian::whilelang::actDispose() {
-  return InternedString::get("dispose");
+  static const InternedString A = InternedString::get("dispose");
+  return A;
 }
 
 namespace {

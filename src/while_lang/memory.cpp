@@ -144,8 +144,9 @@ WhileSMem::lookup(const Expr &Loc, InternedString Prop,
                   const PathCondition &PC, Solver &S) const {
   BranchCtx<WhileSMem> Ctx(*this, PC, S);
   Expr Live = Expr::boolE(true);
-  if (!Disposed.guard(Ctx, Loc, "memory fault: lookup on disposed object",
-                      Live))
+  if (!Disposed.guard(
+          Ctx, Loc, [] { return "memory fault: lookup on disposed object"; },
+          Live))
     return std::move(Ctx.Out);
 
   // [S-Lookup]: branch over every potentially-aliasing stored location;
@@ -171,8 +172,9 @@ WhileSMem::mutate(const Expr &Loc, InternedString Prop, const Expr &V,
                   const PathCondition &PC, Solver &S) const {
   BranchCtx<WhileSMem> Ctx(*this, PC, S);
   Expr Live = Expr::boolE(true);
-  if (!Disposed.guard(Ctx, Loc, "memory fault: mutate on disposed object",
-                      Live))
+  if (!Disposed.guard(
+          Ctx, Loc, [] { return "memory fault: mutate on disposed object"; },
+          Live))
     return std::move(Ctx.Out);
 
   // [S-Mutate-Present] per alias; [S-Mutate-Absent] extends on the miss.
@@ -196,7 +198,8 @@ WhileSMem::dispose(const Expr &Loc, const PathCondition &PC,
                    Solver &S) const {
   BranchCtx<WhileSMem> Ctx(*this, PC, S);
   Expr Live = Expr::boolE(true);
-  if (!Disposed.guard(Ctx, Loc, "memory fault: double dispose", Live))
+  if (!Disposed.guard(
+          Ctx, Loc, [] { return "memory fault: double dispose"; }, Live))
     return std::move(Ctx.Out);
 
   resolveAliases(

@@ -11,6 +11,7 @@
 #include "engine/null_memory.h"
 #include "engine/test_runner.h"
 #include "gil/parser.h"
+#include "obs/journal/journal_io.h"
 
 #include <gtest/gtest.h>
 
@@ -276,4 +277,206 @@ TEST(Interpreter, UnknownEntryIsEngineError) {
   auto R = runExploration(I, InternedString::get("nope"), Value::listV({}),
                           ConcreteState<NullCMem>());
   EXPECT_FALSE(R.ok());
+}
+
+// --- Literal branches are jumps -------------------------------------------
+
+TEST(Interpreter, LiteralBranchesMakeNoSolverQuery) {
+  // Every condition evaluates to a literal Bool: the loop test, the
+  // back-jump, the callee's guard. The run must decide all of them
+  // without the solver and still compute the concrete result.
+  Prog P = parseProg(R"(
+    proc lit_main(a) {
+      0: n := 5;
+      1: r := 1;
+      2: ifgoto (n <= 1) 6;
+      3: r := r * n;
+      4: n := n - 1;
+      5: goto 2;
+      6: s := "lit_sign"([r]);
+      7: return [r, s];
+    }
+    proc lit_sign(args) {
+      0: v := l_nth(args, 0);
+      1: ifgoto (v < 0) 3;
+      2: return "nonneg";
+      3: return "neg";
+    })");
+  EngineOptions Opts;
+  Solver Slv;
+  ExecStats Stats;
+  using St = SymbolicState<NullSMem>;
+  Interpreter<St> I(P, Opts, Stats);
+  auto R = runExploration(I, InternedString::get("lit_main"), Expr::list({}),
+                          St(NullSMem(), &Slv, &Opts));
+  ASSERT_TRUE(R.ok()) << R.error();
+  ASSERT_EQ(R->size(), 1u);
+  EXPECT_EQ((*R)[0].Kind, OutcomeKind::Return);
+  EXPECT_EQ((*R)[0].Val, Expr::lit(Value::listV(
+                             {Value::intV(120), Value::strV("nonneg")})));
+  EXPECT_TRUE((*R)[0].Final.pathCondition().empty());
+  EXPECT_EQ(Slv.stats().Queries, 0u);
+  EXPECT_EQ(Stats.Branches, 0u);
+  EXPECT_EQ(runC(P, "lit_main").Val,
+            Value::listV({Value::intV(120), Value::strV("nonneg")}));
+
+  // Coverage records the side each literal branch took: both sides of the
+  // loop test, the jump of `goto`, the fall-through of the guard.
+  int Seen = 0;
+  for (const obs::BranchCoverage::ProcCoverage &C :
+       obs::BranchCoverage::instance().snapshot()) {
+    if (C.Proc == "lit_main") {
+      ++Seen;
+      EXPECT_EQ(C.Sites, 2u);
+      EXPECT_EQ(C.OutcomesCovered, 3u);
+    }
+    if (C.Proc == "lit_sign") {
+      ++Seen;
+      EXPECT_EQ(C.Sites, 1u);
+      EXPECT_EQ(C.OutcomesCovered, 1u);
+    }
+  }
+  EXPECT_EQ(Seen, 2);
+}
+
+TEST(Interpreter, LiteralBranchJournalsBothSidesWithoutAVerdict) {
+  Prog P = parseProg(R"(
+    proc lit_journal(a) {
+      0: x := 3;
+      1: ifgoto (x < 2) 3;
+      2: return 0;
+      3: return 1;
+    })");
+  EngineOptions Opts;
+  Solver Slv;
+  ExecStats Stats;
+  using St = SymbolicState<NullSMem>;
+  obs::journal::reset();
+  obs::journal::setEnabled(true);
+  Interpreter<St> I(P, Opts, Stats);
+  auto R = runExploration(I, InternedString::get("lit_journal"),
+                          Expr::list({}), St(NullSMem(), &Slv, &Opts));
+  obs::journal::JournalData D = obs::journal::capture();
+  obs::journal::setEnabled(false);
+  obs::journal::reset();
+  ASSERT_TRUE(R.ok()) << R.error();
+  std::vector<obs::journal::Event> Branches;
+  for (const obs::journal::Event &E : D.Events)
+    if (E.Kind == static_cast<uint8_t>(obs::journal::EventKind::Branch))
+      Branches.push_back(E);
+  ASSERT_EQ(Branches.size(), 2u);
+  for (const obs::journal::Event &E : Branches) {
+    EXPECT_EQ(E.Cmd, 1u);
+    EXPECT_EQ(E.B, E.A == 0 ? 1 : 0) << "the fall-through side is taken";
+    EXPECT_EQ(obs::journal::verdictOf(E), obs::journal::Verdict::None);
+    EXPECT_EQ(obs::journal::layerOf(E), obs::journal::VerdictLayer::None);
+    EXPECT_EQ(E.Aux, 0u) << "a one-output step allocates no child";
+    EXPECT_EQ(E.X, 0u);
+  }
+}
+
+// --- Actions consume their state ------------------------------------------
+
+namespace {
+
+/// A symbolic memory whose every action emits one success branch per
+/// element of its argument, a list of [condition, return value] pairs.
+struct ScriptedSMem {
+  Result<std::vector<SymActionBranch<ScriptedSMem>>>
+  execAction(InternedString, const Expr &Arg, const PathCondition &,
+             Solver &) const {
+    std::vector<SymActionBranch<ScriptedSMem>> Out;
+    for (size_t I = 0, N = Arg.numChildren(); I != N; ++I)
+      Out.push_back({*this, Arg.child(I).child(1), Arg.child(I).child(0),
+                     /*IsError=*/false});
+    return Out;
+  }
+  friend bool operator==(const ScriptedSMem &, const ScriptedSMem &) {
+    return true;
+  }
+};
+
+Expr parseE(std::string_view Src) {
+  Result<Expr> E = parseGilExpr(Src);
+  EXPECT_TRUE(E.ok()) << Src << ": " << (E.ok() ? "" : E.error());
+  return E.ok() ? E.take() : Expr::boolE(true);
+}
+
+Expr scriptedBranches(
+    std::initializer_list<std::pair<std::string_view, std::string_view>> Bs) {
+  std::vector<Expr> Out;
+  for (const auto &[Cond, Ret] : Bs)
+    Out.push_back(Expr::list({parseE(Cond), parseE(Ret)}));
+  return Expr::list(std::move(Out));
+}
+
+} // namespace
+
+TEST(SymbolicAction, BranchContradictingThePathConditionIsDropped) {
+  // 10 < #x is satisfiable alone but not with #x < 5 (Fig. 3: π ∧ π' SAT).
+  EngineOptions Opts;
+  Solver Slv;
+  using St = SymbolicState<ScriptedSMem>;
+  St S(ScriptedSMem(), &Slv, &Opts);
+  S.addToPathCondition(parseE("typeof(#x) == ^Int"));
+  S.addToPathCondition(parseE("#x < 5"));
+  auto Out = std::move(S).execAction(
+      InternedString::get("act"),
+      scriptedBranches({{"10 < #x", "\"big\""},
+                        {"#x < 3", "\"small\""},
+                        {"true", "\"any\""}}));
+  ASSERT_TRUE(Out.ok()) << Out.error();
+  ASSERT_EQ(Out->size(), 2u);
+  EXPECT_EQ((*Out)[0].Ret, Expr::strE("small"));
+  EXPECT_EQ((*Out)[1].Ret, Expr::strE("any"));
+  EXPECT_EQ((*Out)[0].State.pathCondition().size(), 3u);
+  EXPECT_EQ((*Out)[1].State.pathCondition().size(), 2u);
+}
+
+TEST(SymbolicAction, ConsumingMatchesCopyingUnderTheTypeEnv) {
+  // The type environment decides both branches: typeof(#x) == ^Str folds
+  // to false (dropped), and the last branch's return value typeof(#x)
+  // folds to ^Int. The consuming form must simplify under the state that
+  // received the type environment, not under the moved-from one.
+  EngineOptions Opts;
+  Solver Slv;
+  using St = SymbolicState<ScriptedSMem>;
+  St S(ScriptedSMem(), &Slv, &Opts);
+  S.addToPathCondition(parseE("typeof(#x) == ^Int"));
+  S.setVar(InternedString::get("k"), Expr::intE(7));
+  const Expr Arg = scriptedBranches(
+      {{"typeof(#x) == ^Str", "\"str\""}, {"#x < 3", "typeof(#x)"}});
+  const InternedString Act = InternedString::get("act");
+
+  auto Copied = S.execAction(Act, Arg);
+  ASSERT_TRUE(Copied.ok()) << Copied.error();
+  EXPECT_EQ(S.pathCondition().size(), 1u) << "the copying form keeps S";
+  auto Consumed = std::move(S).execAction(Act, Arg);
+  ASSERT_TRUE(Consumed.ok()) << Consumed.error();
+
+  ASSERT_EQ(Copied->size(), 1u);
+  ASSERT_EQ(Consumed->size(), 1u);
+  const StateBranch<St> &A = (*Copied)[0], &B = (*Consumed)[0];
+  EXPECT_EQ(A.Ret, Expr::lit(Value::typeV(GilType::Int)));
+  EXPECT_EQ(B.Ret, A.Ret);
+  EXPECT_EQ(B.State.pathCondition(), A.State.pathCondition());
+  EXPECT_EQ(B.State.typeEnv().all(), A.State.typeEnv().all());
+  const Expr *K = B.State.store().lookup(InternedString::get("k"));
+  ASSERT_NE(K, nullptr);
+  EXPECT_EQ(*K, Expr::intE(7));
+}
+
+TEST(Interpreter, ActionEngineErrorKeepsThePreActionState) {
+  // The null memory rejects every action with an engine error; the
+  // path's final state is the one the action was given.
+  Prog P = parseProg(
+      "proc act_err(a) { x := 1; y := @boom(0); return x; }");
+  EngineOptions Opts;
+  Solver Slv;
+  auto Traces = runS(P, Opts, Slv, "act_err");
+  ASSERT_EQ(Traces.size(), 1u);
+  EXPECT_EQ(Traces[0].Kind, OutcomeKind::Error);
+  const Expr *X = Traces[0].Final.store().lookup(InternedString::get("x"));
+  ASSERT_NE(X, nullptr);
+  EXPECT_EQ(*X, Expr::intE(1));
 }

@@ -7,6 +7,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "feasible_outcomes.h"
+
 #include "targets/buckets_mjs.h"
 
 #include "mjs/compiler.h"
@@ -110,4 +112,19 @@ TEST(BucketsBugs, UnaffectedSuitesStayCleanOnBuggyLibrary) {
                                       Opts);
     EXPECT_TRUE(R.clean()) << S.Name << ": " << R.Bugs[0].Message;
   }
+}
+
+TEST(BucketsOutcomes, EveryReturnAndErrorPathIsSatisfiable) {
+  // Table 1's suites on the healthy and the seeded library: no outcome
+  // may end on a path condition the solver refutes.
+  uint64_t Checked = 0;
+  for (std::string_view Library : {bucketsLibrary(), bucketsBuggyLibrary()})
+    for (const BucketsSuite &S : bucketsSuites()) {
+      gillian::testing::OutcomeCheck R =
+          gillian::testing::checkOutcomePathConditions<MjsSMem>(
+              compileSuite(Library, S.Source));
+      Checked += R.Checked;
+      EXPECT_TRUE(R.Refuted.empty()) << S.Name << ": " << R.Refuted[0];
+    }
+  EXPECT_GT(Checked, 100u);
 }

@@ -7,6 +7,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "feasible_outcomes.h"
+
 #include "targets/collections_mc.h"
 
 #include "mc/compiler.h"
@@ -139,4 +141,20 @@ TEST(CollectionsSolverCounters, ColdTable2RunBarelyCallsZ3) {
     }
   EXPECT_EQ(Z3Calls, 0u);
   EXPECT_EQ(Unknown, 0u);
+}
+
+TEST(CollectionsOutcomes, EveryReturnAndErrorPathIsSatisfiable) {
+  // Table 2's suites on the healthy and the seeded library: no outcome
+  // may end on a path condition the solver refutes.
+  uint64_t Checked = 0;
+  for (std::string_view Library :
+       {collectionsLibrary(), collectionsBuggyLibrary()})
+    for (const CollectionsSuite &S : collectionsSuites()) {
+      gillian::testing::OutcomeCheck R =
+          gillian::testing::checkOutcomePathConditions<McSMem>(
+              compileSuite(Library, S.Source));
+      Checked += R.Checked;
+      EXPECT_TRUE(R.Refuted.empty()) << S.Name << ": " << R.Refuted[0];
+    }
+  EXPECT_GT(Checked, 100u);
 }
