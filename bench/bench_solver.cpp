@@ -271,28 +271,28 @@ static void BM_IncrementalPrefixChain(benchmark::State &State) {
 BENCHMARK(BM_IncrementalPrefixChain)->Arg(0)->Arg(1);
 
 static void BM_ZeroSharingChurn(benchmark::State &State) {
-  // Single-conjunct queries over fresh variables, straight into a session
-  // pool: no query shares a conjunct with any of the pool's sessions, so
-  // once the pool is full every query evicts one, pops it back to its
-  // base scope and pushes the new conjunct. This is the shape of a
-  // vanish-edge slice; it measures what a session reset costs.
+  // Single-conjunct queries over fresh variables, straight into the
+  // thread's session: no query shares a conjunct with what the session
+  // asserts, so every query pops it back to its base scope and pushes the
+  // new conjunct. This is the shape of a vanish-edge slice; it measures
+  // what a session reset costs.
   const auto Queries = freshVariableQueries(256);
-  IncrementalSessionPool Pool;
+  IncrementalSessionPool &Session = IncrementalSessionPool::forThread();
+  Session.reset();
   SolverStats Stats;
   size_t Q = 0;
   for (auto _ : State) {
     const auto &[PC, Types] = Queries[Q++ % Queries.size()];
-    benchmark::DoNotOptimize(Pool.checkSat(PC, Types, 0.25, Stats));
+    benchmark::DoNotOptimize(Session.checkSat(PC, Types, 0.25, Stats));
   }
-  State.SetLabel("every query evicts a session");
+  State.SetLabel("every query resets the thread's session");
 }
 BENCHMARK(BM_ZeroSharingChurn);
 
 static void BM_FreshSessionFirstCheck(benchmark::State &State) {
   // The same queries as BM_ZeroSharingChurn, each on a session built for
-  // it and destroyed after its one check: what every new session pays
-  // (after a cold start, and for each of a thread's pooled sessions) on
-  // top of a check on a live one.
+  // it and destroyed after its one check: what a new session pays (once
+  // per thread after a cold start) on top of a check on a live one.
   const auto Queries = freshVariableQueries(256);
   SolverStats Stats;
   size_t Q = 0;

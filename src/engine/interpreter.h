@@ -40,6 +40,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -131,7 +132,8 @@ public:
     // silently missing from the denominator.
     obs::BranchCoverage &Cov = obs::BranchCoverage::instance();
     for (const auto &[Name, Sites] : P.branchSites())
-      Cov.registerProc(Name.id(), Sites);
+      Coverage.emplace(Name, Cov.registerProc(Name.id(), Sites,
+                                              P.find(Name)->Body.size()));
   }
 
   const EngineOptions &options() const { return Opts; }
@@ -251,10 +253,9 @@ public:
       bool TookBoth = TrueSt->has_value() && FalseSt.has_value();
       if (TookBoth)
         ++Stats.Branches;
-      obs::BranchCoverage::recordBranch(
-          C.CurProc.id(), static_cast<uint32_t>(C.I),
-          (FalseSt.has_value() ? obs::BranchFalseBit : 0) |
-              (TrueSt->has_value() ? obs::BranchTrueBit : 0));
+      if (uint8_t Bits = (FalseSt.has_value() ? obs::BranchFalseBit : 0) |
+                         (TrueSt->has_value() ? obs::BranchTrueBit : 0))
+        recordCoverage(C, Bits);
 
       // Both-feasible is a 2-output step: allocate the children's journal
       // node ids in production order (false first), mirroring the
@@ -545,9 +546,7 @@ private:
   /// as for a decided branch, with no verdict layer.
   template <typename Sink>
   void jumpOnLiteral(Sink &S, Config C, const Cmd &Command, bool Taken) {
-    obs::BranchCoverage::recordBranch(
-        C.CurProc.id(), static_cast<uint32_t>(C.I),
-        Taken ? obs::BranchTrueBit : obs::BranchFalseBit);
+    recordCoverage(C, Taken ? obs::BranchTrueBit : obs::BranchFalseBit);
     if (obs::journal::enabled())
       for (uint8_t Side : {0, 1})
         obs::journal::emitBranch(
@@ -595,9 +594,19 @@ private:
     finish(S, OutcomeKind::Error, St::errorValue(Msg), std::move(C.State));
   }
 
+  /// Records outcome \p Bits of the IfGoto \p C is at.
+  void recordCoverage(const Config &C, uint8_t Bits) {
+    auto It = Coverage.find(C.CurProc);
+    assert(It != Coverage.end() && "an IfGoto's procedure is registered");
+    obs::BranchCoverage::record(It->second, C.I, Bits);
+  }
+
   const Prog &P;
   const EngineOptions &Opts;
   ExecStats &Stats;
+  /// Each procedure's branch-coverage masks, registered by the
+  /// constructor (only procedures with an IfGoto have an entry).
+  std::unordered_map<InternedString, std::atomic<uint8_t> *> Coverage;
 };
 
 } // namespace gillian

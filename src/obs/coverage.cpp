@@ -12,43 +12,40 @@ BranchCoverage &BranchCoverage::instance() {
   return C;
 }
 
-void BranchCoverage::registerProc(uint32_t ProcId, uint32_t BranchSites) {
-  Shard &S = shardFor(ProcId);
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  ProcCell &C = S.Procs[ProcId];
-  if (BranchSites > C.Sites)
-    C.Sites = BranchSites;
-}
-
-void BranchCoverage::recordImpl(uint32_t ProcId, uint32_t CmdIdx,
-                                uint8_t Bits) {
-  Shard &S = shardFor(ProcId);
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  S.Procs[ProcId].Mask[CmdIdx] |= Bits;
+std::atomic<uint8_t> *BranchCoverage::registerProc(uint32_t ProcId,
+                                                   uint32_t BranchSites,
+                                                   size_t Commands) {
+  std::lock_guard<std::mutex> Lock(Mu);
+  ProcCell &C = Procs[ProcId];
+  C.Sites = std::max(C.Sites, BranchSites);
+  if (C.Arrays.empty() || C.Arrays.back().Commands < Commands)
+    C.Arrays.push_back(
+        {Commands, std::make_unique<std::atomic<uint8_t>[]>(Commands)});
+  return C.Arrays.back().Bits.get();
 }
 
 std::vector<BranchCoverage::ProcCoverage> BranchCoverage::snapshot() const {
   std::vector<ProcCoverage> Out;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    for (const auto &[ProcId, C] : S.Procs) {
-      if (C.Sites == 0 && C.Mask.empty())
-        continue;
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    for (const auto &[ProcId, C] : Procs) {
       ProcCoverage P;
       P.Proc = std::string(InternedString::fromRaw(ProcId).str());
-      // A site observed beyond the registered count (should not happen,
-      // but a stale registration must not yield >100% coverage) widens
-      // the total.
-      P.Sites = std::max<uint32_t>(C.Sites,
-                                   static_cast<uint32_t>(C.Mask.size()));
-      for (const auto &[Idx, Bits] : C.Mask) {
-        (void)Idx;
+      for (size_t Idx = 0; Idx != C.Arrays.back().Commands; ++Idx) {
+        uint8_t Bits = 0;
+        for (const Masks &M : C.Arrays)
+          if (Idx < M.Commands)
+            Bits |= M.Bits[Idx].load(std::memory_order_relaxed);
         if (Bits) {
           ++P.SitesExecuted;
           P.OutcomesCovered += (Bits & BranchFalseBit ? 1 : 0) +
                                (Bits & BranchTrueBit ? 1 : 0);
         }
       }
+      // Same-named procedures of different programs can branch at more
+      // command indices together than either registered: such a total
+      // widens instead of exceeding 100%.
+      P.Sites = std::max(C.Sites, P.SitesExecuted);
       Out.push_back(std::move(P));
     }
   }
@@ -94,11 +91,4 @@ std::string BranchCoverage::json() const {
   JsonWriter W;
   jsonInto(W);
   return W.take();
-}
-
-void BranchCoverage::reset() {
-  for (Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    S.Procs.clear();
-  }
 }

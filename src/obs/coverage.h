@@ -19,8 +19,11 @@
 /// interpreter registers every procedure's IfGoto count up front, so
 /// never-executed branches show up as uncovered instead of disappearing.
 ///
-/// recordBranch() is a shard-mutex acquisition plus a bitwise OR, paid by
-/// every IfGoto, including the literal ones that make no solver query.
+/// Registration returns the procedure's masks, one per command, which live
+/// as long as the process; the interpreter keeps them, so record() is one
+/// relaxed atomic OR (a plain load when the outcome is already covered),
+/// paid by every IfGoto, the literal ones included. Registration and
+/// snapshots take a mutex.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,8 +33,9 @@
 #include "obs/json_writer.h"
 #include "support/interner.h"
 
-#include <array>
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -47,19 +51,24 @@ class BranchCoverage {
 public:
   static BranchCoverage &instance();
 
-  /// Declares that procedure \p ProcId contains \p BranchSites IfGoto
-  /// commands. Idempotent (the count is a property of the compiled
-  /// program); re-registration with a different count keeps the larger
-  /// one, so recompiled same-named programs never shrink totals mid-run.
-  void registerProc(uint32_t ProcId, uint32_t BranchSites);
+  /// Declares that procedure \p ProcId, of \p Commands commands, contains
+  /// \p BranchSites IfGoto commands, and returns its outcome masks,
+  /// indexed by command and valid for the process lifetime. Same-named
+  /// procedures of different programs share the masks of their common
+  /// command indices, and the total is the largest registered count (or
+  /// the number of executed sites, if larger), so recompiled programs
+  /// never shrink totals mid-run.
+  std::atomic<uint8_t> *registerProc(uint32_t ProcId, uint32_t BranchSites,
+                                     size_t Commands);
 
-  /// Records that the site (\p ProcId, \p CmdIdx) produced the outcomes
-  /// in \p Bits (BranchFalseBit / BranchTrueBit) on some path. No-op when
-  /// Bits is 0.
-  static void recordBranch(uint32_t ProcId, uint32_t CmdIdx, uint8_t Bits) {
-    if (Bits == 0)
-      return;
-    instance().recordImpl(ProcId, CmdIdx, Bits);
+  /// Records that the IfGoto at command \p CmdIdx, of the procedure whose
+  /// masks registerProc returned as \p Masks, produced the outcomes in
+  /// \p Bits (BranchFalseBit / BranchTrueBit) on some path.
+  static void record(std::atomic<uint8_t> *Masks, size_t CmdIdx,
+                     uint8_t Bits) {
+    std::atomic<uint8_t> &M = Masks[CmdIdx];
+    if ((M.load(std::memory_order_relaxed) & Bits) != Bits)
+      M.fetch_or(Bits, std::memory_order_relaxed);
   }
 
   /// One procedure's coverage snapshot.
@@ -71,8 +80,8 @@ public:
     uint32_t outcomesTotal() const { return 2 * Sites; }
   };
 
-  /// Per-procedure snapshot, sorted by procedure name; procedures with no
-  /// registered sites and no recorded outcome are omitted.
+  /// Per-procedure snapshot of every registered procedure, sorted by
+  /// procedure name.
   std::vector<ProcCoverage> snapshot() const;
 
   /// Summed covered / total outcomes over every registered procedure.
@@ -84,26 +93,21 @@ public:
   void jsonInto(JsonWriter &W) const;
   std::string json() const;
 
-  void reset();
-
 private:
+  /// One registered mask array and its length.
+  struct Masks {
+    size_t Commands;
+    std::unique_ptr<std::atomic<uint8_t>[]> Bits;
+  };
   struct ProcCell {
-    uint32_t Sites = 0; ///< registered total (0 until registerProc)
-    std::unordered_map<uint32_t, uint8_t> Mask; ///< cmd idx -> outcome bits
-  };
-  struct Shard {
-    mutable std::mutex Mu;
-    std::unordered_map<uint32_t, ProcCell> Procs; ///< by InternedString id
+    uint32_t Sites = 0; ///< largest registered IfGoto count
+    /// Every array registered for the procedure, one per larger command
+    /// count seen, each kept alive for the interpreters that hold it.
+    std::vector<Masks> Arrays;
   };
 
-  void recordImpl(uint32_t ProcId, uint32_t CmdIdx, uint8_t Bits);
-  Shard &shardFor(uint32_t ProcId) {
-    return Shards[(static_cast<uint64_t>(ProcId) * 0x9E3779B97F4A7C15ull) >>
-                  60];
-  }
-
-  static constexpr size_t NumShards = 16;
-  std::array<Shard, NumShards> Shards;
+  mutable std::mutex Mu;
+  std::unordered_map<uint32_t, ProcCell> Procs; ///< by InternedString id
 };
 
 } // namespace gillian::obs

@@ -84,8 +84,9 @@ struct IncrementalSession::Impl {
     Frames.resize(Keep);
   }
 
-  /// Replaces the solver outright: only after a Z3 exception, when the
-  /// scope stack may no longer match the frames.
+  /// Replaces the solver outright: after a Z3 exception, when the scope
+  /// stack may no longer match the frames, and after an `unknown`, which
+  /// leaves the solver slower for every later check (see the header).
   void rebuild() {
     Solver = newZ3Solver();
     Frames.clear();
@@ -177,8 +178,10 @@ SatResult IncrementalSession::checkSat(const PathCondition &PC,
     z3::check_result R = I.Solver.check();
     if (R == z3::unsat)
       return SatResult::Unsat; // asserted subset already contradictory
-    if (R == z3::unknown)
+    if (R == z3::unknown) {
+      I.rebuild();
       return SatResult::Unknown;
+    }
     for (const Impl::Frame &F : I.Frames)
       if (F.Dropped)
         return SatResult::Unknown; // weakened formula: Sat is not trusted
@@ -218,16 +221,17 @@ SatResult IncrementalSession::checkSat(const PathCondition &, const TypeEnv &,
 #endif // GILLIAN_HAVE_Z3
 
 namespace {
-/// Bumped by invalidateAll(); every pool compares on use and lazily drops
-/// its sessions when behind (Z3 handles are destructed by their owner).
+/// Bumped by invalidateAll(); every thread compares on use and lazily
+/// drops its session when behind (Z3 handles are destructed by their
+/// owner).
 std::atomic<uint64_t> PoolGeneration{0};
 } // namespace
 
 gillian::IncrementalSessionPool &gillian::IncrementalSessionPool::forThread() {
 #ifdef GILLIAN_HAVE_Z3
   // Touch the thread's Z3 context first: thread-local destruction runs in
-  // reverse construction order, so the context outlives the pool's
-  // solvers, which reference it.
+  // reverse construction order, so the context outlives the session's
+  // solver, which references it.
   (void)threadZ3Context();
 #endif
   static thread_local IncrementalSessionPool P;
@@ -241,19 +245,19 @@ void gillian::IncrementalSessionPool::invalidateAll() {
 void gillian::IncrementalSessionPool::maybeGenerationReset() {
   uint64_t G = PoolGeneration.load(std::memory_order_relaxed);
   if (G != LocalGen) {
-    Pool.clear();
+    Session.reset();
     LocalGen = G;
   }
 }
 
 void gillian::IncrementalSessionPool::reset() {
-  Pool.clear();
+  Session.reset();
   LocalGen = PoolGeneration.load(std::memory_order_relaxed);
 }
 
 size_t gillian::IncrementalSessionPool::sessions() {
   maybeGenerationReset();
-  return Pool.size();
+  return Session ? 1 : 0;
 }
 
 SatResult gillian::IncrementalSessionPool::checkSat(const PathCondition &PC,
@@ -261,36 +265,7 @@ SatResult gillian::IncrementalSessionPool::checkSat(const PathCondition &PC,
                                                     double ResetThreshold,
                                                     SolverStats &Stats) {
   maybeGenerationReset();
-  // Route to the session sharing the most conjuncts — the approximate
-  // prefix trie: divergent paths (and the independence slices of one
-  // query) each keep their own hot prefix.
-  size_t BestIdx = Pool.size();
-  size_t BestScore = 0;
-  for (size_t Idx = 0; Idx < Pool.size(); ++Idx) {
-    size_t Score = Pool[Idx]->reusableConjuncts(PC, Types);
-    if (Score > BestScore) {
-      BestScore = Score;
-      BestIdx = Idx;
-    }
-  }
-  if (BestIdx == Pool.size()) {
-    if (Pool.size() < MaxSessions) {
-      Pool.push_back(std::make_unique<IncrementalSession>());
-    } else {
-      // Nothing shares: evict the least-recently-used session. Reset it
-      // here, explicitly — the query shares zero conjuncts with its
-      // state, so correctness must not depend on checkSat's
-      // reset-threshold value (a threshold of 0 would otherwise pop the
-      // stale frames one by one).
-      BestIdx = 0;
-      Pool[BestIdx]->reset();
-    }
-  }
-  if (BestIdx < Pool.size()) {
-    // Move to the MRU slot (back).
-    auto S = std::move(Pool[BestIdx]);
-    Pool.erase(Pool.begin() + static_cast<std::ptrdiff_t>(BestIdx));
-    Pool.push_back(std::move(S));
-  }
-  return Pool.back()->checkSat(PC, Types, ResetThreshold, Stats);
+  if (!Session)
+    Session = std::make_unique<IncrementalSession>();
+  return Session->checkSat(PC, Types, ResetThreshold, Stats);
 }

@@ -20,9 +20,14 @@
 ///    session resets: every frame pops back to the base scope. The Z3
 ///    solver lives as long as the session (a new one, built by
 ///    newZ3Solver(), costs 0.1–0.2 ms up to its first check,
-///    pop/push/check on a live one tens of microseconds); only a Z3
-///    exception, after which the scope stack may not match the frames,
-///    builds a new one;
+///    pop/push/check on a live one tens of microseconds). Two events
+///    build a new one: a Z3 exception, after which the scope stack may
+///    not match the frames, and an `unknown` from Z3, after which the
+///    solver keeps the work of the check that ran out of its resource
+///    limit and later checks on it slow down (a standalone z3++ probe of
+///    `#x * #x == #y * #y + 1 ∧ 5 < #x` over Int with the same limit, on
+///    a 4-core container: 1.1–1.3 s for the first check, 11.2–12.5 s for
+///    a second one on the same solver, 0.25–0.33 s on a new one);
 ///  - encoding reuse is independent of scope reuse: a per-session
 ///    Z3EncodingMemo hash-conses GIL→Z3 translation per (expression
 ///    identity, TypeEnv fingerprint), so re-encoding unchanged conjuncts
@@ -42,13 +47,11 @@
 ///    per-query. Verdicts are never cached here — caching stays in layer 1.
 ///
 /// Sessions are thread-confined (Z3 contexts are not thread-safe, and all
-/// handles of a thread's sessions belong to that thread's shared context).
-/// IncrementalSessionPool keeps a small pool of sessions per thread —
-/// an approximate prefix *trie*: divergent paths claim their own session
-/// instead of thrashing one hot prefix — and is keyed off the exploration
-/// scheduler's threads via thread-local storage. Cross-thread invalidation
-/// (Solver::resetCache, bench cold starts) bumps a generation counter;
-/// each pool lazily drops its sessions on next use from its own thread,
+/// handles of a thread's session belong to that thread's shared context).
+/// IncrementalSessionPool holds one session per thread, keyed off the
+/// exploration scheduler's threads via thread-local storage. Cross-thread
+/// invalidation (Solver::resetCache, bench cold starts) bumps a
+/// generation counter; each thread lazily drops its session on next use,
 /// because Z3 handles must be destructed by the thread that owns them.
 ///
 //===----------------------------------------------------------------------===//
@@ -61,7 +64,6 @@
 #include "solver/type_infer.h"
 
 #include <memory>
-#include <vector>
 
 namespace gillian {
 
@@ -80,7 +82,7 @@ public:
 
   /// How many of \p PC's conjuncts the longest reusable frame prefix
   /// already asserts under \p Types (0 when nothing is reusable). Pure
-  /// inspection — used by the pool to route queries.
+  /// inspection.
   size_t reusableConjuncts(const PathCondition &PC,
                            const TypeEnv &Types) const;
 
@@ -106,43 +108,35 @@ private:
   std::unique_ptr<Impl> P;
 };
 
-/// A small per-thread pool of incremental sessions — an approximate prefix
-/// trie: a query is routed to the session sharing the most conjuncts, and
-/// a query sharing nothing claims a fresh session (up to MaxSessions)
-/// before evicting the least-recently-used one. Obtain via forThread();
-/// never share an instance across threads.
+/// The calling thread's incremental session, built on first use and
+/// dropped by reset() or invalidateAll(). Obtain via forThread(); never
+/// share an instance across threads.
 class IncrementalSessionPool {
 public:
-  /// Sessions a thread keeps alive at once. Small: each holds a Z3 solver,
-  /// and the exploration scheduler's LIFO pop order means few distinct hot
-  /// prefixes exist per worker at a time (typically the current path plus
-  /// the independence slices of its queries).
-  static constexpr size_t MaxSessions = 4;
-
-  /// The calling thread's pool (created on first use, destroyed at thread
-  /// exit after the thread's shared Z3 context users).
+  /// The calling thread's holder (created on first use, destroyed at
+  /// thread exit after the thread's shared Z3 context users).
   static IncrementalSessionPool &forThread();
 
-  /// Invalidates every thread's sessions: bumps a global generation; each
-  /// pool drops its sessions on next use from its own thread (Z3 handles
-  /// must be destructed by their owning thread, so the drop is lazy).
+  /// Invalidates every thread's session: bumps a global generation; each
+  /// thread drops its session on next use (Z3 handles must be destructed
+  /// by their owning thread, so the drop is lazy).
   static void invalidateAll();
 
-  /// Routes \p PC to the best-sharing session (see class comment) and
-  /// checks it there.
+  /// Checks \p PC on the thread's session, building it first if needed.
   SatResult checkSat(const PathCondition &PC, const TypeEnv &Types,
                      double ResetThreshold, SolverStats &Stats);
 
-  /// Live sessions (after applying any pending invalidation).
+  /// Live sessions, 0 or 1 (after applying any pending invalidation).
   size_t sessions();
 
-  /// Drops this pool's sessions immediately (owning thread only).
+  /// Drops the session immediately (owning thread only), so the next
+  /// check builds a new Z3 solver.
   void reset();
 
 private:
   void maybeGenerationReset();
 
-  std::vector<std::unique_ptr<IncrementalSession>> Pool; ///< LRU→MRU order
+  std::unique_ptr<IncrementalSession> Session;
   uint64_t LocalGen = 0;
 };
 

@@ -71,10 +71,10 @@ SatResult Solver::solveLayers(const PathCondition &PC) {
              &Stats.Z3Ns);
       ++Stats.Z3Calls;
       if (Opts.UseIncremental) {
-        // Layer 2: the thread's incremental session pool pushes only the
+        // Layer 2: the thread's incremental session pushes only the
         // delta against an already-asserted path-condition prefix. A
         // diverging query that shares less than this fraction of its
-        // conjuncts with a session's prefix resets the session instead
+        // conjuncts with the session's prefix resets the session instead
         // of popping frame by frame.
         constexpr double IncrementalResetThreshold = 0.25;
         R = IncrementalSessionPool::forThread().checkSat(
@@ -97,9 +97,10 @@ void Solver::resetCache() {
   // warm answer leaking into a "cold" measurement.
   native::SolverService::process().flush();
   Cache->clear();
-  // Cold also means every thread's incremental sessions + encoding memos;
-  // other threads' sessions drop lazily (Z3 handles are thread-owned),
-  // this thread's immediately.
+  // Cold also means every thread's incremental session and its encoding
+  // memo; other threads' sessions drop lazily (Z3 handles are
+  // thread-owned), this thread's immediately, so the next Z3 check of a
+  // cold pass builds its solver anew.
   IncrementalSessionPool::invalidateAll();
   IncrementalSessionPool::forThread().reset();
 }

@@ -3,6 +3,8 @@
 #include "solver/syntactic.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
 #include <map>
 #include <set>
@@ -227,10 +229,14 @@ struct Analysis {
     bool AntisymSafe; ///< a <= b <= a => a == b holds for this edge
   };
   std::vector<OrderEdge> Order;
-  /// Suggestion-only edges from negated Num comparisons: !(a <= b) hints
-  /// b < a for model proposal, but is NOT a sound deduction (NaN makes
-  /// both comparisons false), so these never feed the cycle check.
-  std::vector<OrderEdge> SuggestOrder;
+  /// Edges b < a from conjuncts !(a <= b), and b <= a from !(a < b).
+  /// NaN makes both comparisons false, so checkOrderCycles takes an edge
+  /// only when neither operand can be NaN (notNaN); the model proposer
+  /// takes every one as a suggestion.
+  std::vector<OrderEdge> Negated;
+  /// Operands of comparisons assumed true: a NaN operand would make the
+  /// comparison false, so their classes are not NaN.
+  std::vector<int> ComparedTrue;
   /// Variables compared against a Num literal: the proposer's type guess
   /// when inference leaves them untyped (comparisons take Int or Num).
   std::set<InternedString> NumHint;
@@ -245,6 +251,28 @@ struct Analysis {
     };
     note(A, B);
     note(B, A);
+  }
+
+  /// Whether a <= b <= a implies a == b for operands \p A and \p B:
+  /// only for Int and Str, since Num has 0.0 <= -0.0 <= 0.0 with
+  /// 0.0 != -0.0 (GIL equality is bitwise).
+  bool antisymSafe(const Expr &A, const Expr &B) const {
+    auto TA = staticType(A, Types), TB = staticType(B, Types);
+    return (TA == GilType::Int && TB == GilType::Int) ||
+           (TA == GilType::Str && TB == GilType::Str);
+  }
+
+  /// Whether node \p N cannot be NaN in any model: its class holds an
+  /// operand of a comparison assumed true or a literal other than NaN,
+  /// or the term is an Int or Str. Class members are bitwise equal, so
+  /// one such member covers the class.
+  bool notNaN(int N, const std::set<int> &ComparedReps) {
+    if (ComparedReps.count(G.find(N)))
+      return true;
+    if (const std::optional<Value> &L = G.litOf(N))
+      return !(L->isNum() && std::isnan(L->asNum()));
+    std::optional<GilType> T = staticType(G.terms()[N], Types);
+    return T == GilType::Int || T == GilType::Str;
   }
 
   /// Whether \p E is e + c with an Int literal c.
@@ -338,18 +366,15 @@ struct Analysis {
           return;
         }
         // var-to-var comparisons: record an order edge; cycles through a
-        // strict edge are contradictions (checked in run()). The edge is
-        // antisymmetry-safe (a <= b <= a implies a == b) only for Int and
-        // Str operands: structurally, Num has 0.0 <= -0.0 <= 0.0 with
-        // 0.0 != -0.0.
+        // strict edge are contradictions (checked in run()).
         if (Op == BinOpKind::Lt && A == B) {
           Contradiction = true;
           return;
         }
-        auto TA2 = staticType(A, Types), TB2 = staticType(B, Types);
-        bool Safe = (TA2 == GilType::Int && TB2 == GilType::Int) ||
-                    (TA2 == GilType::Str && TB2 == GilType::Str);
-        Order.push_back({G.node(A), G.node(B), Op == BinOpKind::Lt, Safe});
+        Order.push_back({G.node(A), G.node(B), Op == BinOpKind::Lt,
+                         antisymSafe(A, B)});
+        ComparedTrue.push_back(Order.back().A);
+        ComparedTrue.push_back(Order.back().B);
         return;
       }
       default:
@@ -364,10 +389,11 @@ struct Analysis {
       }
       if (C.kind() == ExprKind::BinOp && (C.binOpKind() == BinOpKind::Lt ||
                                           C.binOpKind() == BinOpKind::Le)) {
-        // !(a <= b) suggests b < a (and !(a < b) suggests b <= a) for the
-        // model proposer only.
-        SuggestOrder.push_back({G.node(C.child(1)), G.node(C.child(0)),
-                                C.binOpKind() == BinOpKind::Le, false});
+        // !(a <= b) is b < a, and !(a < b) is b <= a, unless an operand
+        // is NaN (see Negated).
+        Negated.push_back({G.node(C.child(1)), G.node(C.child(0)),
+                           C.binOpKind() == BinOpKind::Le,
+                           antisymSafe(C.child(1), C.child(0))});
         noteNumHint(C.child(0), C.child(1));
         // Still record the opaque boolean fact for congruence.
       }
@@ -392,12 +418,13 @@ struct Analysis {
   }
 
   /// Detects strict cycles in the <=-order graph over equality-class
-  /// representatives (plus implied edges between numeric literals): a
-  /// cycle containing a strict edge refutes the condition, and terms in a
-  /// pure <=-cycle are all equal (conflicting with recorded
-  /// disequalities or distinct literals).
+  /// representatives (Order, the Negated edges whose operands are not NaN,
+  /// and implied edges between numeric literals): a cycle containing a
+  /// strict edge refutes the condition, and terms in a pure <=-cycle are
+  /// all equal (conflicting with recorded disequalities or distinct
+  /// literals).
   void checkOrderCycles() {
-    if (Order.empty())
+    if (Order.empty() && Negated.empty())
       return;
     // Collect participating representatives.
     std::map<int, int> Idx; // representative -> dense index
@@ -415,6 +442,15 @@ struct Analysis {
     for (const OrderEdge &E : Order)
       Edges.push_back({denseOf(E.A), denseOf(E.B), E.Strict,
                        E.AntisymSafe});
+    std::set<int> ComparedReps;
+    for (int N : ComparedTrue)
+      ComparedReps.insert(G.find(N));
+    for (const OrderEdge &E : Negated)
+      if (notNaN(E.A, ComparedReps) && notNaN(E.B, ComparedReps))
+        Edges.push_back({denseOf(E.A), denseOf(E.B), E.Strict,
+                         E.AntisymSafe});
+    if (Edges.empty())
+      return;
     // Implied edges between numeric literal classes (safe only between
     // Int literals, where structural equality matches numeric equality).
     struct NumLit {
@@ -658,8 +694,7 @@ std::optional<Model> gillian::proposeModelSyntactic(const PathCondition &PC) {
   std::map<int, double> Suggested; // representative -> value
   std::map<int, double> Ceiling;   // representative -> upper bound
   std::vector<Analysis::OrderEdge> AllOrder = A.Order;
-  AllOrder.insert(AllOrder.end(), A.SuggestOrder.begin(),
-                  A.SuggestOrder.end());
+  AllOrder.insert(AllOrder.end(), A.Negated.begin(), A.Negated.end());
   // a <= b together with a != b proposes a < b.
   for (Analysis::OrderEdge &E : AllOrder) {
     auto It = DiseqOf.find(rep(E.A));
@@ -897,8 +932,42 @@ std::optional<Model> gillian::proposeModelSyntactic(const PathCondition &PC) {
                      [&](const auto &L, const auto &R) {
                        return suggestion(L.first) < suggestion(R.first);
                      });
-  Model M;
-  for (const auto &[R, X] : Vars)
-    M.bind(X, choose(choose, R, X));
-  return M;
+  auto build = [&](const std::map<int, Value> &Seed) {
+    Chosen = Seed;
+    Model M;
+    for (const auto &[R, X] : Vars)
+      M.bind(X, choose(choose, R, X));
+    return M;
+  };
+
+  // Collision witnesses. num_to_str renders 0.0 and -0.0 alike as "0" and
+  // every NaN as "nan", while GIL equality on Num is bitwise, so two Num
+  // variables whose num_to_str applications share a class may still be
+  // disequal. Their classes take 0.0 and -0.0 first, then distinct NaN
+  // payloads (for conditions such as !(a <= b) that no zero satisfies);
+  // verification picks between the two and gates the result.
+  std::map<int, std::vector<int>> Collide; // num_to_str class -> arguments
+  for (size_t Id = 0; Id != A.G.terms().size(); ++Id) {
+    const Expr &T = A.G.terms()[Id];
+    if (T.kind() != ExprKind::UnOp || T.unOpKind() != UnOpKind::NumToStr ||
+        !T.child(0).isLVar() ||
+        A.Types.lookup(T.child(0).varName()) != GilType::Num)
+      continue;
+    int Arg = rep(A.G.ids().at(T.child(0)));
+    std::vector<int> &Args = Collide[rep(static_cast<int>(Id))];
+    if (!A.G.litOf(Arg) && std::count(Args.begin(), Args.end(), Arg) == 0)
+      Args.push_back(Arg);
+  }
+  std::map<int, Value> Zeros, NaNs;
+  for (const auto &[Str, Args] : Collide)
+    for (size_t I = 0; Args.size() > 1 && I != Args.size(); ++I) {
+      Zeros.emplace(Args[I], Value::numV(I == 0 ? 0.0 : -0.0));
+      NaNs.emplace(Args[I], Value::numV(std::bit_cast<double>(
+                                0x7FF8000000000001ull + NaNs.size())));
+    }
+  if (Zeros.empty())
+    return build({});
+  if (Model M = build(Zeros); M.satisfies(PC))
+    return M;
+  return build(NaNs);
 }

@@ -15,7 +15,8 @@
 ///  * disequalities checked against the equality classes; comparison
 ///    terms bound to true or false, so complementary literals conflict;
 ///  * integer interval propagation for `x < c`-shaped conjuncts, and
-///    order cycles;
+///    order cycles, negated comparisons included where neither operand
+///    can be NaN;
 ///  * type conflicts via the shared type-inference pass.
 ///
 /// It never answers Sat — only Unsat (proved) or Unknown — and can propose
@@ -50,7 +51,8 @@ SatResult checkSatSyntactic(const PathCondition &PC);
 
 /// Proposes a model for \p PC from the syntactic analysis (equality-class
 /// literals, interval and order bounds, values kept apart across
-/// disequalities, typed defaults). The result is only a *candidate*:
+/// disequalities, typed defaults, and ±0 or NaN for Num variables whose
+/// num_to_str applications collide). The result is only a *candidate*:
 /// callers must verify it with Model::satisfies before use.
 /// Returns nullopt when the analysis found a contradiction.
 std::optional<Model> proposeModelSyntactic(const PathCondition &PC);

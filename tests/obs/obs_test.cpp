@@ -2,12 +2,13 @@
 //
 // Unit tests of the observability core: the streaming JSON writer, the
 // self-registering counter sets, RAII span nesting (self vs total time),
-// and the chrome://tracing view of a journal.
+// the chrome://tracing view of a journal, and branch-coverage merging.
 //
 //===----------------------------------------------------------------------===//
 
 #include "obs/action_counters.h"
 #include "obs/counters.h"
+#include "obs/coverage.h"
 #include "obs/exporters.h"
 #include "obs/journal/journal_io.h"
 #include "obs/json_writer.h"
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -390,3 +392,31 @@ TEST(ActionCountersTest, BumpSnapshotAndJson) {
 }
 
 } // namespace
+
+TEST(BranchCoverageTest, SameNamedProceduresMergeByCommandIndex) {
+  // One procedure name in two programs: IfGotos at commands 1 and 3 of a
+  // 4-command body, then at commands 3 and 6 of an 8-command body. Their
+  // outcomes merge by command index, and the total widens to the three
+  // executed sites instead of reading above 100%.
+  BranchCoverage &Cov = BranchCoverage::instance();
+  uint32_t Id = InternedString::get("cov_merge_probe").id();
+  std::atomic<uint8_t> *Small = Cov.registerProc(Id, 2, 4);
+  std::atomic<uint8_t> *Large = Cov.registerProc(Id, 2, 8);
+  EXPECT_NE(Small, Large);
+  EXPECT_EQ(Cov.registerProc(Id, 2, 4), Large)
+      << "a larger array serves the smaller body";
+  BranchCoverage::record(Small, 1, BranchTrueBit);
+  BranchCoverage::record(Small, 3, BranchFalseBit);
+  BranchCoverage::record(Large, 3, BranchTrueBit);
+  BranchCoverage::record(Large, 6, BranchFalseBit | BranchTrueBit);
+  BranchCoverage::record(Large, 6, BranchTrueBit); // already covered
+  int Seen = 0;
+  for (const BranchCoverage::ProcCoverage &P : Cov.snapshot())
+    if (P.Proc == "cov_merge_probe") {
+      ++Seen;
+      EXPECT_EQ(P.Sites, 3u);
+      EXPECT_EQ(P.SitesExecuted, 3u);
+      EXPECT_EQ(P.OutcomesCovered, 5u);
+    }
+  EXPECT_EQ(Seen, 1);
+}

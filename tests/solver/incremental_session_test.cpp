@@ -4,11 +4,12 @@
 // lifecycle (pure extension pushes only the delta, divergence pops only
 // the diverging frames, low sharing resets the whole session), the
 // soundness guards (per-frame type assumptions, per-frame dropped-conjunct
-// downgrades), the per-thread session pool (prefix routing, LRU eviction,
-// lazy cross-thread invalidation), a randomised differential check against
-// the cold one-shot backend, nonlinear verdicts in sessions and one-shot
-// checks, the per-check resource bound, and the Solver::resetCache contract
-// that a reset clears every memo layer (result cache, sessions).
+// downgrades), the per-thread session (lazy cross-thread invalidation), a
+// randomised differential check against the cold one-shot backend,
+// nonlinear verdicts in sessions and one-shot checks, the per-check
+// resource bound and the new solver after an `unknown`, and the
+// Solver::resetCache contract that a reset clears every memo layer
+// (result cache, sessions).
 //
 //===----------------------------------------------------------------------===//
 
@@ -154,9 +155,9 @@ TEST_F(IncrementalSessionTest, ThresholdResetBehavesLikeAFreshSession) {
 
 TEST_F(IncrementalSessionTest, ZeroSharingChurnMatchesFreshSessions) {
   // Every query below shares no conjunct with anything asserted before
-  // it, so each one resets a lone session or, once the pool is full,
-  // evicts a pooled one. Each is followed by a pure extension, so a reset
-  // pops two frames. On every query the verdict must be a new session's.
+  // it, so each one resets a lone session and the thread's session alike.
+  // Each is followed by a pure extension, so a reset pops two frames. On
+  // every query the verdict must be a new session's.
   const std::vector<std::vector<std::string>> Shapes = {
       {"typeof(A) == ^Int", "0 < A"},
       {"typeof(A) == ^Int", "A < 0", "0 < A"},
@@ -203,9 +204,9 @@ TEST_F(IncrementalSessionTest, ZeroSharingChurnMatchesFreshSessions) {
   EXPECT_EQ(LoneStats.IncResets, static_cast<uint64_t>(Queries - 1))
       << "every zero-sharing query after the first resets the session";
   EXPECT_EQ(LoneStats.IncPoppedFrames, 2u * (Queries - 1));
-  EXPECT_EQ(Pool.sessions(), IncrementalSessionPool::MaxSessions);
-  EXPECT_EQ(PoolStats.IncResets, 0u)
-      << "eviction empties the session before the query reaches it";
+  EXPECT_EQ(Pool.sessions(), 1u);
+  EXPECT_EQ(PoolStats.IncResets, LoneStats.IncResets)
+      << "the thread's one session resets as a lone one does";
   EXPECT_EQ(Seen.size(), 3u) << "the churn covers Sat, Unsat and Unknown";
 }
 
@@ -407,45 +408,8 @@ TEST_F(IncrementalSessionTest, DifferentialAgainstColdBackend) {
 }
 
 //===----------------------------------------------------------------------===//
-// IncrementalSessionPool
+// The thread's session
 //===----------------------------------------------------------------------===//
-
-TEST_F(IncrementalSessionTest, PoolRoutesPrefixesToSeparateSessions) {
-  IncrementalSessionPool Pool;
-  PathCondition X1 = pc({"typeof(#x) == ^Int", "0 <= #x"});
-  PathCondition X2 = pc({"typeof(#x) == ^Int", "0 <= #x", "#x < 10"});
-  PathCondition Y1 = pc({"typeof(#y) == ^Int", "#y == 4"});
-  PathCondition X3 =
-      pc({"typeof(#x) == ^Int", "0 <= #x", "#x < 10", "#x == 3"});
-
-  EXPECT_EQ(Pool.checkSat(X1, typesOf(X1), 0.25, Stats), SatResult::Sat);
-  EXPECT_EQ(Pool.checkSat(X2, typesOf(X2), 0.25, Stats), SatResult::Sat);
-  EXPECT_EQ(Pool.sessions(), 1u);
-
-  // Nothing shared with X: Y claims a fresh session instead of resetting
-  // the hot one...
-  EXPECT_EQ(Pool.checkSat(Y1, typesOf(Y1), 0.25, Stats), SatResult::Sat);
-  EXPECT_EQ(Pool.sessions(), 2u);
-  EXPECT_EQ(Stats.IncResets, 0u);
-
-  // ... so returning to the X prefix is still an extension.
-  EXPECT_EQ(Pool.checkSat(X3, typesOf(X3), 0.25, Stats), SatResult::Sat);
-  EXPECT_EQ(Pool.sessions(), 2u);
-  EXPECT_EQ(Stats.IncExtends, 2u) << "X2 extends X1, X3 extends X2";
-}
-
-TEST_F(IncrementalSessionTest, PoolEvictsLeastRecentlyUsedAtCapacity) {
-  IncrementalSessionPool Pool;
-  const char *Vars[] = {"#a", "#b", "#c", "#d", "#e", "#f"};
-  for (const char *V : Vars) {
-    PathCondition P;
-    P.add(parseGilExpr(std::string("typeof(") + V + ") == ^Int").take());
-    P.add(parseGilExpr(std::string("0 <= ") + V).take());
-    EXPECT_EQ(Pool.checkSat(P, typesOf(P), 0.25, Stats), SatResult::Sat);
-    EXPECT_LE(Pool.sessions(), IncrementalSessionPool::MaxSessions);
-  }
-  EXPECT_EQ(Pool.sessions(), IncrementalSessionPool::MaxSessions);
-}
 
 TEST_F(IncrementalSessionTest, InvalidateAllDropsThreadSessions) {
   IncrementalSessionPool &Pool = IncrementalSessionPool::forThread();
@@ -507,15 +471,19 @@ TEST_F(IncrementalSessionTest, HardCheckIsBoundedAndLeavesTheSessionUsable) {
   // x*x == y*y + 1 with 5 < x is Unsat over Int (x*x - y*y == 1 forces
   // x = ±1), but no Z3 solver kind decides it: left unbounded, the first
   // check outlasts the test's time bound. Every check is bounded by a
-  // deterministic resource limit, so it answers Unknown instead, and the
-  // session pops back and decides the next query.
+  // deterministic resource limit, so it answers Unknown instead. A solver
+  // that answered unknown checks later queries slower, so the session
+  // replaces it, dropping every frame, and decides the next query.
   PathCondition Hard = pc({"typeof(#x) == ^Int", "typeof(#y) == ^Int",
                            "#x * #x == #y * #y + 1", "5 < #x"});
   PathCondition Easy = pc({"typeof(#x) == ^Int", "3 < #x", "#x < 5"});
   IncrementalSession S;
-  EXPECT_NE(check(S, Hard), SatResult::Sat);
+  EXPECT_EQ(check(S, Hard), SatResult::Unknown);
+  EXPECT_EQ(S.depth(), 0u) << "the unknown replaced the solver";
+  EXPECT_EQ(S.assertedConjuncts(), 0u);
   EXPECT_EQ(check(S, Easy), SatResult::Sat)
       << "the bounded check left the session usable";
+  EXPECT_EQ(S.depth(), 1u);
   EXPECT_NE(checkSatZ3(Hard, typesOf(Hard), /*WantModel=*/false).Verdict,
             SatResult::Sat);
 }

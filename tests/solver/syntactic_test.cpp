@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <random>
+
 using namespace gillian;
 
 namespace {
@@ -274,6 +278,222 @@ TEST(Syntactic, OffsetClassTakesItsBasePlusTheOffset) {
   EXPECT_EQ(decideInProcess(pc({"typeof(#i) == ^Int", "#j == #i + 1",
                                 "!(#i == #j)"})),
             SatResult::Sat);
+}
+
+//===----------------------------------------------------------------------===//
+// GIL's Num: NaN and ±0 (DESIGN.md §1, §4f). Shapes verbatim from a
+// perfbench buckets pass, parsed without simplification.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+PathCondition raw(const std::vector<const char *> &Conjuncts) {
+  PathCondition P;
+  for (const char *C : Conjuncts)
+    P.add(parseGilExpr(C).take());
+  return P;
+}
+
+double bitsOf(uint64_t B) { return std::bit_cast<double>(B); }
+
+} // namespace
+
+TEST(Syntactic, CollisionWitnessesAreSignedZerosThenNaNs) {
+  // num_to_str renders 0.0 and -0.0 as "0" and every NaN as "nan", while
+  // GIL == is bitwise: two Num keys that render alike may still differ.
+  struct Case {
+    const char *Shape;
+    std::vector<const char *> Conjuncts;
+    bool NeedsNaN;
+  };
+  const Case Cases[] = {
+      {"plain",
+       {"! (#i_21_0 == #i_22_0)", "! (#i_22_0 == #i_21_0)",
+        "num_to_str(#i_22_0) == num_to_str(#i_21_0)",
+        "typeof(#i_21_0) == ^Num", "typeof(#i_22_0) == ^Num"},
+       false},
+      {"with a <= b",
+       {"typeof(#i_16_0) == ^Num", "#i_16_0 <= #i_17_0",
+        "! (#i_16_0 == #i_17_0)", "num_to_str(#i_16_0) == num_to_str(#i_17_0)",
+        "typeof(#i_17_0) == ^Num", "! (#i_17_0 == #i_16_0)"},
+       false},
+      {"with !(a <= b)",
+       {"typeof(#i_16_0) == ^Num", "! (#i_16_0 == #i_17_0)",
+        "typeof(#i_17_0) == ^Num", "! (#i_17_0 == #i_16_0)",
+        "num_to_str(#i_17_0) == num_to_str(#i_16_0)",
+        "! (#i_16_0 <= #i_17_0)"},
+       true},
+      {"without a disequality",
+       {"typeof(#i_23_0) == ^Num", "typeof(#i_24_0) == ^Num",
+        "num_to_str(#i_24_0) == num_to_str(#i_23_0)"},
+       false},
+  };
+  for (const Case &C : Cases) {
+    PathCondition P = raw(C.Conjuncts);
+    EXPECT_EQ(checkSatSyntactic(P), SatResult::Unknown) << C.Shape;
+    std::optional<Model> M = proposeModelSyntactic(P);
+    ASSERT_TRUE(M) << C.Shape;
+    EXPECT_TRUE(M->satisfies(P)) << C.Shape << ": " << M->toString();
+    for (const auto &[X, V] : M->bindings()) {
+      ASSERT_TRUE(V.isNum()) << C.Shape << ": " << M->toString();
+      if (C.NeedsNaN)
+        EXPECT_TRUE(std::isnan(V.asNum())) << C.Shape << ": " << M->toString();
+      else
+        EXPECT_EQ(V.asNum(), 0.0) << C.Shape << ": " << M->toString();
+    }
+  }
+}
+
+TEST(Syntactic, CollisionWitnessesNeedNumToStr) {
+  // NaN and ±0 are proposed only for num_to_str collisions: without one,
+  // disequal Num keys take ordinary values, and a condition only NaN
+  // satisfies gets no model in-process.
+  PathCondition P = raw({"typeof(#a) == ^Num", "typeof(#b) == ^Num",
+                         "! (#a == #b)"});
+  std::optional<Model> M = proposeModelSyntactic(P);
+  ASSERT_TRUE(M);
+  EXPECT_TRUE(M->satisfies(P));
+  for (const auto &[X, V] : M->bindings())
+    EXPECT_FALSE(std::isnan(V.asNum()) || std::signbit(V.asNum()))
+        << M->toString();
+  EXPECT_EQ(decideInProcess(raw({"typeof(#a) == ^Num", "! (#a <= #a)"})),
+            SatResult::Unknown);
+}
+
+TEST(Syntactic, NaNAwareOrderRefutesBucketsShapes) {
+  // An operand of a comparison assumed true is not NaN, so over such
+  // operands !(a <= b) is b < a and !(a < b) is b <= a.
+  const std::vector<std::vector<const char *>> Shapes = {
+      {"typeof(#i_26_0) == ^Num", "typeof(#i_25_0) == ^Num",
+       "! (#i_26_0 == #i_25_0)", "! (#i_26_0 <= #i_25_0)",
+       "#i_26_0 < #i_25_0"},
+      {"#i_21_0 <= 1.0", "0.0 <= #i_21_0", "! (#i_21_0 < 2.0)",
+       "typeof(#i_21_0) == ^Num"},
+      {"! (#i_21_0 <= 2.0)", "#i_21_0 <= 1.0", "0.0 <= #i_21_0",
+       "typeof(#i_21_0) == ^Num", "#i_21_0 < 2.0"},
+      {"typeof(#i_16_0) == ^Num", "! (#i_16_0 == #i_17_0)",
+       "#i_16_0 < #i_17_0", "typeof(#i_17_0) == ^Num",
+       "! (#i_17_0 == #i_16_0)", "! (#i_16_0 <= #i_17_0)"},
+      {"typeof(#i_18_0) == ^Num", "typeof(#i_19_0) == ^Num",
+       "#i_18_0 <= #i_20_0", "! (#i_19_0 < #i_20_0)",
+       "typeof(#i_20_0) == ^Num", "! (#i_20_0 <= #i_19_0)",
+       "#i_18_0 <= #i_19_0"},
+      {"typeof(#i_18_0) == ^Num", "typeof(#i_19_0) == ^Num",
+       "! (#i_18_0 <= #i_19_0)", "typeof(#i_20_0) == ^Num",
+       "#i_19_0 <= #i_20_0", "#i_19_0 <= #i_18_0", "! (#i_18_0 <= #i_20_0)",
+       "#i_18_0 < #i_20_0"},
+      {"typeof(#i_18_0) == ^Num", "typeof(#i_19_0) == ^Num",
+       "! (#i_18_0 <= #i_19_0)", "typeof(#i_20_0) == ^Num",
+       "! (#i_19_0 <= #i_18_0)", "#i_19_0 <= #i_20_0", "#i_18_0 < #i_20_0"},
+      {"typeof(#i_18_0) == ^Num", "! (#i_19_0 <= #i_20_0)",
+       "typeof(#i_19_0) == ^Num", "#i_18_0 <= #i_20_0",
+       "typeof(#i_20_0) == ^Num", "#i_19_0 < #i_20_0", "#i_18_0 <= #i_19_0"},
+      {"typeof(#i_18_0) == ^Num", "! (#i_19_0 <= #i_20_0)",
+       "typeof(#i_19_0) == ^Num", "! (#i_18_0 <= #i_19_0)",
+       "typeof(#i_20_0) == ^Num", "#i_18_0 < #i_19_0"},
+  };
+  for (const auto &Conjuncts : Shapes) {
+    PathCondition P = raw(Conjuncts);
+    EXPECT_EQ(checkSatSyntactic(P), SatResult::Unsat) << P.toString();
+  }
+}
+
+TEST(Syntactic, NaNAndSignedZeroShapesStayUnknown) {
+  // Z3 reads Num as Real and refutes each of these, but under GIL's
+  // evaluator NaN or ±0 satisfies every one (the witness below), so the
+  // in-process layer must leave them undecided.
+  const double NaN = bitsOf(0x7FF8000000000000ull);
+  struct Case {
+    std::vector<const char *> Conjuncts;
+    std::vector<std::pair<const char *, double>> Witness;
+  };
+  const Case Cases[] = {
+      {{"#i_26_0 == #i_25_0", "typeof(#i_25_0) == ^Num",
+        "typeof(#i_26_0) == ^Num", "! (#i_25_0 <= #i_25_0)"},
+       {{"#i_25_0", NaN}, {"#i_26_0", NaN}}},
+      {{"! (#i_26_0 == #i_25_0)", "! (#i_25_0 <= #i_26_0)",
+        "! (#i_26_0 < #i_25_0)", "typeof(#i_25_0) == ^Num",
+        "typeof(#i_26_0) == ^Num"},
+       {{"#i_25_0", NaN}, {"#i_26_0", 0.0}}},
+      {{"! (#i_16_0 < #i_17_0)", "typeof(#i_16_0) == ^Num",
+        "#i_16_0 <= #i_17_0", "! (#i_16_0 == #i_17_0)",
+        "typeof(#i_17_0) == ^Num", "! (#i_17_0 == #i_16_0)"},
+       {{"#i_16_0", 0.0}, {"#i_17_0", -0.0}}},
+      {{"typeof(#i_18_0) == ^Num", "typeof(#i_19_0) == ^Num",
+        "! (#i_18_0 <= #i_19_0)", "typeof(#i_20_0) == ^Num",
+        "! (#i_18_0 < #i_20_0)", "! (#i_20_0 <= #i_18_0)",
+        "#i_19_0 <= #i_20_0"},
+       {{"#i_18_0", NaN}, {"#i_19_0", 0.0}, {"#i_20_0", 0.0}}},
+      {{"typeof(#i_18_0) == ^Num", "! (#i_19_0 < #i_18_0)",
+        "typeof(#i_19_0) == ^Num", "typeof(#i_20_0) == ^Num",
+        "! (#i_20_0 <= #i_18_0)", "#i_18_0 <= #i_19_0",
+        "! (#i_18_0 <= #i_20_0)"},
+       {{"#i_18_0", 0.0}, {"#i_19_0", 0.0}, {"#i_20_0", NaN}}},
+      {{"typeof(#i_18_0) == ^Num", "! (#i_18_0 < #i_19_0)",
+        "! (#i_19_0 <= #i_20_0)", "typeof(#i_19_0) == ^Num",
+        "! (#i_18_0 <= #i_19_0)", "typeof(#i_20_0) == ^Num",
+        "#i_20_0 <= #i_19_0", "! (#i_19_0 <= #i_18_0)"},
+       {{"#i_18_0", NaN}, {"#i_19_0", 1.0}, {"#i_20_0", 0.0}}},
+      {{"typeof(#i_18_0) == ^Num", "! (#i_18_0 < #i_19_0)",
+        "! (#i_19_0 <= #i_20_0)", "typeof(#i_19_0) == ^Num",
+        "! (#i_18_0 <= #i_19_0)", "typeof(#i_20_0) == ^Num",
+        "! (#i_20_0 <= #i_19_0)"},
+       {{"#i_18_0", NaN}, {"#i_19_0", NaN}, {"#i_20_0", NaN}}},
+  };
+  for (const Case &C : Cases) {
+    PathCondition P = raw(C.Conjuncts);
+    Model W;
+    for (const auto &[X, D] : C.Witness)
+      W.bind(InternedString::get(X), Value::numV(D));
+    EXPECT_TRUE(W.satisfies(P)) << P.toString() << " under " << W.toString();
+    EXPECT_EQ(decideInProcess(P), SatResult::Unknown) << P.toString();
+  }
+}
+
+TEST(SyntacticProperty, InProcessUnsatHasNoModelAmongEdgeValues) {
+  // Random conjunctions of <, <= and == and their negations over three
+  // Num variables and three literals: whenever the core refutes one, no
+  // assignment of NaN, ±0, ±inf and a few ordinary values satisfies it.
+  const double Values[] = {-INFINITY, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0,
+                           INFINITY,  bitsOf(0x7FF8000000000000ull),
+                           bitsOf(0xFFF8000000000000ull)};
+  const Expr Vars[] = {Expr::lvar("#p"), Expr::lvar("#q"), Expr::lvar("#r")};
+  const Expr Lits[] = {Expr::numE(-1.0), Expr::numE(0.0), Expr::numE(2.0)};
+  std::mt19937 Rng(20261019);
+  auto operand = [&] {
+    unsigned K = Rng() % 5;
+    return K < 3 ? Vars[K] : Lits[Rng() % 3];
+  };
+  int Refuted = 0;
+  for (int Iter = 0; Iter < 1500; ++Iter) {
+    PathCondition P;
+    for (const Expr &V : Vars)
+      if (Rng() % 2)
+        P.add(Expr::eq(Expr::unOp(UnOpKind::TypeOf, V),
+                       Expr::lit(Value::typeV(GilType::Num))));
+    for (unsigned N = 2 + Rng() % 4; N; --N) {
+      Expr A = operand(), B = operand();
+      Expr Atom = Rng() % 3 == 0   ? Expr::eq(A, B)
+                  : Rng() % 2 == 0 ? Expr::lt(A, B)
+                                   : Expr::le(A, B);
+      P.add(Rng() % 2 ? Expr::notE(Atom) : Atom);
+    }
+    if (P.isTriviallyFalse() || checkSatSyntactic(P) != SatResult::Unsat)
+      continue;
+    ++Refuted;
+    for (double X : Values)
+      for (double Y : Values)
+        for (double Z : Values) {
+          Model M;
+          M.bind(Vars[0].varName(), Value::numV(X));
+          M.bind(Vars[1].varName(), Value::numV(Y));
+          M.bind(Vars[2].varName(), Value::numV(Z));
+          ASSERT_FALSE(M.satisfies(P))
+              << "refuted in-process but " << M.toString() << " satisfies "
+              << P.toString();
+        }
+  }
+  EXPECT_GT(Refuted, 200) << "the draws must exercise the refutations";
 }
 
 //===----------------------------------------------------------------------===//
