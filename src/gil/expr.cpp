@@ -63,6 +63,7 @@ Expr Expr::binOp(BinOpKind Op, Expr A, Expr B) {
   N->Kind = ExprKind::BinOp;
   N->Op = static_cast<uint8_t>(Op);
   N->Hash = mix(mix(mix(5, N->Op), A.hash()), B.hash());
+  N->Kids.reserve(2);
   N->Kids.push_back(std::move(A));
   N->Kids.push_back(std::move(B));
   Expr R;

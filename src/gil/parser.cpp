@@ -38,30 +38,33 @@ struct InfixInfo {
 std::optional<InfixInfo> infixInfo(const Token &T) {
   if (!T.is(TokenKind::Punct))
     return std::nullopt;
-  const std::string &S = T.Text;
-  if (S == "||") return InfixInfo{BinOpKind::Or, PrecOr};
-  if (S == "&&") return InfixInfo{BinOpKind::And, PrecAnd};
-  if (S == "==" || S == "===") return InfixInfo{BinOpKind::Eq, PrecEq};
-  if (S == "!=" || S == "!==")
-    return InfixInfo{BinOpKind::Eq, PrecEq, false, true};
-  if (S == "<") return InfixInfo{BinOpKind::Lt, PrecCmp};
-  if (S == "<=") return InfixInfo{BinOpKind::Le, PrecCmp};
-  if (S == ">") return InfixInfo{BinOpKind::Lt, PrecCmp, true};
-  if (S == ">=") return InfixInfo{BinOpKind::Le, PrecCmp, true};
-  if (S == "|") return InfixInfo{BinOpKind::BitOr, PrecBitOr};
-  if (S == "^^") return InfixInfo{BinOpKind::BitXor, PrecBitOr};
-  if (S == "&") return InfixInfo{BinOpKind::BitAnd, PrecBitAnd};
-  if (S == "<<") return InfixInfo{BinOpKind::Shl, PrecShift};
-  if (S == ">>") return InfixInfo{BinOpKind::Shr, PrecShift};
-  if (S == "::") return InfixInfo{BinOpKind::Cons, PrecCons, false, false, true};
-  if (S == "++") return InfixInfo{BinOpKind::ListConcat, PrecCons};
-  if (S == "@+") return InfixInfo{BinOpKind::StrCat, PrecCons};
-  if (S == "+") return InfixInfo{BinOpKind::Add, PrecAdd};
-  if (S == "-") return InfixInfo{BinOpKind::Sub, PrecAdd};
-  if (S == "*") return InfixInfo{BinOpKind::Mul, PrecMul};
-  if (S == "/") return InfixInfo{BinOpKind::Div, PrecMul};
-  if (S == "%") return InfixInfo{BinOpKind::Mod, PrecMul};
-  return std::nullopt;
+  switch (T.Punct) {
+  case punctCode("||"): return InfixInfo{BinOpKind::Or, PrecOr};
+  case punctCode("&&"): return InfixInfo{BinOpKind::And, PrecAnd};
+  case punctCode("=="):
+  case punctCode("==="): return InfixInfo{BinOpKind::Eq, PrecEq};
+  case punctCode("!="):
+  case punctCode("!=="): return InfixInfo{BinOpKind::Eq, PrecEq, false, true};
+  case punctCode("<"): return InfixInfo{BinOpKind::Lt, PrecCmp};
+  case punctCode("<="): return InfixInfo{BinOpKind::Le, PrecCmp};
+  case punctCode(">"): return InfixInfo{BinOpKind::Lt, PrecCmp, true};
+  case punctCode(">="): return InfixInfo{BinOpKind::Le, PrecCmp, true};
+  case punctCode("|"): return InfixInfo{BinOpKind::BitOr, PrecBitOr};
+  case punctCode("^^"): return InfixInfo{BinOpKind::BitXor, PrecBitOr};
+  case punctCode("&"): return InfixInfo{BinOpKind::BitAnd, PrecBitAnd};
+  case punctCode("<<"): return InfixInfo{BinOpKind::Shl, PrecShift};
+  case punctCode(">>"): return InfixInfo{BinOpKind::Shr, PrecShift};
+  case punctCode("::"):
+    return InfixInfo{BinOpKind::Cons, PrecCons, false, false, true};
+  case punctCode("++"): return InfixInfo{BinOpKind::ListConcat, PrecCons};
+  case punctCode("@+"): return InfixInfo{BinOpKind::StrCat, PrecCons};
+  case punctCode("+"): return InfixInfo{BinOpKind::Add, PrecAdd};
+  case punctCode("-"): return InfixInfo{BinOpKind::Sub, PrecAdd};
+  case punctCode("*"): return InfixInfo{BinOpKind::Mul, PrecMul};
+  case punctCode("/"): return InfixInfo{BinOpKind::Div, PrecMul};
+  case punctCode("%"): return InfixInfo{BinOpKind::Mod, PrecMul};
+  default: return std::nullopt;
+  }
 }
 
 std::optional<UnOpKind> keywordUnOp(std::string_view S) {
@@ -100,8 +103,7 @@ public:
   explicit Parser(std::string_view Src)
       : Owned(tokenize(Src)), Toks(&Owned) {}
   /// Borrowing constructor for parseExprAt: no token copy.
-  Parser(const std::vector<Token> &Toks, size_t Pos)
-      : Toks(&Toks), Pos(Pos) {}
+  Parser(const TokenStream &Toks, size_t Pos) : Toks(&Toks), Pos(Pos) {}
 
   /// Exposed for parseExprAt.
   Result<Expr> parseOneExpr(size_t &OutPos) {
@@ -135,8 +137,8 @@ public:
   }
 
 private:
-  std::vector<Token> Owned;
-  const std::vector<Token> *Toks;
+  TokenStream Owned;
+  const TokenStream *Toks;
   size_t Pos = 0;
   std::string ErrMsg;
 
@@ -166,9 +168,9 @@ private:
     return false;
   }
 
-  std::optional<std::string> expectIdent(const char *What) {
+  std::optional<std::string_view> expectIdent(const char *What) {
     if (cur().is(TokenKind::Ident)) {
-      std::string S = cur().Text;
+      std::string_view S = cur().Text;
       bump();
       return S;
     }
@@ -206,9 +208,11 @@ private:
         return Expr();
       // Fold negated numeric literals so printed negative constants
       // ("-2") parse back to the literal the printer saw, keeping
-      // toString/parse a round trip for persisted expressions.
+      // toString/parse a round trip for persisted expressions. The fold
+      // wraps like GIL's Neg: "-9223372036854775808" lexes its magnitude
+      // as INT64_MIN, whose negation is INT64_MIN again.
       if (E.isLit() && E.litValue().isInt())
-        return Expr::intE(-E.litValue().asInt());
+        return Expr::intE(wrappingNeg(E.litValue().asInt()));
       if (E.isLit() && E.litValue().isNum())
         return Expr::numE(-E.litValue().asNum());
       return Expr::unOp(UnOpKind::Neg, E);
@@ -247,14 +251,14 @@ private:
     case TokenKind::Ident:
       return parseIdentExpr();
     case TokenKind::Punct:
-      if (T.Text == "(") {
+      if (T.isPunct("(")) {
         bump();
         Expr E = parseExpr();
         if (!E || !expectPunct(")"))
           return Expr();
         return E;
       }
-      if (T.Text == "[") {
+      if (T.isPunct("[")) {
         bump();
         std::vector<Expr> Elems;
         if (!cur().isPunct("]")) {
@@ -288,17 +292,17 @@ private:
         }
         return Expr::list(std::move(Elems));
       }
-      if (T.Text == "^") {
+      if (T.isPunct("^")) {
         bump();
         auto Name = expectIdent("type name after '^'");
         if (!Name)
           return Expr();
         auto Ty = typeLiteral(*Name);
         if (!Ty)
-          return error("unknown type name '" + *Name + "'");
+          return error("unknown type name '" + std::string(*Name) + "'");
         return Expr::lit(Value::typeV(*Ty));
       }
-      if (T.Text == "&") {
+      if (T.isPunct("&")) {
         bump();
         auto Name = expectIdent("procedure name after '&'");
         if (!Name)
@@ -312,7 +316,7 @@ private:
   }
 
   Expr parseIdentExpr() {
-    std::string Name = cur().Text;
+    std::string_view Name = cur().Text;
     // Literals spelled as identifiers.
     if (Name == "true") {
       bump();
@@ -502,8 +506,7 @@ Result<Expr> gillian::parseGilExpr(std::string_view Source) {
   return Parser(Source).parseWholeExpr();
 }
 
-Result<Expr> gillian::parseExprAt(const std::vector<Token> &Toks,
-                                  size_t &Pos) {
+Result<Expr> gillian::parseExprAt(const TokenStream &Toks, size_t &Pos) {
   Parser P(Toks, Pos);
   return P.parseOneExpr(Pos);
 }

@@ -49,7 +49,7 @@ Result<Expr> parseGilExpr(std::string_view Source);
 /// Parses one expression from a token stream starting at Toks[Pos],
 /// advancing Pos past it. Shared by the While/MJS/MC front ends, whose
 /// expression grammar coincides with GIL's.
-Result<Expr> parseExprAt(const std::vector<Token> &Toks, size_t &Pos);
+Result<Expr> parseExprAt(const TokenStream &Toks, size_t &Pos);
 
 } // namespace gillian
 

@@ -5,6 +5,9 @@
 #include "mc/memory.h"
 #include "mc/parser.h"
 
+#include <array>
+#include <charconv>
+#include <iterator>
 #include <limits>
 
 using namespace gillian;
@@ -84,33 +87,83 @@ public:
 private:
   LayoutTable Layouts;
   const CProgram *Program = nullptr;
+  /// The body being emitted. Its capacity carries over from procedure to
+  /// procedure; each Proc gets an exactly sized copy.
   std::vector<Cmd> Body;
-  std::map<std::string, CType> Vars;
+  /// A variable in scope: its type and the one pvar node its uses share.
+  struct Var {
+    CType Ty;
+    Expr Ref;
+  };
+  std::map<std::string, Var> Vars;
   const CFunc *CurFunc = nullptr;
   uint32_t NextSite = 0;
   uint32_t NextTemp = 0;
 
-  /// The address (chunk, block, offset, type) of a memory access.
+  // Literals that loads, stores, offsets and jumps repeat, built once per
+  // compile: expressions are immutable, so the commands share the nodes.
+  // Null is built at its first use, where it interns "$null": interned
+  // ids feed value hashes, so the compiler keeps its interning order.
+  const Expr True = Expr::boolE(true);
+  std::array<Expr, 64> SmallInts; ///< 0..63, built on first use
+  std::array<Expr, 5> ChunkLits;  ///< by ScalarKind, built on first use
+  Expr Null;
+
+  /// The address (the scalar kind that picks the chunk, block, offset,
+  /// type) of a memory access.
   struct Address {
-    Chunk Ch;
+    ScalarKind Scalar;
     Expr Block, Offset;
     McType ValType;
   };
 
   InternedString freshTemp() {
-    return InternedString::get("_t" + std::to_string(NextTemp++));
+    char Buf[16] = "_t";
+    char *End = std::to_chars(Buf + 2, std::end(Buf), NextTemp++).ptr;
+    return InternedString::get(std::string_view(Buf, End - Buf));
   }
   size_t pc() const { return Body.size(); }
   void emit(Cmd C) { Body.push_back(std::move(C)); }
 
-  static Expr ptrBlock(const Expr &P) {
-    return Expr::binOp(BinOpKind::ListNth, P, Expr::intE(0));
-  }
-  static Expr ptrOffset(const Expr &P) {
-    return Expr::binOp(BinOpKind::ListNth, P, Expr::intE(1));
+  Expr intLit(int64_t V) {
+    if (V < 0 || V >= static_cast<int64_t>(SmallInts.size()))
+      return Expr::intE(V);
+    Expr &E = SmallInts[V];
+    if (!E)
+      E = Expr::intE(V);
+    return E;
   }
 
-  void emitFailUnless(Expr Cond, const std::string &Msg) {
+  const Expr &nullLit() {
+    if (!Null)
+      Null = nullPtrE();
+    return Null;
+  }
+
+  const Expr &chunkLit(ScalarKind K) {
+    Expr &E = ChunkLits[static_cast<size_t>(K)];
+    if (!E)
+      E = Expr::lit(chunkValue(Chunk::forScalar(K)));
+    return E;
+  }
+
+  Expr ptrBlock(const Expr &P) {
+    return Expr::binOp(BinOpKind::ListNth, P, intLit(0));
+  }
+  Expr ptrOffset(const Expr &P) {
+    return Expr::binOp(BinOpKind::ListNth, P, intLit(1));
+  }
+
+  /// Brings \p Name into scope with type \p T; returns its pvar node.
+  const Expr &declare(const std::string &Name, const McType &T) {
+    Var &V = Vars[Name];
+    V.Ty = CType::of(T);
+    if (!V.Ref)
+      V.Ref = Expr::pvar(Name);
+    return V.Ref;
+  }
+
+  void emitFailUnless(Expr Cond, std::string_view Msg) {
     size_t Here = pc();
     emit(Cmd::ifGoto(std::move(Cond), Here + 2));
     emit(Cmd::fail(Expr::strE(Msg)));
@@ -123,18 +176,18 @@ private:
   Result<TypedExpr> compileExpr(const CExprPtr &E) {
     switch (E->Kind) {
     case CExprKind::IntLit:
-      return TypedExpr{Expr::intE(E->IntVal),
+      return TypedExpr{intLit(E->IntVal),
                        CType::of(McType::scalar(ScalarKind::I64))};
     case CExprKind::FloatLit:
       return TypedExpr{Expr::numE(E->FloatVal),
                        CType::of(McType::scalar(ScalarKind::F64))};
     case CExprKind::Null:
-      return TypedExpr{nullPtrE(), CType::nullT()};
+      return TypedExpr{nullLit(), CType::nullT()};
     case CExprKind::Var: {
       auto It = Vars.find(E->Name);
       if (It == Vars.end())
         return Err("unknown variable '" + E->Name + "'");
-      return TypedExpr{Expr::pvar(E->Name), It->second};
+      return TypedExpr{It->second.Ref, It->second.Ty};
     }
     case CExprKind::Unary:
       return compileUnary(*E);
@@ -158,7 +211,7 @@ private:
       Result<int64_t> Sz = Layouts.sizeOf(E->Type);
       if (!Sz)
         return Err(Sz.error());
-      return TypedExpr{Expr::intE(*Sz),
+      return TypedExpr{intLit(*Sz),
                        CType::of(McType::scalar(ScalarKind::I64))};
     }
     case CExprKind::Alloc:
@@ -189,7 +242,7 @@ private:
     Result<int64_t> Sz = Layouts.sizeOf(*P.Ty.T.pointee());
     if (!Sz)
       return Err(Sz.error());
-    Expr Delta = Expr::binOp(BinOpKind::Mul, I.E, Expr::intE(*Sz));
+    Expr Delta = Expr::binOp(BinOpKind::Mul, I.E, intLit(*Sz));
     if (Subtract)
       Delta = Expr::unOp(UnOpKind::Neg, Delta);
     Expr NewOff = Expr::add(ptrOffset(P.E), Delta);
@@ -249,7 +302,7 @@ private:
                      : E.BOp == CBinOp::Div ? BinOpKind::Div
                                             : BinOpKind::Mod;
       if (Ints && (Op == BinOpKind::Div || Op == BinOpKind::Mod))
-        emitFailUnless(Expr::notE(Expr::eq(B->E, Expr::intE(0))),
+        emitFailUnless(Expr::notE(Expr::eq(B->E, intLit(0))),
                        "UB: integer division by zero");
       McType RT = Ints ? McType::scalar(ScalarKind::I64)
                        : McType::scalar(ScalarKind::F64);
@@ -321,9 +374,9 @@ private:
     if (F->Type.isStruct())
       return Err("aggregate field access requires a pointer; use '+'");
     Address A;
-    A.Ch = Chunk::forScalar(F->Type.scalarKind());
+    A.Scalar = F->Type.scalarKind();
     A.Block = ptrBlock(Base->E);
-    A.Offset = Expr::add(ptrOffset(Base->E), Expr::intE(F->Offset));
+    A.Offset = Expr::add(ptrOffset(Base->E), intLit(F->Offset));
     A.ValType = F->Type;
     return A;
   }
@@ -347,11 +400,11 @@ private:
     if (!Sz)
       return Err(Sz.error());
     Address A;
-    A.Ch = Chunk::forScalar(Elem.scalarKind());
+    A.Scalar = Elem.scalarKind();
     A.Block = ptrBlock(Base->E);
     A.Offset = Expr::add(ptrOffset(Base->E),
                          Expr::binOp(BinOpKind::Mul, Idx->E,
-                                     Expr::intE(*Sz)));
+                                     intLit(*Sz)));
     A.ValType = Elem;
     return A;
   }
@@ -359,14 +412,14 @@ private:
   Result<TypedExpr> emitLoad(const Address &A) {
     InternedString T = freshTemp();
     emit(Cmd::action(T, actLoad(),
-                     Expr::list({Expr::lit(chunkValue(A.Ch)), A.Block,
+                     Expr::list({chunkLit(A.Scalar), A.Block,
                                  A.Offset})));
     return TypedExpr{Expr::pvar(T), CType::of(A.ValType)};
   }
 
   void emitStore(const Address &A, const Expr &V) {
     emit(Cmd::action(freshTemp(), actStore(),
-                     Expr::list({Expr::lit(chunkValue(A.Ch)), A.Block,
+                     Expr::list({chunkLit(A.Scalar), A.Block,
                                  A.Offset, V})));
   }
 
@@ -386,7 +439,7 @@ private:
         T, actAlloc(),
         Expr::list({Expr::pvar(B),
                     Expr::binOp(BinOpKind::Mul, Count->E,
-                                Expr::intE(*Sz))})));
+                                intLit(*Sz))})));
     return TypedExpr{Expr::pvar(T), CType::of(McType::pointer(E.Type))};
   }
 
@@ -431,8 +484,8 @@ private:
       if (Bits < 64)
         V = Expr::binOp(BinOpKind::Shr,
                         Expr::binOp(BinOpKind::Shl, V,
-                                    Expr::intE(64 - Bits)),
-                        Expr::intE(64 - Bits));
+                                    intLit(64 - Bits)),
+                        intLit(64 - Bits));
       ScalarKind K = F == "i64" ? ScalarKind::I64
                                 : (F == "i32" ? ScalarKind::I32
                                               : ScalarKind::I8);
@@ -465,8 +518,7 @@ private:
         return Err("free() requires a pointer");
       InternedString T = freshTemp();
       emit(Cmd::action(T, actFree(), Expr::list({P->E})));
-      return TypedExpr{Expr::intE(0),
-                       CType::of(McType::scalar(ScalarKind::I64))};
+      return TypedExpr{intLit(0), CType::of(McType::scalar(ScalarKind::I64))};
     }
     if (F == "memcpy" || F == "memset") {
       bool Cpy = F == "memcpy";
@@ -494,8 +546,7 @@ private:
                          Expr::list({ptrBlock(A0->E), ptrOffset(A0->E),
                                      A2->E, A1->E})));
       }
-      return TypedExpr{Expr::intE(0),
-                       CType::of(McType::scalar(ScalarKind::I64))};
+      return TypedExpr{intLit(0), CType::of(McType::scalar(ScalarKind::I64))};
     }
 
     // Symbolic inputs.
@@ -568,8 +619,7 @@ private:
         return Err(E.error());
       if (!compatible(CType::of(S.DeclType), E->Ty))
         return Err("initialiser type mismatch for '" + S.Name + "'");
-      Vars[S.Name] = CType::of(S.DeclType);
-      emit(Cmd::assign(InternedString::get(S.Name), E->E));
+      emit(Cmd::assign(declare(S.Name, S.DeclType).varName(), E->E));
       return true;
     }
     case CStmtKind::Assign: {
@@ -579,9 +629,9 @@ private:
       Result<TypedExpr> E = compileExpr(S.E);
       if (!E)
         return Err(E.error());
-      if (!compatible(It->second, E->Ty))
+      if (!compatible(It->second.Ty, E->Ty))
         return Err("assignment type mismatch for '" + S.Name + "'");
-      emit(Cmd::assign(InternedString::get(S.Name), E->E));
+      emit(Cmd::assign(It->second.Ref.varName(), E->E));
       return true;
     }
     case CStmtKind::FieldSet:
@@ -647,7 +697,7 @@ private:
       if (!E1)
         return E1;
       size_t GotoEnd = pc();
-      emit(Cmd::ifGoto(Expr::boolE(true), 0)); // patched: END
+      emit(Cmd::ifGoto(True, 0)); // patched: END
       Body[CondIdx].Target = pc();
       Result<bool> T1 = compileBlock(S.Then);
       if (!T1)
@@ -669,7 +719,7 @@ private:
       size_t CondIdx = pc();
       emit(Cmd::ifGoto(*C, CondIdx + 2));
       size_t GotoEnd = pc();
-      emit(Cmd::ifGoto(Expr::boolE(true), 0)); // patched: END
+      emit(Cmd::ifGoto(True, 0)); // patched: END
       Result<bool> B = compileBlock(S.Then);
       if (!B)
         return B;
@@ -678,7 +728,7 @@ private:
         if (!St)
           return St;
       }
-      emit(Cmd::ifGoto(Expr::boolE(true), Loop));
+      emit(Cmd::ifGoto(True, Loop));
       Body[GotoEnd].Target = pc();
       return true;
     }
@@ -693,24 +743,25 @@ private:
     Proc P;
     P.Name = InternedString::get(F.Name);
     P.Param = InternedString::get("_args");
+    Expr Args = Expr::pvar(P.Param);
     for (size_t K = 0; K != F.Params.size(); ++K) {
-      Vars[F.Params[K].first] = CType::of(F.Params[K].second);
-      emit(Cmd::assign(InternedString::get(F.Params[K].first),
-                       Expr::binOp(BinOpKind::ListNth,
-                                   Expr::pvar(P.Param),
-                                   Expr::intE(static_cast<int64_t>(K)))));
+      const auto &[Name, Type] = F.Params[K];
+      emit(Cmd::assign(declare(Name, Type).varName(),
+                       Expr::binOp(BinOpKind::ListNth, Args,
+                                   intLit(static_cast<int64_t>(K)))));
     }
     Result<bool> R = compileBlock(F.Body);
     if (!R)
       return Err("in fn " + F.Name + ": " + R.error());
     // Implicit return of a zero value of the return type.
     if (F.RetType.isPtr())
-      emit(Cmd::ret(nullPtrE()));
+      emit(Cmd::ret(nullLit()));
     else if (F.RetType.isFloat())
       emit(Cmd::ret(Expr::numE(0)));
     else
-      emit(Cmd::ret(Expr::intE(0)));
-    P.Body = std::move(Body);
+      emit(Cmd::ret(intLit(0)));
+    P.Body.assign(std::make_move_iterator(Body.begin()),
+                  std::make_move_iterator(Body.end()));
     Body.clear();
     return P;
   }

@@ -43,7 +43,7 @@ public:
   }
 
 private:
-  std::vector<Token> Toks;
+  TokenStream Toks;
   size_t Pos = 0;
 
   const Token &cur() const { return Toks[Pos]; }
@@ -98,11 +98,11 @@ private:
   // Types
   //===--------------------------------------------------------------------===
 
-  static bool isScalarName(const std::string &S) {
+  static bool isScalarName(std::string_view S) {
     return S == "i8" || S == "i32" || S == "i64" || S == "f64";
   }
 
-  static ScalarKind scalarOf(const std::string &S) {
+  static ScalarKind scalarOf(std::string_view S) {
     if (S == "i8") return ScalarKind::I8;
     if (S == "i32") return ScalarKind::I32;
     if (S == "i64") return ScalarKind::I64;
@@ -112,7 +112,7 @@ private:
   Result<McType> parseType() {
     if (!cur().is(TokenKind::Ident))
       return here("expected a type");
-    std::string Name = cur().Text;
+    std::string_view Name = cur().Text;
     bump();
     if (isScalarName(Name))
       return McType::scalar(scalarOf(Name));
@@ -135,22 +135,24 @@ private:
 
   Result<CExprPtr> parseExpr() { return parseOr(); }
 
+  /// One precedence level of left-associative binary operators, each
+  /// given by the punctCode of its spelling.
   template <typename Sub>
-  Result<CExprPtr> parseLeftAssoc(Sub SubParse,
-                                  std::initializer_list<
-                                      std::pair<const char *, CBinOp>>
-                                      Ops) {
+  Result<CExprPtr>
+  parseLeftAssoc(Sub SubParse,
+                 std::initializer_list<std::pair<uint32_t, CBinOp>> Ops) {
     Result<CExprPtr> L = SubParse();
     if (!L)
       return L;
     CExprPtr E = L.take();
     while (true) {
       const CBinOp *Found = nullptr;
-      for (const auto &[P, Op] : Ops)
-        if (cur().isPunct(P)) {
-          Found = &Op;
-          break;
-        }
+      if (cur().is(TokenKind::Punct))
+        for (const auto &[Code, Op] : Ops)
+          if (cur().Punct == Code) {
+            Found = &Op;
+            break;
+          }
       if (!Found)
         return E;
       CBinOp Op = *Found;
@@ -168,26 +170,31 @@ private:
 
   Result<CExprPtr> parseOr() {
     return parseLeftAssoc([this] { return parseAnd(); },
-                          {{"||", CBinOp::Or}});
+                          {{punctCode("||"), CBinOp::Or}});
   }
   Result<CExprPtr> parseAnd() {
     return parseLeftAssoc([this] { return parseCmp(); },
-                          {{"&&", CBinOp::And}});
+                          {{punctCode("&&"), CBinOp::And}});
   }
   Result<CExprPtr> parseCmp() {
-    return parseLeftAssoc(
-        [this] { return parseAdd(); },
-        {{"==", CBinOp::Eq}, {"!=", CBinOp::Ne}, {"<=", CBinOp::Le},
-         {">=", CBinOp::Ge}, {"<", CBinOp::Lt}, {">", CBinOp::Gt}});
+    return parseLeftAssoc([this] { return parseAdd(); },
+                          {{punctCode("=="), CBinOp::Eq},
+                           {punctCode("!="), CBinOp::Ne},
+                           {punctCode("<="), CBinOp::Le},
+                           {punctCode(">="), CBinOp::Ge},
+                           {punctCode("<"), CBinOp::Lt},
+                           {punctCode(">"), CBinOp::Gt}});
   }
   Result<CExprPtr> parseAdd() {
     return parseLeftAssoc([this] { return parseMul(); },
-                          {{"+", CBinOp::Add}, {"-", CBinOp::Sub}});
+                          {{punctCode("+"), CBinOp::Add},
+                           {punctCode("-"), CBinOp::Sub}});
   }
   Result<CExprPtr> parseMul() {
-    return parseLeftAssoc(
-        [this] { return parseUnary(); },
-        {{"*", CBinOp::Mul}, {"/", CBinOp::Div}, {"%", CBinOp::Mod}});
+    return parseLeftAssoc([this] { return parseUnary(); },
+                          {{punctCode("*"), CBinOp::Mul},
+                           {punctCode("/"), CBinOp::Div},
+                           {punctCode("%"), CBinOp::Mod}});
   }
 
   Result<CExprPtr> parseUnary() {
@@ -267,7 +274,7 @@ private:
       return E;
     }
     if (T.is(TokenKind::Ident)) {
-      std::string Name = T.Text;
+      std::string_view Name = T.Text;
       if (peek().isPunct("(")) {
         bump();
         bump();
@@ -369,7 +376,7 @@ private:
       return S;
     }
     if (cur().isIdent("assume") || cur().isIdent("assert")) {
-      bool IsAssume = cur().Text == "assume";
+      bool IsAssume = cur().isIdent("assume");
       bump();
       if (!eatPunct("("))
         return here("expected '('");
@@ -567,7 +574,7 @@ private:
     while (!cur().isPunct("}")) {
       if (!cur().is(TokenKind::Ident))
         return here("expected field name");
-      std::string FName = cur().Text;
+      std::string_view FName = cur().Text;
       bump();
       if (!eatPunct(":"))
         return here("expected ':'");
@@ -595,7 +602,7 @@ private:
       while (true) {
         if (!cur().is(TokenKind::Ident))
           return here("expected parameter name");
-        std::string PName = cur().Text;
+        std::string_view PName = cur().Text;
         bump();
         if (!eatPunct(":"))
           return here("expected ':'");

@@ -6,6 +6,9 @@
 #include "mjs/parser.h"
 #include "mjs/runtime.h"
 
+#include <charconv>
+#include <iterator>
+
 using namespace gillian;
 using namespace gillian::mjs;
 
@@ -28,23 +31,33 @@ public:
 private:
   uint32_t NextSite = 0;
   uint32_t NextTemp = 0;
+  /// The body being emitted. Its capacity carries over from procedure to
+  /// procedure; each Proc gets an exactly sized copy.
   std::vector<Cmd> Body;
 
+  // Literals that every jump and type guard repeats, built once per
+  // compile: expressions are immutable, so the commands share the nodes.
+  const Expr True = Expr::boolE(true);
+  const Expr NumType = Expr::lit(Value::typeV(GilType::Num));
+  const Expr StrType = Expr::lit(Value::typeV(GilType::Str));
+
   InternedString freshTemp() {
-    return InternedString::get("_t" + std::to_string(NextTemp++));
+    char Buf[16] = "_t";
+    char *End = std::to_chars(Buf + 2, std::end(Buf), NextTemp++).ptr;
+    return InternedString::get(std::string_view(Buf, End - Buf));
   }
   size_t pc() const { return Body.size(); }
   void emit(Cmd C) { Body.push_back(std::move(C)); }
 
   /// fail "TypeError..." unless Cond holds.
-  void emitGuard(Expr Cond, const std::string &Msg) {
+  void emitGuard(Expr Cond, std::string_view Msg) {
     size_t Here = pc();
     emit(Cmd::ifGoto(std::move(Cond), Here + 2));
     emit(Cmd::fail(Expr::strE(Msg)));
   }
 
   Expr numGuarded(const Expr &E) {
-    return Expr::hasType(E, GilType::Num);
+    return Expr::eq(Expr::typeOf(E), NumType);
   }
 
   /// t := __mjs_truthy(e)  — returns pvar t (a GIL Bool).
@@ -164,8 +177,8 @@ private:
     case JsBinOp::Gt:
     case JsBinOp::Ge: {
       emitGuard(Expr::orE(Expr::andE(numGuarded(*A), numGuarded(*B)),
-                          Expr::andE(Expr::hasType(*A, GilType::Str),
-                                     Expr::hasType(*B, GilType::Str))),
+                          Expr::andE(Expr::eq(Expr::typeOf(*A), StrType),
+                                     Expr::eq(Expr::typeOf(*B), StrType))),
                 "TypeError: comparison requires two numbers or two strings");
       bool Swap = E.BOp == JsBinOp::Gt || E.BOp == JsBinOp::Ge;
       BinOpKind Op = (E.BOp == JsBinOp::Lt || E.BOp == JsBinOp::Gt)
@@ -393,7 +406,7 @@ private:
       if (!E1)
         return E1;
       size_t GotoEnd = pc();
-      emit(Cmd::ifGoto(Expr::boolE(true), 0)); // patched: END
+      emit(Cmd::ifGoto(True, 0)); // patched: END
       Body[CondIdx].Target = pc();
       Result<bool> T1 = compileBlock(S.Then);
       if (!T1)
@@ -418,7 +431,7 @@ private:
       size_t CondIdx = pc();
       emit(Cmd::ifGoto(C, CondIdx + 2));
       size_t GotoEnd = pc();
-      emit(Cmd::ifGoto(Expr::boolE(true), 0)); // patched: END
+      emit(Cmd::ifGoto(True, 0)); // patched: END
       Result<bool> B = compileBlock(S.Then);
       if (!B)
         return B;
@@ -427,7 +440,7 @@ private:
         if (!St)
           return St;
       }
-      emit(Cmd::ifGoto(Expr::boolE(true), Loop));
+      emit(Cmd::ifGoto(True, Loop));
       Body[GotoEnd].Target = pc();
       return true;
     }
@@ -440,15 +453,17 @@ private:
     Proc P;
     P.Name = InternedString::get(F.Name);
     P.Param = InternedString::get("_args");
+    Expr Args = Expr::pvar(P.Param);
     for (size_t K = 0; K != F.Params.size(); ++K)
       emit(Cmd::assign(InternedString::get(F.Params[K]),
-                       Expr::binOp(BinOpKind::ListNth, Expr::pvar(P.Param),
+                       Expr::binOp(BinOpKind::ListNth, Args,
                                    Expr::intE(static_cast<int64_t>(K)))));
     Result<bool> R = compileBlock(F.Body);
     if (!R)
       return Err(R.error());
     emit(Cmd::ret(Expr::lit(jsUndefined())));
-    P.Body = std::move(Body);
+    P.Body.assign(std::make_move_iterator(Body.begin()),
+                  std::make_move_iterator(Body.end()));
     Body.clear();
     return P;
   }

@@ -18,7 +18,7 @@ JsExprPtr mk(JsExprKind K) {
   return E;
 }
 
-std::optional<std::string> symbKind(const std::string &Callee) {
+std::optional<std::string> symbKind(std::string_view Callee) {
   if (Callee == "symb_number") return "number";
   if (Callee == "symb_string") return "string";
   if (Callee == "symb_bool") return "bool";
@@ -42,7 +42,7 @@ public:
   }
 
 private:
-  std::vector<Token> Toks;
+  TokenStream Toks;
   size_t Pos = 0;
 
   const Token &cur() const { return Toks[Pos]; }
@@ -134,10 +134,10 @@ private:
     JsExprPtr E = L.take();
     while (cur().isPunct("<") || cur().isPunct("<=") || cur().isPunct(">") ||
            cur().isPunct(">=")) {
-      JsBinOp Op = cur().Text == "<"    ? JsBinOp::Lt
-                   : cur().Text == "<=" ? JsBinOp::Le
-                   : cur().Text == ">"  ? JsBinOp::Gt
-                                        : JsBinOp::Ge;
+      JsBinOp Op = cur().isPunct("<")    ? JsBinOp::Lt
+                   : cur().isPunct("<=") ? JsBinOp::Le
+                   : cur().isPunct(">")  ? JsBinOp::Gt
+                                         : JsBinOp::Ge;
       bump();
       Result<JsExprPtr> R = parseAdditive();
       if (!R)
@@ -157,7 +157,7 @@ private:
       return L;
     JsExprPtr E = L.take();
     while (cur().isPunct("+") || cur().isPunct("-")) {
-      JsBinOp Op = cur().Text == "+" ? JsBinOp::Add : JsBinOp::Sub;
+      JsBinOp Op = cur().isPunct("+") ? JsBinOp::Add : JsBinOp::Sub;
       bump();
       Result<JsExprPtr> R = parseMultiplicative();
       if (!R)
@@ -177,9 +177,9 @@ private:
       return L;
     JsExprPtr E = L.take();
     while (cur().isPunct("*") || cur().isPunct("/") || cur().isPunct("%")) {
-      JsBinOp Op = cur().Text == "*"   ? JsBinOp::Mul
-                   : cur().Text == "/" ? JsBinOp::Div
-                                       : JsBinOp::Mod;
+      JsBinOp Op = cur().isPunct("*")   ? JsBinOp::Mul
+                   : cur().isPunct("/") ? JsBinOp::Div
+                                        : JsBinOp::Mod;
       bump();
       Result<JsExprPtr> R = parseUnary();
       if (!R)
@@ -249,7 +249,8 @@ private:
     const Token &T = cur();
     if (T.is(TokenKind::Int)) {
       JsExprPtr E = mk(JsExprKind::Num);
-      E->NumVal = static_cast<double>(T.IntVal);
+      // The literal's magnitude: 2^63 (after '-') lexes as INT64_MIN.
+      E->NumVal = static_cast<double>(static_cast<uint64_t>(T.IntVal));
       bump();
       return E;
     }
@@ -267,7 +268,7 @@ private:
     }
     if (T.isIdent("true") || T.isIdent("false")) {
       JsExprPtr E = mk(JsExprKind::Bool);
-      E->BoolVal = T.Text == "true";
+      E->BoolVal = T.isIdent("true");
       bump();
       return E;
     }
@@ -293,7 +294,7 @@ private:
     if (T.isPunct("["))
       return parseArrayLiteral();
     if (T.is(TokenKind::Ident)) {
-      std::string Name = T.Text;
+      std::string_view Name = T.Text;
       if (peek().isPunct("(")) {
         bump();
         bump();
@@ -329,7 +330,7 @@ private:
       while (true) {
         if (!cur().is(TokenKind::Ident) && !cur().is(TokenKind::String))
           return here("expected property name");
-        std::string P = cur().Text;
+        std::string_view P = cur().Text;
         bump();
         if (!eatPunct(":"))
           return here("expected ':'");
@@ -428,7 +429,7 @@ private:
       return S;
     }
     if (cur().isIdent("Assume") || cur().isIdent("Assert")) {
-      bool IsAssume = cur().Text == "Assume";
+      bool IsAssume = cur().isIdent("Assume");
       bump();
       if (!eatPunct("("))
         return here("expected '('");
@@ -628,7 +629,7 @@ private:
       while (true) {
         if (!cur().is(TokenKind::Ident))
           return here("expected parameter name");
-        F.Params.push_back(cur().Text);
+        F.Params.emplace_back(cur().Text);
         bump();
         if (eatPunct(","))
           continue;

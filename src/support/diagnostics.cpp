@@ -16,10 +16,10 @@ std::string gillian::diagAtToken(const Token &Tok, const std::string &Message) {
     Where = " (at end of input)";
     break;
   case TokenKind::Error:
-    Where = " (" + Tok.Text + ")";
+    Where = " (" + std::string(Tok.Text) + ")";
     break;
   default:
-    Where = " (at '" + Tok.Text + "')";
+    Where = " (at '" + std::string(Tok.Text) + "')";
     break;
   }
   return diagAt(Tok.Line, Tok.Col, Message + Where);

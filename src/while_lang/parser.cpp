@@ -35,7 +35,7 @@ public:
   }
 
 private:
-  std::vector<Token> Toks;
+  TokenStream Toks;
   size_t Pos = 0;
 
   const Token &cur() const { return Toks[Pos]; }
@@ -256,7 +256,7 @@ private:
 
   /// Identifiers that start GIL expression keyword operators and must not
   /// be mistaken for function calls.
-  static bool isExprKeyword(const std::string &S) {
+  static bool isExprKeyword(std::string_view S) {
     return S == "typeof" || S == "len" || S == "slen" || S == "hd" ||
            S == "tl" || S == "to_num" || S == "to_int" || S == "num_to_str" ||
            S == "str_to_num" || S == "l_nth" || S == "s_nth";

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 using namespace gillian;
 
 namespace {
@@ -73,6 +76,21 @@ TEST(GilParser, ExprRoundTripsThroughToString) {
   }
 }
 
+TEST(GilParser, Int64BoundsRoundTripThroughToString) {
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  constexpr int64_t Max = std::numeric_limits<int64_t>::max();
+  for (int64_t V : {Min, Max, Min + 1}) {
+    Expr E = Expr::intE(V);
+    EXPECT_EQ(parseOk(E.toString()), E) << E.toString();
+  }
+  // The negation fold wraps like GIL's Neg.
+  EXPECT_EQ(parseOk("- -9223372036854775808"), Expr::intE(Min));
+  Result<Expr> R = parseGilExpr("9223372036854775808");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.error(), "line 1:1: expected an expression (integer literal "
+                       "out of range)");
+}
+
 TEST(GilParser, ErrorsReportPosition) {
   Result<Expr> R = parseGilExpr("1 + ");
   ASSERT_FALSE(R.ok());
@@ -117,6 +135,15 @@ TEST(GilParser, ProgramParsesAndRoundTrips) {
   Result<Prog> P2 = parseGilProg(Printed);
   ASSERT_TRUE(P2.ok()) << P2.error() << "\n" << Printed;
   EXPECT_EQ(P2->toString(), Printed);
+}
+
+TEST(GilParser, UnterminatedCommentHidesNoProcedure) {
+  Result<Prog> R = parseGilProg("proc a(x) { return x; }\n"
+                                "/* unclosed\n"
+                                "proc b(x) { return x; }\n");
+  ASSERT_FALSE(R.ok()) << "parsed " << R->size() << " procedure(s)";
+  EXPECT_EQ(R.error(), "line 2:1: expected 'proc' (unterminated block "
+                       "comment)");
 }
 
 TEST(GilParser, GotoSugar) {

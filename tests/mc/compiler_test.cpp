@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace gillian;
 using namespace gillian::mc;
 
@@ -284,6 +286,17 @@ TEST(McCompiler, TypeErrorsAreCompileErrors) {
                    .ok())
       << "field access through non-struct pointer";
   EXPECT_FALSE(compileMcSource("fn main() -> i64 { return nope(); }").ok());
+}
+
+TEST(McCompiler, IntegerLiteralsStayInsideInt64) {
+  EXPECT_EQ(runMain("fn main() -> i64 { return -9223372036854775808; }"),
+            Value::intV(std::numeric_limits<int64_t>::min()));
+  Result<Prog> P = compileMcSource(
+      "fn main() -> i64 {\n  var x: i64 = 9223372036854775808;\n"
+      "  return x;\n}");
+  ASSERT_FALSE(P.ok()) << "an out-of-range literal must not saturate";
+  EXPECT_EQ(P.error(), "MC parse error: line 2:16: expected an expression "
+                       "(integer literal out of range)");
 }
 
 TEST(McCompiler, NestedPointerTypesParse) {

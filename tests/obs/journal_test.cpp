@@ -242,8 +242,9 @@ TEST(JournalIoTest, RejectsGarbageAndBadFields) {
       std::string E2;
       // Either rejected outright or parsed differently — never accepted
       // as the same journal (the kind byte is load-bearing).
-      if (parseJournal(Bad, B2, E2))
+      if (parseJournal(Bad, B2, E2)) {
         EXPECT_NE(serializeJournal(B2), Bytes);
+      }
       break;
     }
   }

@@ -14,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -79,6 +81,39 @@ TEST(CachePersistTest, SaveLoadRoundTripServesFromCache) {
   EXPECT_EQ(Loaded.checkSat(unsatPc()), SatResult::Unsat);
   EXPECT_EQ(Loaded.stats().Z3Calls.load(), 0u);
   EXPECT_GE(Loaded.stats().CacheHits.load(), 2u);
+}
+
+TEST(CachePersistTest, Int64MinKeysSurviveSaveAndLoad) {
+  // INT64_MIN renders as -9223372036854775808; a loader that read it back
+  // as INT64_MIN + 1 would turn this Unsat entry into a verdict on a
+  // feasible condition and prune its path on a warm start.
+  constexpr int64_t Min = std::numeric_limits<int64_t>::min();
+  Expr X = Expr::lvar("#x");
+  PathCondition Clash;
+  Clash.add(parse("typeof(#x) == ^Int"));
+  Clash.add(Expr::eq(X, Expr::intE(Min)));
+  Clash.add(Expr::eq(X, Expr::intE(Min + 1)));
+  PathCondition Feasible;
+  Feasible.add(parse("typeof(#x) == ^Int"));
+  Feasible.add(parse("#x == -9223372036854775807"));
+
+  const std::string Path = tempPath("gillian_cache_int64_min.txt");
+  {
+    SolverCache Cold;
+    EXPECT_EQ(Solver(SolverOptions(), Cold).checkSat(Feasible),
+              SatResult::Sat);
+  }
+  {
+    SolverCache Cache;
+    Solver S(SolverOptions(), Cache);
+    EXPECT_EQ(S.checkSat(Clash), SatResult::Unsat);
+    ASSERT_GE(S.saveCache(Path), 1);
+  }
+  SolverCache Fresh;
+  Solver Warm(SolverOptions(), Fresh);
+  ASSERT_GE(Warm.loadCache(Path), 1);
+  EXPECT_EQ(Warm.checkSat(Feasible), SatResult::Sat);
+  std::remove(Path.c_str());
 }
 
 TEST(CachePersistTest, FileHoldsOnlyDecidedVerdictLines) {

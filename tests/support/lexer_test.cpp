@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 using namespace gillian;
 
 namespace {
 
-std::vector<Token> lexOk(std::string_view Src) {
-  std::vector<Token> T = tokenize(Src);
+TokenStream lexOk(std::string_view Src) {
+  TokenStream T = tokenize(Src);
   EXPECT_FALSE(T.empty());
   EXPECT_TRUE(T.back().is(TokenKind::Eof)) << "lexical error: "
                                            << T.back().Text;
@@ -67,7 +70,7 @@ TEST(Lexer, MaximalMunchPunctuation) {
   std::vector<std::string> Puncts;
   for (const Token &Tok : T)
     if (Tok.is(TokenKind::Punct))
-      Puncts.push_back(Tok.Text);
+      Puncts.emplace_back(Tok.Text);
   EXPECT_EQ(Puncts, (std::vector<std::string>{":=", "==", "===", "<=", "&&"}));
 }
 
@@ -98,4 +101,51 @@ TEST(Lexer, ExponentNotConsumedAsIdent) {
   auto T = lexOk("1e x");
   EXPECT_TRUE(T[0].is(TokenKind::Int));
   EXPECT_EQ(T[1].Text, "e");
+}
+
+TEST(Lexer, SpellingsViewTheSource) {
+  std::string_view Src = R"(name "plain" "esc\n" := 12)";
+  auto T = lexOk(Src);
+  auto InSource = [&](std::string_view V) {
+    return Src.data() <= V.data() &&
+           V.data() + V.size() <= Src.data() + Src.size();
+  };
+  EXPECT_TRUE(InSource(T[0].Text));
+  EXPECT_TRUE(InSource(T[1].Text)); // no escapes: a slice between the quotes
+  EXPECT_EQ(T[1].Text, "plain");
+  EXPECT_FALSE(InSource(T[2].Text)); // decoded into the stream's storage
+  EXPECT_EQ(T[2].Text, "esc\n");
+  EXPECT_TRUE(T[3].isPunct(":="));
+  EXPECT_FALSE(T[3].isPunct(":"));
+  EXPECT_EQ(T[4].IntVal, 12);
+}
+
+TEST(Lexer, IntegerLiteralsFitInt64) {
+  auto T = lexOk("9223372036854775807 - 9223372036854775808");
+  EXPECT_EQ(T[0].IntVal, std::numeric_limits<int64_t>::max());
+  // 2^63 only after '-', where it lexes as INT64_MIN, the value the
+  // negation folds back to.
+  EXPECT_EQ(T[2].IntVal, std::numeric_limits<int64_t>::min());
+}
+
+TEST(Lexer, OutOfRangeIntegerLiteralIsError) {
+  for (std::string_view Src :
+       {"x 9223372036854775808", "x 9223372036854775809",
+        "x 18446744073709551616", "x -99999999999999999999"}) {
+    auto T = tokenize(Src);
+    ASSERT_TRUE(T.back().is(TokenKind::Error)) << Src;
+    EXPECT_EQ(T.back().Text, "integer literal out of range") << Src;
+    EXPECT_EQ(T.back().Line, 1);
+    EXPECT_EQ(T.back().Col, Src[2] == '-' ? 4 : 3) << Src;
+  }
+}
+
+TEST(Lexer, UnterminatedBlockCommentIsError) {
+  auto T = tokenize("a\n  /* never closed\nproc b() {}");
+  ASSERT_EQ(T.size(), 2u);
+  EXPECT_EQ(T[0].Text, "a");
+  ASSERT_TRUE(T.back().is(TokenKind::Error));
+  EXPECT_EQ(T.back().Text, "unterminated block comment");
+  EXPECT_EQ(T.back().Line, 2);
+  EXPECT_EQ(T.back().Col, 3);
 }
