@@ -2,10 +2,10 @@
 //
 // Ablation of the engine improvements §4.1 credits for the ~2x speedup of
 // Gillian-JS over JaVerT 2.0: solver result caching, independence
-// slicing, the syntactic solver layer, and incremental Z3 sessions. Each
-// row disables one ingredient on the full Buckets workload and reports
-// the solver cache hit rate; a final JSON line carries the
-// per-configuration solver-layer statistics.
+// slicing and the syntactic solver layer. Each row disables one
+// ingredient on the full Buckets workload and reports the solver cache
+// hit rate; a final JSON line carries the per-configuration solver-layer
+// statistics.
 // --quick runs only the full and parallel rows.
 //
 //===----------------------------------------------------------------------===//
@@ -110,12 +110,6 @@ int main(int argc, char **argv) {
        [] {
          EngineOptions O;
          O.Solver.UseSyntactic = false;
-         return O;
-       }},
-      {"no incremental sessions", false,
-       [] {
-         EngineOptions O;
-         O.Solver.UseIncremental = false;
          return O;
        }},
       // Every query the syntactic core leaves undecided answers Unknown

@@ -320,7 +320,7 @@ inline void finishObs(BenchArgs Args) {
 /// A genuinely cold solver for the next timed configuration:
 /// Solver::resetCache over the process-wide result cache colds every
 /// memoised layer runSuite feeds (which would otherwise warm every later
-/// row) — the result cache and every thread's incremental Z3 sessions.
+/// row) — the result cache and every thread's Z3 solver.
 /// Under --cache-file the result cache is then re-seeded from the
 /// persisted entries — the explicit opt-in warm start, identical for
 /// every row.

@@ -88,8 +88,6 @@ void setSolverCounters(benchmark::State &State,
   State.counters["solver_hit_rate"] = R.Solver.cacheHitRate();
   State.counters["solver_ms"] = 1e-6 * static_cast<double>(R.Solver.TotalNs);
   State.counters["z3_calls"] = static_cast<double>(R.Solver.Z3Calls);
-  State.counters["inc_session_hit_rate"] = R.Solver.sessionHitRate();
-  State.counters["inc_prefix_depth"] = R.Solver.meanPrefixDepth();
 }
 
 } // namespace
@@ -182,10 +180,6 @@ int main(int argc, char **argv) {
     Row.field("cache_hit_rate", R.Solver.cacheHitRate(), 4);
     Row.field("solver_queries",
               static_cast<uint64_t>(R.Solver.Queries));
-    Row.field("inc_session_hit_rate", R.Solver.sessionHitRate(), 4);
-    Row.field("inc_mean_prefix_depth", R.Solver.meanPrefixDepth(), 2);
-    Row.field("encode_memo_hits",
-              static_cast<uint64_t>(R.Solver.EncodeMemoHits));
     // Deterministic at 1 worker: scripts/bench_trend.py gates on them.
     Row.field("z3_calls", static_cast<uint64_t>(R.Solver.Z3Calls));
     Row.field("z3_unknown", static_cast<uint64_t>(R.Solver.Unknown));

@@ -1,18 +1,17 @@
 //===- bench/bench_solver.cpp ---------------------------------------------===//
 //
 // Micro-benchmarks of the first-order solver layers (google-benchmark):
-// simplification, simplification memo, syntactic SAT, Z3 round-trips,
-// session set-up and the result cache. These support the timing claims of
-// Tables 1/2 — solver work dominates symbolic execution time.
+// simplification, syntactic SAT, Z3 round-trips, Z3 solver set-up and the
+// result cache. These support the timing claims of Tables 1/2 — solver
+// work dominates symbolic execution time.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bench_common.h"
 #include "gil/parser.h"
-#include "obs/json_writer.h"
-#include "solver/incremental_session.h"
 #include "solver/simplifier.h"
 #include "solver/solver.h"
+#include "solver/z3_backend.h"
 
 #include <benchmark/benchmark.h>
 
@@ -42,25 +41,6 @@ PathCondition typicalPc() {
   return PC;
 }
 
-/// The path-growth query chain: condition k extends condition k-1 by one
-/// fresh-variable link (#c_k == #c_{k-1} + 1), the shape a symbolic path
-/// produces between branch points.
-std::vector<PathCondition> prefixGrowthChain(int Len) {
-  std::vector<PathCondition> Chain;
-  PathCondition PC;
-  PC.add(parse("typeof(#c0) == ^Int"));
-  PC.add(parse("0 <= #c0"));
-  Chain.push_back(PC);
-  for (int I = 1; I < Len; ++I) {
-    std::string V = "#c" + std::to_string(I);
-    std::string U = "#c" + std::to_string(I - 1);
-    PC.add(parse(("typeof(" + V + ") == ^Int").c_str()));
-    PC.add(parse((V + " == " + U + " + 1").c_str()));
-    Chain.push_back(PC);
-  }
-  return Chain;
-}
-
 /// Single-conjunct queries `0 < #z_i` over \p N fresh variables, with
 /// their types: no two share a conjunct.
 std::vector<std::pair<PathCondition, TypeEnv>> freshVariableQueries(int N) {
@@ -74,20 +54,6 @@ std::vector<std::pair<PathCondition, TypeEnv>> freshVariableQueries(int N) {
     Queries.emplace_back(std::move(PC), std::move(Types));
   }
   return Queries;
-}
-
-/// One pass over the chain with every layer but Z3 disabled, so the cost
-/// is purely encode+assert+check; returns the solver's stats.
-SolverStats runPrefixChain(bool Incremental, int Len) {
-  SolverOptions Opts;
-  Opts.UseCache = false;
-  Opts.UseSyntactic = false;
-  Opts.UseSlicing = false;
-  Opts.UseIncremental = Incremental;
-  Solver S(Opts);
-  for (const PathCondition &Q : prefixGrowthChain(Len))
-    benchmark::DoNotOptimize(S.checkSat(Q));
-  return S.stats();
 }
 
 } // namespace
@@ -188,13 +154,11 @@ static void BM_SolverUncachedSyntactic(benchmark::State &State) {
 BENCHMARK(BM_SolverUncachedSyntactic);
 
 static void BM_Z3RoundTrip(benchmark::State &State) {
-  // The one-shot path: every query builds a Z3 solver, encodes, checks
-  // and drops it, as model extraction, the J2 baseline and
-  // UseIncremental = false do.
+  // A query through the Solver facade down to Z3: type inference, then a
+  // push, encode, check and pop on the thread's live solver.
   SolverOptions Opts;
   Opts.UseCache = false;
   Opts.UseSyntactic = false; // force the SMT layer
-  Opts.UseIncremental = false;
   Solver S(Opts);
   PathCondition PC;
   PC.add(parse("typeof(#x) == ^Int"));
@@ -241,69 +205,35 @@ BENCHMARK(BM_SolverSharedCacheInsertThreaded)
     ->ThreadRange(1, 8)
     ->UseRealTime();
 
-static void BM_IncrementalPrefixChain(benchmark::State &State) {
-  // 24 queries, each extending the previous by one conjunct link. With
-  // incremental sessions (Arg 1) each query pushes only its delta against
-  // the thread's asserted prefix; without (Arg 0) every query re-encodes
-  // and re-asserts all of its conjuncts. Cache/syntactic/slicing layers
-  // are off so the difference is pure Z3 re-assertion work.
-  const bool Incremental = State.range(0) != 0;
-  const int Len = 24;
-  SolverOptions Opts;
-  Opts.UseCache = false;
-  Opts.UseSyntactic = false;
-  Opts.UseSlicing = false;
-  Opts.UseIncremental = Incremental;
-  Solver S(Opts);
-  std::vector<PathCondition> Chain = prefixGrowthChain(Len);
-  for (auto _ : State)
-    for (const PathCondition &Q : Chain)
-      benchmark::DoNotOptimize(S.checkSat(Q));
-  State.SetLabel(Incremental ? "incremental" : "cold re-assert");
-  State.counters["inc_session_hit_rate"] = S.stats().sessionHitRate();
-  State.counters["inc_reused_conjuncts_per_iter"] =
-      benchmark::Counter(static_cast<double>(S.stats().IncReusedConjuncts),
-                         benchmark::Counter::kAvgIterations);
-  State.counters["encode_memo_hits_per_iter"] =
-      benchmark::Counter(static_cast<double>(S.stats().EncodeMemoHits),
-                         benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_IncrementalPrefixChain)->Arg(0)->Arg(1);
-
-static void BM_ZeroSharingChurn(benchmark::State &State) {
-  // Single-conjunct queries over fresh variables, straight into the
-  // thread's session: no query shares a conjunct with what the session
-  // asserts, so every query pops it back to its base scope and pushes the
-  // new conjunct. This is the shape of a vanish-edge slice; it measures
-  // what a session reset costs.
+static void BM_LiveThreadSolverCheck(benchmark::State &State) {
+  // Single-conjunct queries over fresh variables, straight into Z3 on the
+  // thread's live solver: each check pushes, asserts one conjunct, checks
+  // and pops. This is the shape of a vanish-edge slice.
   const auto Queries = freshVariableQueries(256);
-  IncrementalSessionPool &Session = IncrementalSessionPool::forThread();
-  Session.reset();
-  SolverStats Stats;
+  resetZ3Solvers();
   size_t Q = 0;
   for (auto _ : State) {
     const auto &[PC, Types] = Queries[Q++ % Queries.size()];
-    benchmark::DoNotOptimize(Session.checkSat(PC, Types, 0.25, Stats));
+    benchmark::DoNotOptimize(checkSatZ3(PC, Types, /*WantModel=*/false));
   }
-  State.SetLabel("every query resets the thread's session");
+  State.SetLabel("the thread's live solver");
 }
-BENCHMARK(BM_ZeroSharingChurn);
+BENCHMARK(BM_LiveThreadSolverCheck);
 
-static void BM_FreshSessionFirstCheck(benchmark::State &State) {
-  // The same queries as BM_ZeroSharingChurn, each on a session built for
-  // it and destroyed after its one check: what a new session pays (once
-  // per thread after a cold start) on top of a check on a live one.
+static void BM_NewThreadSolverCheck(benchmark::State &State) {
+  // The same queries as BM_LiveThreadSolverCheck, each right after the
+  // thread's solver was dropped, so each builds a new one: what a cold
+  // start (or a rebuild after an unknown) pays on top of a live check.
   const auto Queries = freshVariableQueries(256);
-  SolverStats Stats;
   size_t Q = 0;
   for (auto _ : State) {
     const auto &[PC, Types] = Queries[Q++ % Queries.size()];
-    IncrementalSession S;
-    benchmark::DoNotOptimize(S.checkSat(PC, Types, 0.25, Stats));
+    resetZ3Solvers();
+    benchmark::DoNotOptimize(checkSatZ3(PC, Types, /*WantModel=*/false));
   }
-  State.SetLabel("one session per query");
+  State.SetLabel("a new solver per check");
 }
-BENCHMARK(BM_FreshSessionFirstCheck);
+BENCHMARK(BM_NewThreadSolverCheck);
 
 static void BM_DiseqChain(benchmark::State &State) {
   // The bst/pqueue shape (EXPERIMENTS.md): Num-typed variables in a
@@ -317,7 +247,6 @@ static void BM_DiseqChain(benchmark::State &State) {
   Opts.UseCache = false; // every iteration must reach the decision layers
   Solver S(Opts);
   // 64 structurally identical queries over disjoint variable sets, cycled:
-  // every check is fresh to the incremental session's asserted prefix —
   // the regime exploration produces (each branch point asks a new
   // condition once).
   std::vector<PathCondition> Queries;
@@ -367,9 +296,6 @@ static void BM_PathConditionGrowth(benchmark::State &State) {
 }
 BENCHMARK(BM_PathConditionGrowth);
 
-// After the google-benchmark report, one machine-readable JSON line
-// A/B-ing the prefix-growth chain with incremental sessions on vs. off
-// (the layer-2 counters Tables 1/2 report in context).
 int main(int argc, char **argv) {
   const gillian::bench::BenchArgs Args =
       gillian::bench::parseBenchArgs(argc, argv);
@@ -379,28 +305,6 @@ int main(int argc, char **argv) {
     return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!Args.Json) {
-    gillian::bench::finishObs(Args);
-    return 0;
-  }
-
-  gillian::bench::coldStart();
-  SolverStats Off = runPrefixChain(/*Incremental=*/false, 24);
-  gillian::bench::coldStart();
-  SolverStats On = runPrefixChain(/*Incremental=*/true, 24);
-  gillian::obs::JsonWriter W;
-  W.beginObject();
-  W.field("bench", "solver_micro");
-  W.field("workload", "prefix_chain_24");
-  W.key("inc_off");
-  W.raw(solverStatsJson(Off));
-  W.key("inc_on");
-  W.raw(solverStatsJson(On));
-  W.key("obs");
-  W.raw(gillian::obs::obsStatsJson(
-      gillian::obs::SpanTable::global().snapshot()));
-  W.endObject();
-  std::printf("\n%s\n", W.take().c_str());
   gillian::bench::finishObs(Args);
   return 0;
 }

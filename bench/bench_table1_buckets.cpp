@@ -202,8 +202,9 @@ int main(int argc, char **argv) {
   std::printf("Paper shape check: 74 tests; J2 slower than GJS overall and on "
               "the solver-heavy rows (paper: ~2x overall; sub-millisecond "
               "rows are noise-dominated).\n"
-              "The baseline runs without the result cache, slicing "
-              "and incremental sessions, so its gap grows with the solver queries a row repeats; "
+              "The baseline runs without the result cache and slicing "
+              "(its Z3 checks run on the same thread solver as GJS's), so "
+              "its gap grows with the solver queries a row repeats; "
               "see bench_ablation_engine for the decomposition.\n"
               "Time(P4) explores each test on a 4-worker work-stealing "
               "pool sharing one solver cache; ParSpd = Time(GJS)/Time(P4) "

@@ -8,7 +8,7 @@
 /// Knobs for the symbolic execution engine. The defaults correspond to the
 /// paper's Gillian configuration; legacyJaVerT2() reconstructs the
 /// JaVerT 2.0 baseline of Table 1 (no solver result caching, no query
-/// slicing, no incremental sessions).
+/// slicing).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,9 +42,8 @@ struct EngineOptions {
 
   /// The JaVerT 2.0 baseline: simplification stays (every symbolic engine
   /// folds constants), but the solver-side improvements §4.1 credits for
-  /// the ~2x speedup are off — result caching, query slicing and
-  /// incremental sessions (every undecided query goes to the SMT solver
-  /// whole, every time).
+  /// the ~2x speedup are off — result caching and query slicing (every
+  /// undecided query goes to the SMT solver whole, every time).
   static EngineOptions legacyJaVerT2() {
     EngineOptions O;
     O.Solver = SolverOptions::legacyJaVerT2();

@@ -69,8 +69,10 @@ enum class VerdictLayer : uint8_t {
   Cache = 2,
   Syntactic = 3,
   // 4 marked the native theory layer in earlier builds; nothing writes it.
+  /// Marked the incremental Z3 sessions in earlier builds; nothing writes
+  /// it, and verdictLayerName still names it for their journals.
   Incremental = 5,
-  Z3 = 6,
+  Z3 = 6, ///< every Z3 verdict
   Async = 7,
 };
 

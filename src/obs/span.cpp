@@ -14,8 +14,7 @@ std::string_view gillian::obs::spanKindName(SpanKind K) {
   case SpanKind::Slice: return "slice";
   case SpanKind::Canon: return "canon";
   case SpanKind::Syntactic: return "syntactic";
-  case SpanKind::IncExtend: return "inc_extend";
-  case SpanKind::ColdZ3: return "cold_z3";
+  case SpanKind::Z3: return "z3";
   case SpanKind::ModelSearch: return "model_search";
   case SpanKind::AsyncWait: return "async_wait";
   }

@@ -16,8 +16,7 @@
 ///    same thread. Self times are mutually exclusive by construction, so
 ///    summed over all kinds they reproduce the top-level spans' wall time:
 ///    the per-layer attribution "engine vs simplifier vs cache vs
-///    incremental-session vs cold Z3" sums to the measured wall clock
-///    (the acceptance check of ISSUE 4).
+///    syntactic core vs Z3" sums to the measured wall clock.
 ///
 /// A span can additionally feed a Counter slot (total time), which is how
 /// per-instance fields such as SolverStats::Z3Ns keep their exact meaning
@@ -57,8 +56,7 @@ enum class SpanKind : uint8_t {
   Slice,       ///< independence slicing (connected-component split)
   Canon,       ///< canonical slice-key construction
   Syntactic,   ///< syntactic core + syntactic model proposals
-  IncExtend,   ///< incremental-session query (scoped Z3 push/pop)
-  ColdZ3,      ///< cold re-encode Z3 round-trip
+  Z3,          ///< Z3 check on the thread's solver
   ModelSearch, ///< counter-model search beyond checkSat
   AsyncWait,   ///< blocked on the async solver service's future
 };

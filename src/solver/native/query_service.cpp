@@ -122,7 +122,7 @@ void SolverService::workerMain() {
       return;
 
     // Drain a small batch: subsumption-resolved entries are skipped, live
-    // ones are solved back-to-back on this thread's warm sessions.
+    // ones are solved back-to-back on this thread's live Z3 solver.
     std::vector<PendingPtr> Batch;
     while (!Queue.empty() && Batch.size() < BatchMax) {
       PendingPtr P = Queue.front();

@@ -13,8 +13,8 @@
 ///  * deduplicates in-flight identical queries (same owner, same canonical
 ///    condition) so concurrent workers exploring sibling branches share
 ///    one solve;
-///  * drains small batches per worker wake-up, keeping solver threads on
-///    warm native/incremental sessions instead of ping-ponging;
+///  * drains small batches per worker wake-up, keeping each solver thread
+///    on its live Z3 solver instead of ping-ponging;
 ///  * resolves queued queries by subsumption when a finished one answers
 ///    them: Sat of a superset condition is Sat of every subset it
 ///    contains, Unsat of a subset is Unsat of every superset (canonical

@@ -6,7 +6,6 @@
 #include "obs/journal/journal.h"
 #include "obs/progress.h"
 #include "obs/span.h"
-#include "solver/incremental_session.h"
 #include "solver/native/query_service.h"
 #include "solver/z3_backend.h"
 
@@ -28,8 +27,6 @@ std::string gillian::solverStatsJson(const SolverStats &S) {
   W.beginObject();
   S.countersInto(W);
   W.field("cache_hit_rate", S.cacheHitRate(), 4);
-  W.field("inc_session_hit_rate", S.sessionHitRate(), 4);
-  W.field("inc_mean_prefix_depth", S.meanPrefixDepth(), 2);
   W.endObject();
   return W.take();
 }
@@ -67,25 +64,11 @@ SatResult Solver::solveLayers(const PathCondition &PC) {
       R = SatResult::Unsat;
       obs::journal::noteLayer(obs::journal::VerdictLayer::Syntactic);
     } else {
-      Span T(Opts.UseIncremental ? SpanKind::IncExtend : SpanKind::ColdZ3,
-             &Stats.Z3Ns);
+      Span T(SpanKind::Z3, &Stats.Z3Ns);
       ++Stats.Z3Calls;
-      if (Opts.UseIncremental) {
-        // Layer 2: the thread's incremental session pushes only the
-        // delta against an already-asserted path-condition prefix. A
-        // diverging query that shares less than this fraction of its
-        // conjuncts with the session's prefix resets the session instead
-        // of popping frame by frame.
-        constexpr double IncrementalResetThreshold = 0.25;
-        R = IncrementalSessionPool::forThread().checkSat(
-            PC, Types, IncrementalResetThreshold, Stats);
-        if (R != SatResult::Unknown)
-          obs::journal::noteLayer(obs::journal::VerdictLayer::Incremental);
-      } else {
-        R = checkSatZ3(PC, Types, /*WantModel=*/false).Verdict;
-        if (R != SatResult::Unknown)
-          obs::journal::noteLayer(obs::journal::VerdictLayer::Z3);
-      }
+      R = checkSatZ3(PC, Types, /*WantModel=*/false).Verdict;
+      if (R != SatResult::Unknown)
+        obs::journal::noteLayer(obs::journal::VerdictLayer::Z3);
     }
   }
   return R;
@@ -93,16 +76,14 @@ SatResult Solver::solveLayers(const PathCondition &PC) {
 
 void Solver::resetCache() {
   // Quiesce the async service first: an in-flight solve still touches the
-  // caches and sessions being cleared below, and its verdict would be a
+  // cache and solvers being cleared below, and its verdict would be a
   // warm answer leaking into a "cold" measurement.
   native::SolverService::process().flush();
   Cache->clear();
-  // Cold also means every thread's incremental session and its encoding
-  // memo; other threads' sessions drop lazily (Z3 handles are
-  // thread-owned), this thread's immediately, so the next Z3 check of a
-  // cold pass builds its solver anew.
-  IncrementalSessionPool::invalidateAll();
-  IncrementalSessionPool::forThread().reset();
+  // Cold also means every thread's Z3 solver: other threads' drop lazily
+  // (Z3 handles are thread-owned), this thread's immediately, so the next
+  // Z3 check of a cold pass builds its solver anew.
+  resetZ3Solvers();
 }
 
 SatResult Solver::solveSlice(const PathCondition &Slice) {
@@ -124,7 +105,7 @@ SatResult Solver::solveSlice(const PathCondition &Slice) {
 SatResult Solver::checkSatSliced(const PathCondition &PC) {
   std::vector<std::vector<Expr>> Groups;
   {
-    Span T(SpanKind::Slice, &Stats.SliceNs);
+    Span T(SpanKind::Slice);
     Groups = sliceConjunctsByVars(PC);
   }
   if (Groups.size() <= 1)
@@ -134,7 +115,7 @@ SatResult Solver::checkSatSliced(const PathCondition &PC) {
 
   std::vector<PathCondition> Slices;
   {
-    Span T(SpanKind::Canon, &Stats.CanonNs);
+    Span T(SpanKind::Canon);
     Slices.reserve(Groups.size());
     for (std::vector<Expr> &G : Groups)
       Slices.push_back(PathCondition::fromSortedConjuncts(std::move(G)));
@@ -289,7 +270,7 @@ std::optional<Model> Solver::verifiedModelImpl(const PathCondition &PC) {
     }
   }
   if (Opts.UseZ3 && z3Available()) {
-    Span T(SpanKind::ColdZ3, &Stats.Z3Ns);
+    Span T(SpanKind::Z3, &Stats.Z3Ns);
     TypeEnv Types;
     if (!inferTypes(PC.conjuncts(), Types))
       return std::nullopt;

@@ -8,12 +8,12 @@
 /// The first-order solver behind the symbolic engine's SAT checks (the
 /// "π ∧ π' SAT" side conditions of Def 2.6 and the action rules). It is
 /// layered — simplification happens upstream, then the result cache, then
-/// independence slicing, then the syntactic core, then Z3 (through the
-/// per-thread incremental session pool when enabled, the cold re-encode
-/// backend otherwise) — and every layer can be disabled to reproduce the
-/// JaVerT 2.0 baseline configuration ("better simplifications and better
-/// caching of results", §4.1). DESIGN.md §4b describes the three-layer
-/// result path (result cache → incremental session → cold encode).
+/// independence slicing, then the syntactic core, then Z3 (every check on
+/// the calling thread's one Z3 solver, z3_backend.h) — and every layer
+/// after simplification can be disabled; without the cache and slicing
+/// it reproduces the JaVerT 2.0 baseline configuration ("better
+/// simplifications and better caching of results", §4.1). DESIGN.md §4b
+/// describes the one Z3 path.
 ///
 /// Caching is built on the *canonical form* of path conditions (sorted,
 /// deduplicated conjuncts), so cache keys are insertion-order-insensitive.
@@ -62,26 +62,20 @@ struct SolverOptions {
   /// independently. Sound because slices share no logical variables: the
   /// conjunction is Unsat iff a slice is, and Sat when every slice is.
   bool UseSlicing = true;
-  /// Answer undecided queries through the per-thread incremental session
-  /// pool (scoped Z3 push/pop over the asserted path-condition prefix)
-  /// instead of the cold re-encode-everything backend. Layer 2 of the
-  /// solver stack; verdict-identical to the cold path (see DESIGN.md §4b).
-  bool UseIncremental = true;
   /// When > 0, route undecided full queries through the process-wide async
   /// solver service: a pool of that many solver threads with a bounded
   /// submission queue that batches and deduplicates in-flight identical or
   /// subsumed queries across scheduler workers. 0 = solve inline.
   uint32_t AsyncSolvers = 0;
 
-  /// The paper's baseline configuration: no result caching, no slicing,
-  /// no incremental sessions (JaVerT 2.0 had its own first-order layer,
-  /// so the syntactic core stays on — the improvements §4.1 credits are
-  /// "better simplifications and better caching of results").
+  /// The paper's baseline configuration: no result caching, no slicing
+  /// (JaVerT 2.0 had its own first-order layer, so the syntactic core
+  /// stays on — the improvements §4.1 credits are "better simplifications
+  /// and better caching of results").
   static SolverOptions legacyJaVerT2() {
     SolverOptions O;
     O.UseCache = false;
     O.UseSlicing = false;
-    O.UseIncremental = false;
     return O;
   }
 };
@@ -120,29 +114,14 @@ struct SolverStats : obs::CounterSet<SolverStats> {
   obs::Counter SyntacticSat{*this, "syntactic_sat", "syntactic"};
   obs::Counter Z3Calls{*this, "z3_calls", "z3"};
 
-  // Incremental session layer (scoped Z3 push/pop; layer 2).
-  /// Queries routed to a session.
-  obs::Counter IncQueries{*this, "inc_queries", "incremental"};
-  /// Answered on a reused prefix.
-  obs::Counter IncExtends{*this, "inc_extends", "incremental"};
-  /// Discarded the asserted prefix.
-  obs::Counter IncResets{*this, "inc_resets", "incremental"};
-  /// Scopes popped (divergence).
-  obs::Counter IncPoppedFrames{*this, "inc_popped_frames", "incremental"};
-  /// Conjuncts not re-asserted.
-  obs::Counter IncReusedConjuncts{*this, "inc_reused_conjuncts",
-                                  "incremental"};
-  /// Summed reused frame depth.
-  obs::Counter IncPrefixDepth{*this, "inc_prefix_depth", "incremental"};
-  /// GIL→Z3 memo subterm hits.
-  obs::Counter EncodeMemoHits{*this, "encode_memo_hits", "incremental"};
-  obs::Counter EncodeMemoMisses{*this, "encode_memo_misses", "incremental"};
-
   // Read 0; kept because `perfbench/run.py --trace 1` reads these keys
   // (and native_ns).
   obs::Counter NativeQueries{*this, "native_queries", "solver"};
   obs::Counter NativeSat{*this, "native_sat", "solver"};
   obs::Counter NativeUnsat{*this, "native_unsat", "solver"};
+  obs::Counter RetiredExtends{*this, "inc_extends", "solver"};
+  obs::Counter RetiredResets{*this, "inc_resets", "solver"};
+  obs::Counter RetiredMemoMisses{*this, "encode_memo_misses", "solver"};
 
   // Async batched query service (SolverOptions::AsyncSolvers > 0).
   obs::Counter AsyncSubmitted{*this, "async_submitted", "solver"};
@@ -165,8 +144,6 @@ struct SolverStats : obs::CounterSet<SolverStats> {
 
   // Per-layer wall-time (ns), cumulative across threads; fed by the obs
   // span slots so the per-solver numbers and the global span table agree.
-  obs::Counter SliceNs{*this, "slice_ns", "time"};     ///< slicing split
-  obs::Counter CanonNs{*this, "canon_ns", "time"};     ///< slice keys
   obs::Counter SyntacticNs{*this, "syntactic_ns", "time"};
   obs::Counter NativeNs{*this, "native_ns", "time"};   ///< always 0
   obs::Counter AsyncWaitNs{*this, "async_wait_ns", "time"}; ///< future waits
@@ -187,21 +164,6 @@ struct SolverStats : obs::CounterSet<SolverStats> {
     return Lookups ? static_cast<double>(CacheHits + SliceCacheHits) /
                          static_cast<double>(Lookups)
                    : 0.0;
-  }
-
-  /// Fraction of incremental-session queries answered on a reused prefix;
-  /// 0 when no session query happened.
-  double sessionHitRate() const {
-    uint64_t Q = IncQueries;
-    return Q ? static_cast<double>(IncExtends) / static_cast<double>(Q) : 0.0;
-  }
-
-  /// Mean reused frame depth per prefix-extending query (the prefix-reuse
-  /// depth reported by the benches); 0 when nothing was ever reused.
-  double meanPrefixDepth() const {
-    uint64_t E = IncExtends;
-    return E ? static_cast<double>(IncPrefixDepth) / static_cast<double>(E)
-             : 0.0;
   }
 
   SolverStats &operator+=(const SolverStats &O) {
@@ -253,9 +215,9 @@ public:
   const SolverOptions &options() const { return Opts; }
 
   /// Clears every memoised solver layer: the attached result cache
-  /// (shared or private) and the incremental sessions + encoding memos of
-  /// every thread — so tests and bench configurations that reset between
-  /// timed runs measure a genuinely cold solver.
+  /// (shared or private) and every thread's Z3 solver — so tests and bench
+  /// configurations that reset between timed runs measure a genuinely
+  /// cold solver.
   void resetCache();
   SolverCache &cache() { return *Cache; }
 

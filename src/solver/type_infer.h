@@ -40,34 +40,13 @@ public:
   /// different type (which makes the overall constraint set unsatisfiable).
   bool assign(InternedString LVar, GilType T) {
     auto [It, Inserted] = Types.emplace(LVar, T);
-    if (Inserted)
-      Hash ^= mixEntry(LVar, T);
     return Inserted || It->second == T;
   }
 
   const std::map<InternedString, GilType> &all() const { return Types; }
 
-  /// Order-independent content hash; used to key per-environment
-  /// simplification and encoding memos. XOR-folds a *joint* mix of each
-  /// (variable, type) pair: mixing id and type separately would make
-  /// environments that swap types between two variables (e.g.
-  /// {#x:Int,#y:Num} vs {#x:Num,#y:Int}) collide, and memo layers key on
-  /// this value. Collisions are still possible (it is a hash, not an
-  /// identity), so soundness-critical consumers must verify contents.
-  uint64_t hash() const { return Hash; }
-
 private:
-  /// splitmix64 finalizer over the pair, so id and type diffuse together.
-  static uint64_t mixEntry(InternedString LVar, GilType T) {
-    uint64_t X = static_cast<uint64_t>(LVar.id()) * 0x9E3779B97F4A7C15ull +
-                 static_cast<uint64_t>(T) + 0x632BE59Bu;
-    X = (X ^ (X >> 30)) * 0xBF58476D1CE4E5B9ull;
-    X = (X ^ (X >> 27)) * 0x94D049BB133111EBull;
-    return X ^ (X >> 31);
-  }
-
   std::map<InternedString, GilType> Types;
-  uint64_t Hash = 0;
 };
 
 /// Harvests typing facts from one conjunct assumed true into \p Env

@@ -6,6 +6,7 @@
 
 #include "solver/z3_encoder.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <map>
 #include <set>
@@ -13,26 +14,80 @@
 
 using namespace gillian;
 
-z3::context &gillian::threadZ3Context() {
+namespace {
+
+/// One long-lived Z3 context *per thread*: constants intern per spelling,
+/// and context creation dominates small-query latency, but Z3 contexts are
+/// not thread-safe, so each exploration worker gets its own, lazily, for
+/// the lifetime of its thread.
+z3::context &threadZ3Context() {
   static thread_local z3::context Ctx;
   return Ctx;
 }
 
-namespace {
 /// Resource units one Z3 check may spend (Z3's deterministic `rlimit`,
 /// counted per check, so verdicts never depend on host speed). The
 /// largest check of the test suite spends 1,275 units; DESIGN.md §4b has
 /// the measured headroom.
 constexpr unsigned Z3CheckRlimit = 200'000;
-} // namespace
 
-z3::solver gillian::newZ3Solver() {
+/// The one place a Z3 solver is built: over the thread's context, as Z3's
+/// SMT core without the tactic front end of its default solver (which
+/// costs milliseconds to set up per solver and only adds tactics for
+/// one-shot checks and a tactic retry of incremental unknowns; DESIGN.md
+/// §4b), with a deterministic resource limit per check, past which the
+/// check answers unknown.
+z3::solver newZ3Solver() {
   z3::solver S(threadZ3Context(), z3::solver::simple());
   S.set("rlimit", Z3CheckRlimit);
   return S;
 }
 
-namespace {
+/// Bumped by resetZ3Solvers(); each thread compares on use and drops its
+/// solver when behind.
+std::atomic<uint64_t> SolverGeneration{0};
+
+/// The calling thread's one Z3 solver, built on first use and dropped
+/// after an `unknown`, a Z3 exception or a resetZ3Solvers().
+class ThreadSolver {
+public:
+  /// The calling thread's holder. The thread's context is touched first:
+  /// thread-local destruction runs in reverse construction order, so the
+  /// context outlives the solver, which references it.
+  static ThreadSolver &get() {
+    (void)threadZ3Context();
+    static thread_local ThreadSolver T;
+    return T;
+  }
+
+  /// The live solver, built if there is none.
+  z3::solver &solver() {
+    sync();
+    if (!S)
+      S.emplace(newZ3Solver());
+    return *S;
+  }
+
+  bool live() {
+    sync();
+    return S.has_value();
+  }
+
+  void drop() { S.reset(); }
+
+private:
+  /// Applies a pending resetZ3Solvers().
+  void sync() {
+    uint64_t G = SolverGeneration.load(std::memory_order_relaxed);
+    if (G != Gen) {
+      S.reset();
+      Gen = G;
+    }
+  }
+
+  std::optional<z3::solver> S;
+  uint64_t Gen = SolverGeneration.load(std::memory_order_relaxed);
+};
 
 /// Converts one Z3 model value back into a GIL value of type \p T.
 std::optional<Value> decodeModelValue(z3::context &Ctx, const z3::expr &V,
@@ -95,6 +150,28 @@ std::optional<Value> decodeModelValue(z3::context &Ctx, const z3::expr &V,
   return std::nullopt;
 }
 
+/// Decodes \p M over \p PC's logical variables into a GIL model, or
+/// nullopt when a value has no GIL counterpart.
+std::optional<Model> decodeModel(z3::context &Ctx, const z3::model &M,
+                                 const PathCondition &PC,
+                                 const TypeEnv &Types, Encoder &Enc) {
+  Model GM;
+  std::set<InternedString> LVars;
+  PC.collectLVars(LVars);
+  uint32_t FreshSym = 0;
+  for (InternedString X : LVars) {
+    GilType T = Types.lookup(X).value_or(GilType::Int);
+    if (T == GilType::List)
+      return std::nullopt; // no SMT constant to read
+    z3::expr V = M.eval(Enc.var(X, T), /*model_completion=*/true);
+    auto GV = decodeModelValue(Ctx, V, T, Enc.symbolCodes(), FreshSym);
+    if (!GV)
+      return std::nullopt;
+    GM.bind(X, std::move(*GV));
+  }
+  return GM;
+}
+
 } // namespace
 
 bool gillian::z3Available() { return true; }
@@ -106,61 +183,49 @@ Z3Outcome gillian::checkSatZ3(const PathCondition &PC, const TypeEnv &Types,
     Out.Verdict = SatResult::Unsat;
     return Out;
   }
+  ThreadSolver &TS = ThreadSolver::get();
   try {
-    // The thread's shared context (see z3_encoder.h); each cold query gets
-    // a fresh solver over it. No encoding memo here: model extraction
-    // needs the symbol codes a memo hit would skip harvesting.
     z3::context &Ctx = threadZ3Context();
-    z3::solver S = newZ3Solver();
+    z3::solver &S = TS.solver();
+    S.push();
     Encoder Enc(Ctx, Types);
-    size_t Encoded = 0;
     for (const Expr &C : PC.conjuncts()) {
       try {
         S.add(Enc.encode(C));
-        ++Encoded;
       } catch (const Unsupported &) {
         Out.DroppedConjuncts = true;
       }
     }
     z3::check_result R = S.check();
+    if (R == z3::unknown) {
+      TS.drop(); // a solver that ran out of its limit stays slow
+      return Out;
+    }
     if (R == z3::unsat) {
       Out.Verdict = SatResult::Unsat; // subset already contradictory
-      return Out;
+    } else {
+      Out.Verdict =
+          Out.DroppedConjuncts ? SatResult::Unknown : SatResult::Sat;
+      if (WantModel)
+        Out.CandidateModel = decodeModel(Ctx, S.get_model(), PC, Types, Enc);
     }
-    if (R == z3::unknown) {
-      Out.Verdict = SatResult::Unknown;
-      return Out;
-    }
-    Out.Verdict = Out.DroppedConjuncts ? SatResult::Unknown : SatResult::Sat;
-    if (!WantModel)
-      return Out;
-
-    z3::model M = S.get_model();
-    Model GM;
-    std::set<InternedString> LVars;
-    PC.collectLVars(LVars);
-    uint32_t FreshSym = 0;
-    for (InternedString X : LVars) {
-      GilType T = Types.lookup(X).value_or(GilType::Int);
-      z3::expr V = M.eval(Enc.var(X, T), /*model_completion=*/true);
-      auto GV = decodeModelValue(Ctx, V, T, Enc.symbolCodes(), FreshSym);
-      if (!GV) {
-        Out.CandidateModel.reset();
-        return Out;
-      }
-      GM.bind(X, std::move(*GV));
-    }
-    Out.CandidateModel = std::move(GM);
+    S.pop();
     return Out;
   } catch (const z3::exception &) {
+    // The solver may be left mid-scope; build a new one next time.
+    TS.drop();
     Out.Verdict = SatResult::Unknown;
     Out.CandidateModel.reset();
     return Out;
-  } catch (const Unsupported &) {
-    Out.Verdict = SatResult::Unknown;
-    return Out;
   }
 }
+
+void gillian::resetZ3Solvers() {
+  SolverGeneration.fetch_add(1, std::memory_order_relaxed);
+  ThreadSolver::get().drop();
+}
+
+bool gillian::threadZ3SolverLive() { return ThreadSolver::get().live(); }
 
 #else // !GILLIAN_HAVE_Z3
 
@@ -171,5 +236,9 @@ bool gillian::z3Available() { return false; }
 Z3Outcome gillian::checkSatZ3(const PathCondition &, const TypeEnv &, bool) {
   return Z3Outcome{};
 }
+
+void gillian::resetZ3Solvers() {}
+
+bool gillian::threadZ3SolverLive() { return false; }
 
 #endif // GILLIAN_HAVE_Z3

@@ -11,6 +11,15 @@
 /// tagged integers (uninterpreted symbols are pairwise-distinct by
 /// construction since they encode as their interned ids).
 ///
+/// checkSatZ3 is the only route to Z3. Every check runs on the calling
+/// thread's one Z3 solver: it pushes a scope, asserts every conjunct,
+/// checks, decodes the model when asked, and pops. The solver is built on
+/// the thread's first check and reused after that (a new one costs about
+/// fifteen checks on a live one; DESIGN.md §4b). It is rebuilt after Z3
+/// answers `unknown` (the solver keeps the work of the check that ran out
+/// of its resource limit, and later checks on it slow down) or throws,
+/// and after resetZ3Solvers().
+///
 /// Conjuncts that do not encode (lists, bit-level operators on symbolic
 /// operands, ...) are *dropped* before solving. Dropping weakens the
 /// formula, so:
@@ -19,7 +28,7 @@
 ///    all models are verified by evaluation before being trusted.
 ///
 /// Every check is bounded by a deterministic resource limit and answers
-/// Unknown when it runs out (newZ3Solver in z3_encoder.h).
+/// Unknown when it runs out.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,10 +54,20 @@ struct Z3Outcome {
 /// True when this build carries the Z3 backend.
 bool z3Available();
 
-/// Checks \p PC with Z3 under the typing \p Types. When \p WantModel is
-/// set and the query is satisfiable, a candidate model is extracted.
+/// Checks \p PC with Z3 under the typing \p Types on the calling thread's
+/// solver. When \p WantModel is set and the query is satisfiable, a
+/// candidate model is extracted.
 Z3Outcome checkSatZ3(const PathCondition &PC, const TypeEnv &Types,
                      bool WantModel);
+
+/// Drops every thread's Z3 solver: the calling thread's at once, every
+/// other thread's at its next check (Z3 handles must be destructed by the
+/// thread that owns them). Each thread's next check builds a new one.
+void resetZ3Solvers();
+
+/// True while the calling thread holds a built Z3 solver (after applying
+/// a pending resetZ3Solvers()).
+bool threadZ3SolverLive();
 
 } // namespace gillian
 

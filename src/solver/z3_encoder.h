@@ -5,25 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The GIL→Z3 term encoder shared by the cold backend (z3_backend.cpp) and
-/// the incremental session layer (incremental_session.cpp). This header is
-/// *private* to the solver library: it exposes z3++ types, so it must only
-/// be included from .cpp files compiled with GILLIAN_HAVE_Z3 (the define is
-/// PRIVATE to gillian_solver; public headers never leak Z3).
+/// The GIL→Z3 term encoder of the Z3 backend (z3_backend.cpp). This header
+/// is *private* to the solver library: it exposes z3++ types, so it must
+/// only be included from .cpp files compiled with GILLIAN_HAVE_Z3 (the
+/// define is PRIVATE to gillian_solver; public headers never leak Z3).
 ///
 /// The encoder maps Int to SMT Int, Num to Real, Bool to Bool, Str to
 /// String, and Sym/Type/Proc to tagged integers. Subterms without an
 /// encoding throw Unsupported, caught at conjunct granularity by callers so
-/// the conjunct is dropped rather than the query aborted.
-///
-/// Z3EncodingMemo hash-conses translations per (expression identity,
-/// TypeEnv fingerprint): expression nodes are immutable and shared, so the
-/// node address plus the type assignments it was encoded under fully
-/// determine the Z3 term. The fingerprint is only a fast filter — each
-/// entry stores the type assignments its encoding depended on and a
-/// lookup verifies them, so a fingerprint collision can never resurrect a
-/// term encoded under different sorts. Each memo belongs to one thread's
-/// context and must never outlive it.
+/// the conjunct is dropped rather than the query aborted. Every check
+/// encodes each of its conjuncts anew: no translation outlives its query.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,29 +30,9 @@
 #include <cmath>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
-#include <unordered_map>
-#include <utility>
-#include <vector>
 
 namespace gillian {
-
-/// One long-lived Z3 context *per thread*: constants intern per spelling,
-/// and context creation dominates small-query latency, but Z3 contexts are
-/// not thread-safe — so each exploration worker gets its own, lazily, for
-/// the lifetime of its thread. Both the cold backend and the incremental
-/// sessions of a thread share this context (Z3 handles created against it
-/// must be destructed on the same thread, before thread exit).
-z3::context &threadZ3Context();
-
-/// The one place a Z3 solver is built: over the thread's context, as Z3's
-/// SMT core without the tactic front end of its default solver (which
-/// costs milliseconds to set up per solver and only adds tactics for
-/// one-shot checks and a tactic retry of incremental unknowns; DESIGN.md
-/// §4b), with a deterministic resource limit per check, past which the
-/// check answers unknown.
-z3::solver newZ3Solver();
 
 /// Thrown (internally only) when a subterm has no Z3 encoding; caught at
 /// conjunct granularity so the conjunct is dropped rather than the query
@@ -70,87 +41,11 @@ struct Unsupported {
   std::string What;
 };
 
-/// Hash-consed GIL→Z3 translations, keyed on expression identity (shared
-/// node address) plus the TypeEnv fingerprint the term was encoded under.
-/// Entries hold the Expr so the node stays alive: a recycled address can
-/// never alias a dead key. Thread-confined (holds z3::expr handles).
-///
-/// The memo is soundness-critical — a wrong hit reuses a term whose
-/// constants were created under different sorts, and Z3 treats same-name
-/// different-sort constants as distinct — and it outlives session
-/// hard-resets, so the environment fingerprint alone is not trusted as
-/// equality. Each entry also records the type assignments its encoding
-/// depended on (the entry expression's free logical variables, nullopt =
-/// unconstrained at encode time), and a lookup only hits when the current
-/// environment agrees on every one of them.
-class Z3EncodingMemo {
-public:
-  const z3::expr *lookup(const Expr &E, const TypeEnv &Types) const {
-    auto It = Map.find(Key{E.identity(), Types.hash()});
-    if (It == Map.end())
-      return nullptr;
-    for (const auto &[Var, T] : It->second.Assumptions)
-      if (Types.lookup(Var) != T)
-        return nullptr; // fingerprint collision across distinct typings
-    return &It->second.Term;
-  }
-
-  void insert(const Expr &E, const TypeEnv &Types, const z3::expr &T) {
-    // Unbounded growth guard: a long run across many suites just starts
-    // a fresh table.
-    if (Map.size() >= MaxEntries)
-      Map.clear();
-    Entry En{E, T, {}};
-    std::set<InternedString> Vars;
-    E.collectLVars(Vars);
-    En.Assumptions.reserve(Vars.size());
-    for (InternedString V : Vars)
-      En.Assumptions.emplace_back(V, Types.lookup(V));
-    Map.emplace(Key{E.identity(), Types.hash()}, std::move(En));
-  }
-
-  void clear() { Map.clear(); }
-  size_t size() const { return Map.size(); }
-
-  uint64_t Hits = 0, Misses = 0;
-
-private:
-  static constexpr size_t MaxEntries = 1u << 16;
-
-  struct Key {
-    const void *Id;
-    uint64_t EnvHash;
-    bool operator==(const Key &O) const {
-      return Id == O.Id && EnvHash == O.EnvHash;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key &K) const {
-      uint64_t H = reinterpret_cast<uintptr_t>(K.Id);
-      H ^= K.EnvHash + 0x9E3779B97F4A7C15ull + (H << 6) + (H >> 2);
-      return static_cast<size_t>(H);
-    }
-  };
-  struct Entry {
-    Expr Keep; ///< pins the node identity alive
-    z3::expr Term;
-    /// The var→type assignments the encoding depends on, verified on
-    /// every lookup (see class comment).
-    std::vector<std::pair<InternedString, std::optional<GilType>>>
-        Assumptions;
-  };
-  std::unordered_map<Key, Entry, KeyHash> Map;
-};
-
-/// Encodes GIL expressions of one query into Z3 terms. When a memo is
-/// attached, every successfully encoded subterm is recorded/reused under
-/// the environment fingerprint (memo hits skip symbol-code harvesting, so
-/// model extraction must run without a memo).
+/// Encodes GIL expressions of one query into Z3 terms, recording the
+/// symbol codes it meets so model extraction can decode them.
 class Encoder {
 public:
-  Encoder(z3::context &Ctx, const TypeEnv &Types,
-          Z3EncodingMemo *Memo = nullptr)
-      : Ctx(Ctx), Types(Types), Memo(Memo) {}
+  Encoder(z3::context &Ctx, const TypeEnv &Types) : Ctx(Ctx), Types(Types) {}
 
   /// The inferred GIL type of \p E; throws Unsupported when undetermined.
   GilType typeOf(const Expr &E) {
@@ -225,26 +120,6 @@ public:
   }
 
   z3::expr encode(const Expr &E) {
-    if (Memo) {
-      if (const z3::expr *Hit = Memo->lookup(E, Types)) {
-        ++Memo->Hits;
-        return *Hit;
-      }
-    }
-    z3::expr T = encodeUncached(E);
-    if (Memo) {
-      ++Memo->Misses;
-      Memo->insert(E, Types, T);
-    }
-    return T;
-  }
-
-  const std::map<uint32_t, InternedString> &symbolCodes() const {
-    return SymByCode;
-  }
-
-private:
-  z3::expr encodeUncached(const Expr &E) {
     switch (E.kind()) {
     case ExprKind::Lit:
       return lit(E.litValue());
@@ -262,6 +137,11 @@ private:
     throw Unsupported{"bad expression"};
   }
 
+  const std::map<uint32_t, InternedString> &symbolCodes() const {
+    return SymByCode;
+  }
+
+private:
   z3::expr encodeUnOp(const Expr &E) {
     const Expr &C = E.child(0);
     switch (E.unOpKind()) {
@@ -388,7 +268,6 @@ private:
 
   z3::context &Ctx;
   const TypeEnv &Types;
-  Z3EncodingMemo *Memo;
   std::map<uint32_t, InternedString> SymByCode;
 };
 

@@ -283,23 +283,25 @@ TEST(JournalIoTest, ReaderDropsRetiredSummaryRecords) {
 
 TEST(JournalIoTest, ReaderLoadsRetiredLayerByte) {
   // Earlier builds marked verdicts of the native theory layer with layer
-  // byte 4. A Branch event carrying it still loads, byte for byte.
-  constexpr uint8_t RetiredNativeLayer = 4;
-  JournalData D = tinyJournal(RetiredNativeLayer, /*TruePruned=*/false);
-  std::string Bytes = serializeJournal(D);
-  ASSERT_EQ(Bytes.compare(0, 4, "GJL1"), 0);
-  JournalData Back;
-  std::string Err;
-  ASSERT_TRUE(parseJournal(Bytes, Back, Err)) << Err;
-  ASSERT_EQ(Back.Events.size(), D.Events.size());
-  EXPECT_EQ(serializeJournal(Back), Bytes);
-  size_t Retired = 0;
-  for (const Event &E : Back.Events)
-    if (E.Kind == static_cast<uint8_t>(EventKind::Branch) &&
-        static_cast<uint8_t>(layerOf(E)) == RetiredNativeLayer)
-      ++Retired;
-  EXPECT_EQ(Retired, 1u);
-  EXPECT_TRUE(obs::validateJson(treeJson(Back, 4)));
+  // byte 4 and those of the incremental Z3 sessions with byte 5. A Branch
+  // event carrying either still loads, byte for byte.
+  for (uint8_t RetiredLayer : {uint8_t{4}, uint8_t{5}}) {
+    JournalData D = tinyJournal(RetiredLayer, /*TruePruned=*/false);
+    std::string Bytes = serializeJournal(D);
+    ASSERT_EQ(Bytes.compare(0, 4, "GJL1"), 0);
+    JournalData Back;
+    std::string Err;
+    ASSERT_TRUE(parseJournal(Bytes, Back, Err)) << Err;
+    ASSERT_EQ(Back.Events.size(), D.Events.size());
+    EXPECT_EQ(serializeJournal(Back), Bytes);
+    size_t Retired = 0;
+    for (const Event &E : Back.Events)
+      if (E.Kind == static_cast<uint8_t>(EventKind::Branch) &&
+          static_cast<uint8_t>(layerOf(E)) == RetiredLayer)
+        ++Retired;
+    EXPECT_EQ(Retired, 1u) << "layer byte " << int(RetiredLayer);
+    EXPECT_TRUE(obs::validateJson(treeJson(Back, 4)));
+  }
 }
 
 TEST(JournalIoTest, FileWriteReadRoundTrip) {

@@ -256,10 +256,10 @@ TEST(SpanTest, SlotReceivesTotalNanoseconds) {
   ProbeStats S;
   SpanSnapshot Before = SpanTable::global().snapshot();
   {
-    Span Sp(SpanKind::ColdZ3, &S.Alpha);
+    Span Sp(SpanKind::Z3, &S.Alpha);
   }
   SpanSnapshot D = SpanTable::global().snapshot() - Before;
-  EXPECT_EQ(S.Alpha.load(), D.totalNs(SpanKind::ColdZ3));
+  EXPECT_EQ(S.Alpha.load(), D.totalNs(SpanKind::Z3));
 }
 
 TEST(SpanTest, DisabledTimingRecordsNothing) {

@@ -83,43 +83,6 @@ TEST(TypeInfer, AbsorbConjunctAccumulates) {
   EXPECT_EQ(Env.lookup(InternedString::get("#y")), GilType::Int);
 }
 
-TEST(TypeInfer, HashReflectsContentNotOrder) {
-  TypeEnv A, B;
-  A.assign(InternedString::get("#x"), GilType::Int);
-  A.assign(InternedString::get("#y"), GilType::Str);
-  B.assign(InternedString::get("#y"), GilType::Str);
-  B.assign(InternedString::get("#x"), GilType::Int);
-  EXPECT_EQ(A.hash(), B.hash());
-  TypeEnv C;
-  C.assign(InternedString::get("#x"), GilType::Int);
-  EXPECT_NE(A.hash(), C.hash());
-}
-
-TEST(TypeInfer, HashDistinguishesSwappedTypings) {
-  // Regression: {#x:Int,#y:Num} and {#x:Num,#y:Int} used to collide —
-  // XOR-folding separately-mixed id and type washes the pairing out, and
-  // the solver's memo layers key on this hash. Each (variable, type) pair
-  // must be mixed jointly.
-  TypeEnv A, B;
-  A.assign(InternedString::get("#x"), GilType::Int);
-  A.assign(InternedString::get("#y"), GilType::Num);
-  B.assign(InternedString::get("#x"), GilType::Num);
-  B.assign(InternedString::get("#y"), GilType::Int);
-  EXPECT_NE(A.hash(), B.hash());
-
-  // Same shape, three ways around a cycle of three variables.
-  TypeEnv C, D;
-  for (auto [V, T] : {std::pair{"#a", GilType::Int},
-                      {"#b", GilType::Num},
-                      {"#c", GilType::Str}})
-    C.assign(InternedString::get(V), T);
-  for (auto [V, T] : {std::pair{"#a", GilType::Str},
-                      {"#b", GilType::Int},
-                      {"#c", GilType::Num}})
-    D.assign(InternedString::get(V), T);
-  EXPECT_NE(C.hash(), D.hash());
-}
-
 TEST(TypeInfer, MixedIntNumComparisonDoesNotPin) {
   // GIL allows ordering comparisons across Int and Num (3 < 3.5), so a
   // comparison with a Num side must not force the other side to Num — and
