@@ -122,22 +122,12 @@ int main(int argc, char **argv) {
          return O;
        },
        /*AllowAlarms=*/true},
-      // The async batched query service at the row's worker count: same
-      // layer stack, solves routed through the dedup/subsumption queue.
-      {"async solver service", false,
-       [&Args] {
-         EngineOptions O;
-         O.Scheduler.Workers = Args.Workers;
-         O.Solver.AsyncSolvers = Args.Async ? Args.Async : 2;
-         return O;
-       }},
       {"legacy JaVerT 2.0", false,
        [] { return EngineOptions::legacyJaVerT2(); }},
       {"parallel", true,
        [&Args] {
          EngineOptions O;
          O.Scheduler.Workers = Args.Workers;
-         O.Solver.AsyncSolvers = Args.Async;
          return O;
        }},
   };

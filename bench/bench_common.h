@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The argument parsing, observability wiring and cold-start idiom shared
-/// by the five bench drivers. Every driver accepts:
+/// by the six bench drivers. Every driver accepts:
 ///
 ///   --workers=N / --workers N   worker count of the parallel
 ///                               configurations (default 4, the acceptance
@@ -78,10 +78,6 @@ namespace gillian::bench {
 
 struct BenchArgs {
   uint32_t Workers = 4; ///< worker count of the parallel configurations
-  /// Async solver service threads of the default configurations (0 =
-  /// inline solving; --async=N routes undecided queries through the
-  /// batching/deduplicating service).
-  uint32_t Async = 0;
   bool Json = true;     ///< emit the trailing machine-readable JSON line
   bool ObsDetail = false; ///< per-step / per-simplify detail spans
   std::string TraceOut;   ///< chrome://tracing output path ("" = off)
@@ -130,11 +126,6 @@ inline BenchArgs parseBenchArgs(int &argc, char **argv) {
       Args.Workers = parseWorkers(A + 10);
     } else if (std::strcmp(A, "--workers") == 0) {
       Args.Workers = parseWorkers(nextValue(In, "--workers"));
-    } else if (std::strncmp(A, "--async=", 8) == 0) {
-      Args.Async = static_cast<uint32_t>(parseMs("--async", A + 8));
-    } else if (std::strcmp(A, "--async") == 0) {
-      Args.Async =
-          static_cast<uint32_t>(parseMs("--async", nextValue(In, "--async")));
     } else if (std::strcmp(A, "--json") == 0) {
       Args.Json = true;
     } else if (std::strcmp(A, "--no-json") == 0) {

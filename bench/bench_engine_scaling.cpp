@@ -63,15 +63,13 @@ std::string deadCodeProgram(int L) {
   return Src;
 }
 
-SymbolicTestResult runProgram(const std::string &Src, uint32_t Workers = 1,
-                              uint32_t Async = 0) {
+SymbolicTestResult runProgram(const std::string &Src, uint32_t Workers = 1) {
   Result<Prog> P = compileWhileSource(Src);
   if (!P)
     std::abort();
   EngineOptions Opts;
   Opts.LoopBound = 64;
   Opts.Scheduler.Workers = Workers;
-  Opts.Solver.AsyncSolvers = Async;
   Solver Slv(Opts.Solver);
   SymbolicTestResult R = runSymbolicTest<WhileSMem>(*P, "main", Opts, Slv);
   if (!R.ok())
@@ -168,7 +166,7 @@ int main(int argc, char **argv) {
   for (uint32_t Workers : Sweep) {
     bench::coldStart(); // cold per count: same starting state for all
     auto T0 = std::chrono::steady_clock::now();
-    SymbolicTestResult R = runProgram(Src, Workers, Args.Async);
+    SymbolicTestResult R = runProgram(Src, Workers);
     double Sec = bench::seconds(T0);
     if (Workers == 1)
       BaseSec = Sec;

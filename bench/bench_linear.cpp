@@ -67,7 +67,6 @@ int main(int argc, char **argv) {
     coldStart();
     EngineOptions ParOpts;
     ParOpts.Scheduler.Workers = ParWorkers;
-    ParOpts.Solver.AsyncSolvers = Args.Async;
     T0 = std::chrono::steady_clock::now();
     SuiteResult RPar = runSuite<LinearSMem>(S.Name, *P, ParOpts);
     double SecPar = seconds(T0);

@@ -60,8 +60,6 @@ using bench::seconds;
 /// Worker count of the parallel configuration; set from --workers
 /// (default 4, the acceptance target's core count).
 uint32_t ParWorkers = 4;
-/// Async solver service threads of the parallel configuration (--async).
-uint32_t ParAsync = 0;
 
 std::string rowJson(const Row &R) {
   obs::JsonWriter W;
@@ -74,7 +72,6 @@ std::string rowJson(const Row &R) {
   W.field("time_gjs_s", R.TimeGjs, 6);
   W.field("time_par_s", R.TimePar, 6);
   W.field("par_workers", ParWorkers);
-  W.field("par_async", static_cast<uint64_t>(ParAsync));
   W.key("solver_j2");
   W.raw(solverStatsJson(R.SolverJ2));
   W.key("solver_gjs");
@@ -102,7 +99,6 @@ int main(int argc, char **argv) {
   bench::rejectLeftoverArgs(argc, argv);
   bench::setupObs(Args);
   ParWorkers = Args.Workers;
-  ParAsync = Args.Async;
   std::printf("Table 1: Buckets.js-style symbolic test suites "
               "(Gillian-JS / MJS)\n");
   std::printf("%-8s %4s %12s %10s %10s %10s %8s %10s %8s %9s\n", "Name",
@@ -151,7 +147,6 @@ int main(int argc, char **argv) {
     coldStart();
     EngineOptions Par;
     Par.Scheduler.Workers = ParWorkers;
-    Par.Solver.AsyncSolvers = ParAsync;
     T0 = std::chrono::steady_clock::now();
     SuiteResult RPar = runSuite<MjsSMem>(S.Name, *P, Par);
     R.TimePar = seconds(T0);

@@ -79,7 +79,6 @@ int main(int argc, char **argv) {
     coldStart();
     EngineOptions ParOpts;
     ParOpts.Scheduler.Workers = ParWorkers;
-    ParOpts.Solver.AsyncSolvers = Args.Async;
     T0 = std::chrono::steady_clock::now();
     SuiteResult RPar = runSuite<McSMem>(S.Name, *P, ParOpts);
     double SecPar = seconds(T0);

@@ -8,7 +8,8 @@
 /// Knobs for the symbolic execution engine. The defaults correspond to the
 /// paper's Gillian configuration; legacyJaVerT2() reconstructs the
 /// JaVerT 2.0 baseline of Table 1 (no solver result caching, no query
-/// slicing).
+/// slicing). The exploration workers are the engine's only threads: each
+/// solves its own queries, on its own thread.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -9,7 +9,6 @@
 #include "obs/introspect/prometheus.h"
 #include "obs/journal/analysis.h"
 #include "obs/journal/journal.h"
-#include "obs/native_stats.h"
 #include "obs/progress.h"
 #include "obs/sched_counters.h"
 #include "obs/span.h"
@@ -67,9 +66,6 @@ std::string gillian::obs::metricsExposition() {
   // Registry-driven sets: every field appears with zero exporter edits.
   counterSetInto(W, schedCounters());
   counterSetInto(W, progressCounters());
-  // Async solver service (process-wide aggregate — still rendered after
-  // per-suite sources unregister).
-  counterSetInto(W, nativeGlobalStats());
   // Execution journal self-accounting (DESIGN.md §4i).
   counterSetInto(W, journal::journalStats());
 

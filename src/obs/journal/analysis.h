@@ -58,9 +58,6 @@ struct PathForest {
 
 PathForest buildForest(const JournalData &D);
 
-inline constexpr size_t NumVerdictLayers =
-    static_cast<size_t>(VerdictLayer::Async) + 1;
-
 /// The solver effort of one GIL site (procedure, command index): its
 /// Branch decisions that queried the solver plus its Action events that
 /// spent solver time. The hot-query view of /metrics, of

@@ -42,6 +42,7 @@
 #include "obs/counters.h"
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <tuple>
 #include <vector>
@@ -60,9 +61,7 @@ enum class EventKind : uint8_t {
 };
 
 /// Which solver layer produced the verdict of a branch decision — the
-/// provenance `gillian-inspect why` and `diff` report. Async marks
-/// queries routed through the batching service, whose in-layer decision
-/// happens on a service thread and is not attributable to the caller.
+/// provenance `gillian-inspect why` and `diff` report.
 enum class VerdictLayer : uint8_t {
   None = 0, ///< no solver query ran (trivially-false prune, concrete run)
   Trivial = 1,
@@ -73,8 +72,13 @@ enum class VerdictLayer : uint8_t {
   /// it, and verdictLayerName still names it for their journals.
   Incremental = 5,
   Z3 = 6, ///< every Z3 verdict
+  /// Marked queries of the async solver service in earlier builds; nothing
+  /// writes it, and verdictLayerName still names it for their journals.
   Async = 7,
 };
+/// Layer nibbles a journal may hold; the reader rejects any other.
+inline constexpr size_t NumVerdictLayers =
+    static_cast<size_t>(VerdictLayer::Async) + 1;
 
 const char *verdictLayerName(VerdictLayer L);
 

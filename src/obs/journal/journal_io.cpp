@@ -152,6 +152,12 @@ bool parseJournal(std::string_view Bytes, JournalData &Out,
       Err = "unknown event kind";
       return false;
     }
+    if (E.Kind == static_cast<uint8_t>(EventKind::Branch) &&
+        (static_cast<size_t>(layerOf(E)) >= NumVerdictLayers ||
+         verdictOf(E) > Verdict::Unknown)) {
+      Err = "unknown verdict layer or verdict";
+      return false;
+    }
     uint64_t Path = 0, Aux = 0, Wall = 0, Step = 0, Proc = 0, Cmd = 0, X = 0;
     if (!getVarint(Bytes, I, Path) || !getVarint(Bytes, I, Aux) ||
         !getVarint(Bytes, I, Wall) || !getVarint(Bytes, I, Step) ||

@@ -57,9 +57,10 @@ JournalData capture();
 std::string serializeJournal(const JournalData &D);
 
 /// Parses \p Bytes; returns false (with \p Err set) on bad magic, bad
-/// version, truncation, varint overflow, or out-of-range string-table
-/// indices. On success the re-serialization of \p Out is byte-identical
-/// to the writer's output for the same data.
+/// version, truncation, varint overflow, out-of-range string-table
+/// indices, or a Branch event whose layer or verdict nibble names none.
+/// On success the re-serialization of \p Out is byte-identical to the
+/// writer's output for the same data.
 bool parseJournal(std::string_view Bytes, JournalData &Out, std::string &Err);
 
 /// Serializes and writes atomically (temp file + rename, like saveCache).

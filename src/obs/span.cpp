@@ -16,7 +16,6 @@ std::string_view gillian::obs::spanKindName(SpanKind K) {
   case SpanKind::Syntactic: return "syntactic";
   case SpanKind::Z3: return "z3";
   case SpanKind::ModelSearch: return "model_search";
-  case SpanKind::AsyncWait: return "async_wait";
   }
   return "unknown";
 }

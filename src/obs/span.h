@@ -58,10 +58,9 @@ enum class SpanKind : uint8_t {
   Syntactic,   ///< syntactic core + syntactic model proposals
   Z3,          ///< Z3 check on the thread's solver
   ModelSearch, ///< counter-model search beyond checkSat
-  AsyncWait,   ///< blocked on the async solver service's future
 };
 inline constexpr size_t NumSpanKinds =
-    static_cast<size_t>(SpanKind::AsyncWait) + 1;
+    static_cast<size_t>(SpanKind::ModelSearch) + 1;
 
 std::string_view spanKindName(SpanKind K);
 

@@ -6,7 +6,6 @@
 #include "obs/journal/journal.h"
 #include "obs/progress.h"
 #include "obs/span.h"
-#include "solver/native/query_service.h"
 #include "solver/z3_backend.h"
 
 #include <chrono>
@@ -75,10 +74,6 @@ SatResult Solver::solveLayers(const PathCondition &PC) {
 }
 
 void Solver::resetCache() {
-  // Quiesce the async service first: an in-flight solve still touches the
-  // cache and solvers being cleared below, and its verdict would be a
-  // warm answer leaking into a "cold" measurement.
-  native::SolverService::process().flush();
   Cache->clear();
   // Cold also means every thread's Z3 solver: other threads' drop lazily
   // (Z3 handles are thread-owned), this thread's immediately, so the next
@@ -206,27 +201,8 @@ SatResult Solver::checkSatImpl(const PathCondition &PC) {
     }
   }
 
-  SatResult R;
-  if (Opts.AsyncSolvers > 0 && !native::SolverService::onWorkerThread()) {
-    // Route the undecided query through the async service: identical and
-    // subsumed in-flight queries from sibling scheduler workers resolve
-    // from one solve. The closure runs the exact inline pipeline, so
-    // options, caches and stats behave identically.
-    Span W(SpanKind::AsyncWait, &Stats.AsyncWaitNs);
-    R = native::SolverService::process().checkSat(
-        this, PC, Opts.AsyncSolvers,
-        [this](const PathCondition &Q) {
-          return Opts.UseSlicing && Q.size() > 1 ? checkSatSliced(Q)
-                                                 : solveLayers(Q);
-        },
-        Stats);
-    // The in-layer decision happened on a service thread; its noteLayer
-    // landed on that thread's attribution, not this caller's.
-    obs::journal::noteLayer(obs::journal::VerdictLayer::Async);
-  } else {
-    R = Opts.UseSlicing && PC.size() > 1 ? checkSatSliced(PC)
-                                         : solveLayers(PC);
-  }
+  SatResult R = Opts.UseSlicing && PC.size() > 1 ? checkSatSliced(PC)
+                                                 : solveLayers(PC);
 
   switch (R) {
   case SatResult::Sat: ++Stats.Sat; break;

@@ -30,12 +30,15 @@
 /// on a *verified* counter-model, so the no-false-positives guarantee of
 /// §3 survives solver incompleteness.
 ///
-/// The Solver is *thread-safe*: its result cache is the sharded concurrent
-/// SolverCache, its statistics are relaxed atomics, and the Z3 backend
-/// keeps one context per thread (Z3 contexts are not thread-safe). One
-/// Solver instance can therefore be shared by every worker of the parallel
-/// exploration scheduler — which is required, since symbolic states carry
-/// a Solver pointer and migrate between workers when stolen.
+/// Every query runs the whole pipeline on the thread that asks; there is
+/// no solver thread or queue, so the scheduler's workers are the only
+/// threads that solve. The Solver is *thread-safe*: its result cache is
+/// the sharded concurrent SolverCache, its statistics are relaxed atomics,
+/// and the Z3 backend keeps one context per thread (Z3 contexts are not
+/// thread-safe). One Solver instance can therefore be shared by every
+/// worker of the parallel exploration scheduler — which is required, since
+/// symbolic states carry a Solver pointer and migrate between workers when
+/// stolen.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,10 +65,9 @@ struct SolverOptions {
   /// independently. Sound because slices share no logical variables: the
   /// conjunction is Unsat iff a slice is, and Sat when every slice is.
   bool UseSlicing = true;
-  /// When > 0, route undecided full queries through the process-wide async
-  /// solver service: a pool of that many solver threads with a bounded
-  /// submission queue that batches and deduplicates in-flight identical or
-  /// subsumed queries across scheduler workers. 0 = solve inline.
+  /// Read by nothing: every query is solved on the thread that asks. Kept
+  /// only because perfbench/symbench.cpp assigns it; ROADMAP item 2
+  /// deletes it.
   uint32_t AsyncSolvers = 0;
 
   /// The paper's baseline configuration: no result caching, no slicing
@@ -123,19 +125,6 @@ struct SolverStats : obs::CounterSet<SolverStats> {
   obs::Counter RetiredResets{*this, "inc_resets", "solver"};
   obs::Counter RetiredMemoMisses{*this, "encode_memo_misses", "solver"};
 
-  // Async batched query service (SolverOptions::AsyncSolvers > 0).
-  obs::Counter AsyncSubmitted{*this, "async_submitted", "solver"};
-  /// Shared an in-flight identical query's future.
-  obs::Counter AsyncDedupHits{*this, "async_dedup_hits", "solver"};
-  /// Resolved by a completed query that subsumes this one.
-  obs::Counter AsyncSubsumedHits{*this, "async_subsumed_hits", "solver"};
-  /// Ran inline (queue full or called from a service worker).
-  obs::Counter AsyncInlineRuns{*this, "async_inline_runs", "solver"};
-  /// Batches drained by service workers.
-  obs::Counter AsyncBatches{*this, "async_batches", "solver"};
-  /// Submission-queue depth at last submit.
-  obs::Gauge AsyncQueueDepth{*this, "async_queue_depth", "solver"};
-
   obs::Counter Sat{*this, "sat", "verdict"};
   obs::Counter Unsat{*this, "unsat", "verdict"};
   obs::Counter Unknown{*this, "unknown", "verdict"};
@@ -146,7 +135,6 @@ struct SolverStats : obs::CounterSet<SolverStats> {
   // span slots so the per-solver numbers and the global span table agree.
   obs::Counter SyntacticNs{*this, "syntactic_ns", "time"};
   obs::Counter NativeNs{*this, "native_ns", "time"};   ///< always 0
-  obs::Counter AsyncWaitNs{*this, "async_wait_ns", "time"}; ///< future waits
   obs::Counter Z3Ns{*this, "z3_ns", "time"};           ///< SMT round-trips
   obs::Counter TotalNs{*this, "total_ns", "time"};     ///< inside checkSat
 

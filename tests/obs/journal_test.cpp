@@ -283,9 +283,10 @@ TEST(JournalIoTest, ReaderDropsRetiredSummaryRecords) {
 
 TEST(JournalIoTest, ReaderLoadsRetiredLayerByte) {
   // Earlier builds marked verdicts of the native theory layer with layer
-  // byte 4 and those of the incremental Z3 sessions with byte 5. A Branch
-  // event carrying either still loads, byte for byte.
-  for (uint8_t RetiredLayer : {uint8_t{4}, uint8_t{5}}) {
+  // byte 4, those of the incremental Z3 sessions with byte 5 and those of
+  // the async solver service with byte 7. A Branch event carrying any of
+  // them still loads, byte for byte.
+  for (uint8_t RetiredLayer : {uint8_t{4}, uint8_t{5}, uint8_t{7}}) {
     JournalData D = tinyJournal(RetiredLayer, /*TruePruned=*/false);
     std::string Bytes = serializeJournal(D);
     ASSERT_EQ(Bytes.compare(0, 4, "GJL1"), 0);
@@ -302,6 +303,29 @@ TEST(JournalIoTest, ReaderLoadsRetiredLayerByte) {
     EXPECT_EQ(Retired, 1u) << "layer byte " << int(RetiredLayer);
     EXPECT_TRUE(obs::validateJson(treeJson(Back, 4)));
   }
+}
+
+TEST(JournalIoTest, ReaderRejectsUnknownVerdictLayer) {
+  // A Branch event packs verdict << 4 | layer into C. A layer nibble past
+  // the last layer would index past SiteProfile::LayerCount in the
+  // analyses, and a verdict nibble above Unknown names no verdict, so the
+  // reader refuses both.
+  auto ExpectRejected = [](const JournalData &D) {
+    JournalData Back;
+    std::string Err;
+    EXPECT_FALSE(parseJournal(serializeJournal(D), Back, Err));
+    EXPECT_FALSE(Err.empty());
+  };
+  for (uint8_t Layer : {uint8_t{8}, uint8_t{15}}) {
+    SCOPED_TRACE("layer nibble " + std::to_string(Layer));
+    ExpectRejected(tinyJournal(Layer, /*TruePruned=*/false));
+  }
+  JournalData D = tinyJournal(static_cast<uint8_t>(VerdictLayer::Z3), false);
+  for (Event &E : D.Events)
+    if (E.Kind == static_cast<uint8_t>(EventKind::Branch))
+      E.C = static_cast<uint8_t>((4 << 4) | (E.C & 0x0f));
+  SCOPED_TRACE("verdict nibble 4");
+  ExpectRejected(D);
 }
 
 TEST(JournalIoTest, FileWriteReadRoundTrip) {
