@@ -15,8 +15,6 @@
 ///                               machine-readable JSON line (default on)
 ///   --trace-out=FILE            enable the execution journal and write
 ///                               its chrome://tracing view at exit
-///   --obs-detail                enable the per-step / per-simplify detail
-///                               spans (hot; off by default)
 ///   --cache-file=FILE           persist the canonical solver result cache
 ///                               across invocations: load FILE at startup
 ///                               (and re-seed it after every coldStart()),
@@ -24,18 +22,13 @@
 ///   --serve=HOST:PORT           start the live introspection HTTP server
 ///                               (/metrics /stats /trace /progress
 ///                               /healthz); PORT 0 binds an ephemeral port,
-///                               announced on stderr for CI discovery
-///   --serve-linger-ms=N         keep the process alive up to N ms after
+///                               announced on stderr for CI discovery.
+///                               A long run is watched by polling
+///                               /progress (see EXPERIMENTS.md)
+///   --serve-linger-ms=N        keep the process alive up to N ms after
 ///                               the workload so a scraper can connect;
 ///                               exits early once >= 1 request was served
 ///                               and ~1.5 s passed since the last one
-///   --heartbeat-out=FILE        append one progress JSONL line per
-///                               sampling interval (rates from snapshot
-///                               deltas; see EXPERIMENTS.md for plotting)
-///   --metrics-interval=MS       heartbeat sampling cadence (default 1000)
-///   --metrics-window=MS         rolling-rate window of /progress and the
-///                               heartbeat's *_window rates (default
-///                               10000, clamped to >= 100)
 ///   --journal-out=FILE          enable the lossless execution journal and
 ///                               write it (binary, DESIGN.md §4i) at exit;
 ///                               inspect with tools/gillian-inspect
@@ -57,11 +50,9 @@
 
 #include "obs/exporters.h"
 #include "obs/introspect/introspect_server.h"
-#include "obs/introspect/sampler.h"
 #include "obs/journal/journal.h"
 #include "obs/journal/journal_io.h"
 #include "obs/json_writer.h"
-#include "obs/obs_config.h"
 #include "obs/span.h"
 #include "solver/solver.h"
 #include "solver/solver_cache.h"
@@ -77,17 +68,13 @@
 namespace gillian::bench {
 
 struct BenchArgs {
-  uint32_t Workers = 4; ///< worker count of the parallel configurations
-  bool Json = true;     ///< emit the trailing machine-readable JSON line
-  bool ObsDetail = false; ///< per-step / per-simplify detail spans
+  uint32_t Workers = 4;   ///< worker count of the parallel configurations
+  bool Json = true;       ///< emit the trailing machine-readable JSON line
   std::string TraceOut;   ///< chrome://tracing output path ("" = off)
   std::string CacheFile;  ///< persisted solver result cache ("" = off)
   std::string Serve;      ///< introspection server "host:port" ("" = off)
-  std::string HeartbeatOut;      ///< heartbeat JSONL path ("" = off)
-  std::string JournalOut;        ///< execution-journal path ("" = off)
-  uint64_t MetricsIntervalMs = 1000; ///< heartbeat cadence
-  uint64_t MetricsWindowMs = 0;  ///< rolling-rate window (0 = default)
-  uint64_t ServeLingerMs = 0;    ///< post-workload serve window
+  std::string JournalOut; ///< execution-journal path ("" = off)
+  uint64_t ServeLingerMs = 0; ///< post-workload serve window
 };
 
 /// Parses (and strips from argv) the shared driver arguments; exits with a
@@ -138,26 +125,10 @@ inline BenchArgs parseBenchArgs(int &argc, char **argv) {
       Args.CacheFile = A + 13;
     } else if (std::strcmp(A, "--cache-file") == 0) {
       Args.CacheFile = nextValue(In, "--cache-file");
-    } else if (std::strcmp(A, "--obs-detail") == 0) {
-      Args.ObsDetail = true;
     } else if (std::strncmp(A, "--serve=", 8) == 0) {
       Args.Serve = A + 8;
     } else if (std::strcmp(A, "--serve") == 0) {
       Args.Serve = nextValue(In, "--serve");
-    } else if (std::strncmp(A, "--heartbeat-out=", 16) == 0) {
-      Args.HeartbeatOut = A + 16;
-    } else if (std::strcmp(A, "--heartbeat-out") == 0) {
-      Args.HeartbeatOut = nextValue(In, "--heartbeat-out");
-    } else if (std::strncmp(A, "--metrics-interval=", 19) == 0) {
-      Args.MetricsIntervalMs = parseMs("--metrics-interval", A + 19);
-    } else if (std::strcmp(A, "--metrics-interval") == 0) {
-      Args.MetricsIntervalMs =
-          parseMs("--metrics-interval", nextValue(In, "--metrics-interval"));
-    } else if (std::strncmp(A, "--metrics-window=", 17) == 0) {
-      Args.MetricsWindowMs = parseMs("--metrics-window", A + 17);
-    } else if (std::strcmp(A, "--metrics-window") == 0) {
-      Args.MetricsWindowMs =
-          parseMs("--metrics-window", nextValue(In, "--metrics-window"));
     } else if (std::strncmp(A, "--journal-out=", 14) == 0) {
       Args.JournalOut = A + 14;
     } else if (std::strcmp(A, "--journal-out") == 0) {
@@ -202,36 +173,14 @@ inline long savePersistedCache(const std::string &Path) {
   return S.saveCache(Path);
 }
 
-/// The driver-lifetime heartbeat sampler (started by setupObs under
-/// --heartbeat-out, stopped by finishObs).
-inline obs::HeartbeatSampler &processHeartbeat() {
-  static obs::HeartbeatSampler S;
-  return S;
-}
-
-/// Applies the observability and persistence flags: detail spans, the
-/// execution journal, the live introspection server, the heartbeat
-/// sampler, and the warm-start cache load. Call once after parseBenchArgs.
+/// Applies the observability and persistence flags: the execution
+/// journal, the live introspection server, and the warm-start cache load.
+/// Call once after parseBenchArgs.
 inline void setupObs(const BenchArgs &Args) {
-  if (Args.ObsDetail)
-    obs::ObsConfig::setDetailedSpans(true);
-  if (Args.MetricsWindowMs > 0)
-    obs::setMetricsWindowMs(Args.MetricsWindowMs);
   if (!Args.JournalOut.empty() || !Args.TraceOut.empty())
     obs::journal::setEnabled(true);
   if (!Args.Serve.empty())
     obs::startProcessIntrospection(Args.Serve);
-  if (!Args.HeartbeatOut.empty()) {
-    if (processHeartbeat().start(Args.HeartbeatOut, Args.MetricsIntervalMs))
-      std::fprintf(stderr, "[bench] heartbeat JSONL -> %s (every %llu ms)\n",
-                   Args.HeartbeatOut.c_str(),
-                   static_cast<unsigned long long>(
-                       Args.MetricsIntervalMs < 10 ? 10
-                                                   : Args.MetricsIntervalMs));
-    else
-      std::fprintf(stderr, "[bench] failed to open heartbeat file %s\n",
-                   Args.HeartbeatOut.c_str());
-  }
   if (!Args.CacheFile.empty()) {
     persistedCacheFile() = Args.CacheFile;
     long N = loadPersistedCache(Args.CacheFile);
@@ -268,12 +217,9 @@ inline void writeJournalOutputs(BenchArgs &Args) {
   }
 }
 
-/// Writes the journal outputs, saves the persisted cache, stops the
-/// heartbeat sampler, and rides out the --serve-linger-ms window (per
-/// Args). Call once before exiting.
+/// Writes the journal outputs, rides out the --serve-linger-ms window and
+/// saves the persisted cache (per Args). Call once before exiting.
 inline void finishObs(BenchArgs Args) {
-  if (!Args.HeartbeatOut.empty())
-    processHeartbeat().stop();
   writeJournalOutputs(Args);
   if (!Args.Serve.empty() && Args.ServeLingerMs > 0 &&
       obs::processIntrospectServer().running()) {

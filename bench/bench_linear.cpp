@@ -1,7 +1,7 @@
 //===- bench/bench_linear.cpp ---------------------------------------------===//
 //
-// The fourth memory-model instantiation (Wasm-style linear memory, built
-// from the memlib combinator kit) on its GIL test suites: per-suite test
+// The fourth memory-model instantiation (Wasm-style linear memory, written
+// on the memlib helpers) on its GIL test suites: per-suite test
 // counts, executed GIL commands and times, sequential and parallel, then
 // the seeded suite to show the off-by-one read and the negative grow are
 // re-detected. The row shape mirrors Tables 1/2 so the instantiation can

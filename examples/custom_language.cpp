@@ -9,10 +9,10 @@
 //   2. a symbolic memory model (Def 2.4) — counters hold logical
 //      expressions; `dec` branches on whether the counter may be zero,
 //      returning the branch condition π' exactly as the Fig. 3 rules do.
-//      The branching is written with the memory-model construction kit
+//      The branching is written with the memory kit's BranchCtx
 //      (engine/memlib/, DESIGN.md §4h): BranchCtx::checkOrError emits
 //      the fault world and the strengthened success world, so the model
-//      never touches the solver directly. For the full kit story —
+//      never touches the solver directly. For the rest of the kit —
 //      expression-keyed maps with the shared may-alias loop — see
 //      src/linear/memory.h, the repo's fourth instantiation;
 //   3. a program over the new actions, written in textual GIL;

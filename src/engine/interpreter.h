@@ -36,7 +36,6 @@
 #include "obs/coverage.h"
 #include "obs/journal/journal.h"
 #include "obs/progress.h"
-#include "obs/span.h"
 
 #include <optional>
 #include <string>
@@ -164,7 +163,6 @@ public:
   /// atomic counters in Stats.
   template <typename Sink> void step(Config C, Sink &S) {
     ++C.JSteps;
-    obs::DetailSpan StepSpan(obs::SpanKind::Step);
     const Proc *Cur = P.find(C.CurProc);
     assert(Cur && "current procedure disappeared");
     if (C.I >= Cur->Body.size()) {

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The solver-driven condition classification shared by every symbolic
-/// memory combinator: a branch condition is definitely true, definitely
+/// The solver-driven condition classification the symbolic memory models
+/// share: a branch condition is definitely true, definitely
 /// false, or contingent under the current path condition. This is the
 /// "π ∧ π' SAT" side condition of the Fig. 3 action rules, factored out of
 /// the three hand-written memory models (While's aliasKind, MJS's

@@ -15,8 +15,9 @@
 ///    interior-pointer, ...), emitting the fault branch for the worlds
 ///    where it fails and continuing under the strengthened condition.
 ///
-/// This is the layer the MC model's ActionCtx grew ad hoc; it is now
-/// shared by all models built from memlib combinators.
+/// This is the layer the MC model's ActionCtx grew ad hoc. Every symbolic
+/// action of the While, MJS, MC and linear models builds its branches in
+/// a BranchCtx.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,8 +33,8 @@
 namespace gillian::memlib {
 
 /// Returns the structured diagnostic for an allocation-sized action whose
-/// size argument is symbolic. One message, produced by the combinator
-/// layer, shared by every model that allocates (MC `alloc`, linear
+/// size argument is symbolic. One message, written once here and
+/// shared by every model that allocates (MC `alloc`, linear
 /// `grow`): keeping it central means the "open research problem" of
 /// symbolic-size allocation (EXPERIMENTS.md) is a single grep away from
 /// every place it bites.

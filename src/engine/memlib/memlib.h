@@ -1,43 +1,31 @@
-//===- engine/memlib/memlib.h - Memory-model construction kit --*- C++ -*-===//
+//===- engine/memlib/memlib.h - Shared memory-model helpers ----*- C++ -*-===//
 //
 // Part of the Gillian-C++ reproduction of "Gillian, Part I" (PLDI 2020).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Umbrella header for the memory-model construction kit.
+/// Umbrella header for the memory kit: the helpers the hand-written
+/// memory models share.
 ///
 /// The paper's thesis is that a language instantiates Gillian by supplying
 /// a memory model — a type plus an action interpretation (Defs 2.3/2.4) —
-/// and the platform supplies everything else. In practice the memory
-/// models themselves share most of their structure, so this library
-/// factors *that* layer too, as a small algebra of combinators. Each
-/// combinator is a paired Concrete/Symbolic type satisfying the engine's
-/// `ConcreteMemoryModel` / `SymbolicMemoryModel` concepts, with the §3.3
-/// interpretation I(·) from the symbolic side to the concrete side,
-/// equality, and printing all derived generically:
+/// and the platform supplies everything else. The While, MJS, MC and
+/// linear models are each written by hand, as the paper's JS and C
+/// instantiations are (§4); what they had in common is written once here:
 ///
-///   ExprCell            a single mutable cell (leaf)        cell.h
-///   Freeable<Cell>      payload + freed bit; use-after-free
-///                       faults                              freeable.h
-///   PMap<Cell>          partial map keyed by expressions;
-///                       owns THE may-alias branch loop
-///                       ([S-Lookup]/[S-Mutate-*])           pmap.h
-///   Product<A, B>       two components, action routing      product.h
+///   alias.h     three-valued condition verdict (Tri / decide / decideEq)
+///               and simplified conjunction (conj)
+///   branch.h    BranchCtx (error/ok/feasible/checkOrError) and the shared
+///               symbolic-size-allocation diagnostic (symbolicSizeError)
+///   pmap.h      THE may-alias branch loop ([S-Lookup]/[S-Mutate-*]):
+///               resolveAliases and its ResolveOpts
+///   freeable.h  the freed-key index (CFreedSet / SFreedSet) and its
+///               use-after-dispose guard
+///   print.h     printEntries / printObject — the two printing shapes
+///               every model uses
 ///
-/// Shared infrastructure:
-///
-///   alias.h   three-valued alias decision (Tri / decide / decideEq) and
-///             path-condition-aware conjunction
-///   branch.h  BranchCtx (error/ok/feasible/checkOrError) and the shared
-///             symbolic-size-allocation diagnostic
-///   print.h   printEntries / printObject — the two printing shapes every
-///             model uses
-///
-/// The While, MJS and MC models are dispatch layers over this kit, and
-/// `src/linear/memory.h` shows a whole new language memory in one file of
-/// composition. See DESIGN.md §4h for the algebra and a walkthrough of
-/// adding a model.
+/// DESIGN.md §4h lists which model uses which helper.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,10 +34,8 @@
 
 #include "engine/memlib/alias.h"
 #include "engine/memlib/branch.h"
-#include "engine/memlib/cell.h"
 #include "engine/memlib/freeable.h"
 #include "engine/memlib/pmap.h"
 #include "engine/memlib/print.h"
-#include "engine/memlib/product.h"
 
 #endif // GILLIAN_ENGINE_MEMLIB_MEMLIB_H

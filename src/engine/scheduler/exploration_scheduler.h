@@ -51,6 +51,7 @@
 #include "engine/interpreter.h"
 #include "engine/scheduler/thread_pool.h"
 #include "obs/journal/journal.h"
+#include "obs/span.h"
 
 #include <algorithm>
 #include <atomic>

@@ -31,7 +31,6 @@
 #include "engine/allocator.h"
 #include "engine/options.h"
 #include "gil/expr.h"
-#include "obs/span.h"
 #include "solver/simplifier.h"
 #include "solver/solver.h"
 #include "support/cow_map.h"
@@ -391,7 +390,6 @@ private:
   Expr simplified(const Expr &E) const {
     if (!Opts)
       return E;
-    obs::DetailSpan SimplifySpan(obs::SpanKind::Simplify);
     return simplify(E, &Types);
   }
 

@@ -6,13 +6,13 @@
 ///
 /// \file
 /// The fourth memory-model instantiation: a Wasm-style flat linear memory,
-/// written entirely as a composition of the memlib combinators — this one
-/// file is the whole model (see DESIGN.md §4h and the README quickstart
-/// "add your own language in one file").
+/// written by hand on the memlib helpers — this one file is the whole
+/// model (see DESIGN.md §4h and the README quickstart "add your own
+/// language in one file").
 ///
-/// The state is a size register (a Cell shape) next to a sparse cell array
-/// (a PMap shape over integer offsets, zero-initialised like Wasm memory).
-/// All branching comes from the kit: bounds checks are
+/// The state is a size register next to a sparse cell array keyed by
+/// integer-offset expressions (zero-initialised like Wasm memory).
+/// All branching goes through the memlib helpers: bounds checks are
 /// BranchCtx::checkOrError splits, symbolic-offset loads and stores run
 /// the shared resolveAliases loop with linear's miss policies (load
 /// misses read 0; store misses extend at the queried offset), and a

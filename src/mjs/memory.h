@@ -75,7 +75,7 @@ private:
 };
 
 /// Symbolic JS memory: ĥ : Ê × Ê ⇀ Ê plus metadata and deletion tracking,
-/// founded on the memlib combinators. The heap is a two-level PMap shape —
+/// written by hand on the memlib helpers. The heap is a two-level map —
 /// the shared resolveAliases loop runs over the object table *and* over
 /// each object's property table (JS computed property names make the inner
 /// keys symbolic too) — and deletion is the memlib freed-key index.

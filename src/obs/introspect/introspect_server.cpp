@@ -27,22 +27,12 @@ uint64_t nowNs() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-std::atomic<uint64_t> MetricsWindow{10000}; // ms
 } // namespace
-
-void gillian::obs::setMetricsWindowMs(uint64_t Ms) {
-  MetricsWindow.store(Ms < 100 ? 100 : Ms, std::memory_order_relaxed);
-}
-
-uint64_t gillian::obs::metricsWindowMs() {
-  return MetricsWindow.load(std::memory_order_relaxed);
-}
 
 RateTracker::Rates RateTracker::sample() {
   ProgressCounters &P = progressCounters();
   Point Now{nowNs(), P.PathsFinished.load(), P.SolverQueries.load()};
-  const uint64_t WindowNs = metricsWindowMs() * 1000000ull;
+  const uint64_t WindowNs = WindowMs * 1000000ull;
 
   std::lock_guard<std::mutex> Lock(Mu);
   while (!Window.empty() && Now.Ns - Window.front().Ns > WindowNs)
@@ -148,7 +138,7 @@ std::string gillian::obs::progressJson(RateTracker &Rates) {
   W.endArray();
   W.field("paths_per_sec", R.PathsPerSec, 3);
   W.field("queries_per_sec", R.QueriesPerSec, 3);
-  W.field("window_ms", metricsWindowMs());
+  W.field("window_ms", Rates.windowMs());
   uint64_t Covered = 0, Total = 0;
   BranchCoverage::instance().totals(Covered, Total);
   W.key("coverage");

@@ -42,24 +42,21 @@
 
 namespace gillian::obs {
 
-/// The process-global rolling-rate window, in milliseconds (default
-/// 10000, clamped to >= 100). Every RateTracker reads it at each
-/// sample(), so changing it mid-run takes effect on the next scrape —
-/// the --metrics-window= bench flag sets it once at startup.
-void setMetricsWindowMs(uint64_t Ms);
-uint64_t metricsWindowMs();
-
 /// Rolling paths/s and queries/s from the process-wide progress counters:
 /// each sample() appends (now, paths, queries) and reports the mean rate
-/// over the retained window (metricsWindowMs()). Thread-safe; 0.0 until
-/// two samples exist.
+/// over the points of the last \p WindowMs milliseconds (10 s for
+/// /progress). Thread-safe; 0.0 until two samples exist.
 class RateTracker {
 public:
   struct Rates {
     double PathsPerSec = 0.0;
     double QueriesPerSec = 0.0;
   };
+
+  explicit RateTracker(uint64_t WindowMs = 10000) : WindowMs(WindowMs) {}
+
   Rates sample();
+  uint64_t windowMs() const { return WindowMs; }
 
 private:
   struct Point {
@@ -67,6 +64,7 @@ private:
     uint64_t Paths;
     uint64_t Queries;
   };
+  const uint64_t WindowMs;
   std::mutex Mu;
   std::deque<Point> Window;
 };
@@ -77,7 +75,8 @@ std::string metricsExposition();
 
 /// Renders the /progress JSON object: {"paths_finished":N,
 /// "solver_queries":N,"tests_started":N,"frontier_size":N,
-/// "workers":[d0,d1,...],"paths_per_sec":R,"queries_per_sec":R,
+/// "pool_workers":N,"workers":[d0,d1,...],"paths_per_sec":R,
+/// "queries_per_sec":R,"window_ms":N,
 /// "coverage":{"outcomes_covered":N,"outcomes_total":N}}.
 std::string progressJson(RateTracker &Rates);
 

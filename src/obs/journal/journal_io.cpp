@@ -179,6 +179,14 @@ bool parseJournal(std::string_view Bytes, JournalData &Out,
       Err = "string-table index out of range";
       return false;
     }
+    // A step allocates its children's ids after its own node exists, and
+    // ids only grow: a taken Branch whose child is its own node or an
+    // earlier one would make the path tree cyclic.
+    if (E.Kind == static_cast<uint8_t>(EventKind::Branch) && E.B != 0 &&
+        Aux != 0 && Aux <= Path) {
+      Err = "branch child id not after its node";
+      return false;
+    }
     E.Path = Path;
     E.Aux = Aux;
     E.WallNs = Wall;

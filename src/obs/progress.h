@@ -9,8 +9,8 @@
 /// (DESIGN.md §4d) samples: how many paths have finished, how many solver
 /// queries have been answered, and how deep each worker's deque currently
 /// is. They are deliberately *global* where ExecStats/SolverStats are
-/// per-run instances — a /progress scrape or a heartbeat tick must see the
-/// whole process without knowing which Interpreter or Solver is live.
+/// per-run instances — a /progress or /metrics scrape must see the whole
+/// process without knowing which Interpreter or Solver is live.
 ///
 /// Cost: one relaxed atomic add per finished path / solver query and one
 /// relaxed store per deque mutation — all rare next to the work they

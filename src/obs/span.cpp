@@ -7,8 +7,6 @@ using namespace gillian::obs;
 std::string_view gillian::obs::spanKindName(SpanKind K) {
   switch (K) {
   case SpanKind::Explore: return "explore";
-  case SpanKind::Step: return "step";
-  case SpanKind::Simplify: return "simplify";
   case SpanKind::Solver: return "solver";
   case SpanKind::CacheLookup: return "cache_lookup";
   case SpanKind::Slice: return "slice";

@@ -22,11 +22,9 @@
 /// per-instance fields such as SolverStats::Z3Ns keep their exact meaning
 /// while the global attribution comes for free.
 ///
-/// Cost model: a live span is two steady_clock reads plus a handful of
-/// relaxed atomic adds; a disabled one (ObsConfig::timing() false) is one
-/// relaxed bool load. Per-command spans (Step/Simplify) burn their two
-/// clock reads on very hot paths, so they are additionally gated behind
-/// ObsConfig::detailedSpans().
+/// Cost model: a span is two steady_clock reads plus a handful of
+/// relaxed atomic adds. Spans are always on, so they time layers, not GIL
+/// commands: no span opens per interpreter step or per simplification.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,13 +32,11 @@
 #define GILLIAN_OBS_SPAN_H
 
 #include "obs/counters.h"
-#include "obs/obs_config.h"
 
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 namespace gillian::obs {
@@ -49,8 +45,6 @@ namespace gillian::obs {
 /// source for JSON keys and /metrics labels.
 enum class SpanKind : uint8_t {
   Explore,     ///< one exploration (sequential run() or parallel explore())
-  Step,        ///< one interpreter step (detailed spans only)
-  Simplify,    ///< expression simplification (detailed spans only)
   Solver,      ///< Solver::checkSat / verifiedModel total
   CacheLookup, ///< result-cache probes (full-query and slice)
   Slice,       ///< independence slicing (connected-component split)
@@ -141,19 +135,14 @@ SpanFrame *&currentSpanFrame();
 /// counters the spans subsume.
 class Span {
 public:
-  explicit Span(SpanKind K, Counter *Slot = nullptr) : Kind(K), Slot(Slot) {
-    if (!ObsConfig::timing())
-      return;
-    Live = true;
-    T0 = std::chrono::steady_clock::now();
+  explicit Span(SpanKind K, Counter *Slot = nullptr)
+      : Kind(K), Slot(Slot), T0(std::chrono::steady_clock::now()) {
     detail::SpanFrame *&Cur = detail::currentSpanFrame();
     Frame.Parent = Cur;
     Cur = &Frame;
   }
 
   ~Span() {
-    if (!Live)
-      return;
     auto Dt = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - T0)
@@ -173,23 +162,8 @@ public:
 private:
   SpanKind Kind;
   Counter *Slot;
-  bool Live = false;
   std::chrono::steady_clock::time_point T0;
   detail::SpanFrame Frame;
-};
-
-/// A Span that only fires under ObsConfig::detailedSpans() — for
-/// per-command-grade layers (Step, Simplify) whose clock reads would not
-/// fit the disabled-overhead budget.
-class DetailSpan {
-public:
-  explicit DetailSpan(SpanKind K) {
-    if (ObsConfig::detailedSpans())
-      Inner.emplace(K);
-  }
-
-private:
-  std::optional<Span> Inner;
 };
 
 } // namespace gillian::obs

@@ -63,11 +63,11 @@ private:
   memlib::CFreedSet Disposed;
 };
 
-/// Symbolic While memory (Def 2.4 instance), founded on the memlib
-/// combinators: the object table is a PMap-shaped map whose actions run
-/// the shared resolveAliases loop, and dispose tracking is the memlib
+/// Symbolic While memory (Def 2.4 instance), written by hand on the memlib
+/// helpers: every action on the expression-keyed object table runs the
+/// shared resolveAliases loop, and dispose tracking is the memlib
 /// freed-key index (SFreedSet). Each action below is a miss-policy over
-/// those two primitives.
+/// those two helpers.
 class WhileSMem {
 public:
   using PropMap = CowMap<InternedString, Expr>;

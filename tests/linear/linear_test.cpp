@@ -1,7 +1,7 @@
 //===- tests/linear/linear_test.cpp ---------------------------------------===//
 //
-// The fourth memory-model instantiation (Wasm-style linear memory, built
-// entirely from memlib combinators): direct unit tests of the concrete
+// The fourth memory-model instantiation (Wasm-style linear memory, written
+// by hand on the memlib helpers): direct unit tests of the concrete
 // and symbolic actions, the structured symbolic-size diagnostic, the I_L
 // interpretation, and the GIL test suites through the full engine.
 //
@@ -79,7 +79,7 @@ TEST(LinearCMemT, NegativeGrowFaults) {
 //===----------------------------------------------------------------------===//
 
 TEST(LinearSMemT, SymbolicGrowIsTheStructuredDiagnostic) {
-  // The combinator-layer symbolic-size message, verbatim — shared with MC
+  // The memlib symbolic-size message, verbatim — shared with MC
   // alloc (see branch.h and the matching assertion in mc/memory_test.cpp).
   LinearSMem M;
   Solver S;

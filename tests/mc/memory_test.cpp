@@ -215,7 +215,7 @@ TEST(McCMemT, BulkRangesNearInt64MaxAreOutOfBounds) {
 // --- Symbolic ---------------------------------------------------------------
 
 TEST(McSMemT, SymbolicAllocSizeIsTheStructuredDiagnostic) {
-  // The combinator-layer symbolic-size message, verbatim — shared with
+  // The memlib symbolic-size message, verbatim — shared with
   // linear grow (see memlib/branch.h and the matching assertion in
   // linear/linear_test.cpp).
   McSMem M;

@@ -4,8 +4,8 @@
 // (including the malformed shapes the server must 400), the Prometheus
 // text-exposition writer (TYPE lines, counter suffixing, label escaping),
 // the /metrics exposition's format and monotonicity across scrapes, the
-// serve-spec parser, the rolling rate tracker, the heartbeat JSONL
-// sampler, the live-source registry, a real loopback round-trip through
+// serve-spec parser, the rolling rate tracker behind /progress, the
+// live-source registry, a real loopback round-trip through
 // the poll-based server, and the journal views it serves (/trace and the
 // hot-site series of /metrics).
 //
@@ -15,7 +15,6 @@
 #include "obs/introspect/introspect_server.h"
 #include "obs/introspect/metrics_registry.h"
 #include "obs/introspect/prometheus.h"
-#include "obs/introspect/sampler.h"
 #include "obs/journal/journal.h"
 #include "obs/json_writer.h"
 #include "obs/progress.h"
@@ -25,7 +24,6 @@
 
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -272,79 +270,28 @@ TEST(RateTrackerTest, FirstSampleHasNoRateThenDeltasAppear) {
   EXPECT_GT(R1.PathsPerSec, 0.0);
 }
 
-TEST(RateTrackerTest, WindowChangeTakesEffectOnNextSample) {
-  const uint64_t Default = metricsWindowMs();
-
-  // The setter clamps below 100 ms; values at or above pass through.
-  setMetricsWindowMs(10);
-  EXPECT_EQ(metricsWindowMs(), 100u);
-  setMetricsWindowMs(250);
-  EXPECT_EQ(metricsWindowMs(), 250u);
+TEST(RateTrackerTest, PointsOlderThanTheWindowExpire) {
+  RateTracker T(100);
+  EXPECT_EQ(T.windowMs(), 100u);
 
   // Rates accumulate inside the window...
-  RateTracker T;
   T.sample();
   progressCounters().PathsFinished += 40;
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   RateTracker::Rates Inside = T.sample();
   EXPECT_GT(Inside.PathsPerSec, 0.0);
 
-  // ...then the window is shrunk below the age of every retained point:
-  // the next sample must expire them all and report no rate — the
-  // tracker re-reads the process-global window at every sample, so the
-  // change needs no new tracker.
-  setMetricsWindowMs(100);
+  // ...and once every retained point is older than the window, the next
+  // sample expires them all and reports no rate.
   std::this_thread::sleep_for(std::chrono::milliseconds(140));
   RateTracker::Rates Expired = T.sample();
   EXPECT_EQ(Expired.PathsPerSec, 0.0);
   EXPECT_EQ(Expired.QueriesPerSec, 0.0);
 
-  // And rates re-accumulate under the new window.
+  // Rates re-accumulate from the sample that started the new window.
   progressCounters().PathsFinished += 40;
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_GT(T.sample().PathsPerSec, 0.0);
-
-  setMetricsWindowMs(Default);
-}
-
-//===----------------------------------------------------------------------===//
-// Heartbeat sampler
-//===----------------------------------------------------------------------===//
-
-TEST(HeartbeatSamplerTest, WritesValidJsonlLines) {
-  const std::string Path = ::testing::TempDir() + "gillian_hb_test.jsonl";
-  std::remove(Path.c_str());
-  HeartbeatSampler S;
-  ASSERT_TRUE(S.start(Path, 10));
-  EXPECT_TRUE(S.running());
-  EXPECT_FALSE(S.start(Path, 10)); // already running
-  progressCounters().PathsFinished += 3;
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  S.stop();
-  EXPECT_FALSE(S.running());
-  EXPECT_GE(S.ticks(), 2u); // baseline + at least one tick
-
-  std::ifstream In(Path);
-  ASSERT_TRUE(In.good());
-  std::string Line;
-  size_t Lines = 0;
-  while (std::getline(In, Line)) {
-    ++Lines;
-    EXPECT_TRUE(validateJson(Line)) << "line " << Lines << ": " << Line;
-    EXPECT_NE(Line.find("\"t_ms\":"), std::string::npos);
-    EXPECT_NE(Line.find("\"paths_finished\":"), std::string::npos);
-    EXPECT_NE(Line.find("\"paths_per_sec\":"), std::string::npos);
-    EXPECT_NE(Line.find("\"window_ms\":"), std::string::npos);
-    EXPECT_NE(Line.find("\"coverage_total\":"), std::string::npos);
-  }
-  EXPECT_GE(Lines, 2u);
-  std::remove(Path.c_str());
-}
-
-TEST(HeartbeatSamplerTest, StartFailsOnUnopenablePath) {
-  HeartbeatSampler S;
-  EXPECT_FALSE(S.start(::testing::TempDir() + "no_such_dir/hb.jsonl", 10));
-  EXPECT_FALSE(S.running());
 }
 
 //===----------------------------------------------------------------------===//

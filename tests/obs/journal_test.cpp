@@ -328,6 +328,46 @@ TEST(JournalIoTest, ReaderRejectsUnknownVerdictLayer) {
   ExpectRejected(D);
 }
 
+TEST(JournalIoTest, ReaderRejectsBranchChildNotAfterItsNode) {
+  // Path ids only grow, and a step allocates its children after its own
+  // node exists, so a taken Branch names a child id above its node's. One
+  // that names its own node or an ancestor would make the path tree
+  // cyclic, and the tree rollup would push that node forever.
+  auto ExpectRejected = [](const JournalData &D) {
+    JournalData Back;
+    std::string Err;
+    EXPECT_FALSE(parseJournal(serializeJournal(D), Back, Err));
+    EXPECT_FALSE(Err.empty());
+  };
+  auto IsTakenBranch = [](const Event &E) {
+    return E.Kind == static_cast<uint8_t>(EventKind::Branch) && E.B != 0;
+  };
+  {
+    SCOPED_TRACE("child == node");
+    JournalData D = tinyJournal(static_cast<uint8_t>(VerdictLayer::Z3), false);
+    auto It = std::find_if(D.Events.begin(), D.Events.end(), IsTakenBranch);
+    ASSERT_NE(It, D.Events.end());
+    It->Aux = It->Path;
+    ExpectRejected(D);
+  }
+  {
+    SCOPED_TRACE("child < node");
+    JournalData D = tinyJournal(static_cast<uint8_t>(VerdictLayer::Z3), false);
+    // Node 3 (a child of the root, node 1) branches back to the root.
+    Event Back;
+    Back.Kind = static_cast<uint8_t>(EventKind::Branch);
+    Back.Path = 3;
+    Back.Step = 4;
+    Back.Proc = 1;
+    Back.Cmd = 9;
+    Back.B = 1;
+    Back.Aux = 1;
+    D.Events.push_back(Back);
+    std::sort(D.Events.begin(), D.Events.end(), canonicalLess);
+    ExpectRejected(D);
+  }
+}
+
 TEST(JournalIoTest, FileWriteReadRoundTrip) {
   JournalData D = tinyJournal(static_cast<uint8_t>(VerdictLayer::Syntactic),
                               /*TruePruned=*/true);

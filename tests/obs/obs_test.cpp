@@ -12,7 +12,6 @@
 #include "obs/exporters.h"
 #include "obs/journal/journal_io.h"
 #include "obs/json_writer.h"
-#include "obs/obs_config.h"
 #include "obs/span.h"
 
 #include <gtest/gtest.h>
@@ -25,16 +24,6 @@ using namespace gillian;
 using namespace gillian::obs;
 
 namespace {
-
-/// Restores the global obs switches after a test that flips them.
-class ObsConfigGuard {
-public:
-  ObsConfigGuard() : Saved(ObsConfig::get()) {}
-  ~ObsConfigGuard() { ObsConfig::set(Saved); }
-
-private:
-  ObsOptions Saved;
-};
 
 //===----------------------------------------------------------------------===//
 // JsonWriter
@@ -219,10 +208,6 @@ TEST(CounterSetTest, CountersJsonEmitsEveryRegisteredField) {
 //===----------------------------------------------------------------------===//
 
 TEST(SpanTest, NestedSelfTimesSumToOuterTotal) {
-  ObsConfigGuard Guard;
-  ObsOptions O;
-  O.Timing = true;
-  ObsConfig::set(O);
   SpanSnapshot Before = SpanTable::global().snapshot();
   {
     Span Outer(SpanKind::Explore);
@@ -249,10 +234,6 @@ TEST(SpanTest, NestedSelfTimesSumToOuterTotal) {
 }
 
 TEST(SpanTest, SlotReceivesTotalNanoseconds) {
-  ObsConfigGuard Guard;
-  ObsOptions O;
-  O.Timing = true;
-  ObsConfig::set(O);
   ProbeStats S;
   SpanSnapshot Before = SpanTable::global().snapshot();
   {
@@ -260,41 +241,6 @@ TEST(SpanTest, SlotReceivesTotalNanoseconds) {
   }
   SpanSnapshot D = SpanTable::global().snapshot() - Before;
   EXPECT_EQ(S.Alpha.load(), D.totalNs(SpanKind::Z3));
-}
-
-TEST(SpanTest, DisabledTimingRecordsNothing) {
-  ObsConfigGuard Guard;
-  ObsOptions O;
-  O.Timing = false;
-  ObsConfig::set(O);
-  SpanSnapshot Before = SpanTable::global().snapshot();
-  {
-    Span Sp(SpanKind::Explore);
-    DetailSpan DS(SpanKind::Step);
-  }
-  SpanSnapshot D = SpanTable::global().snapshot() - Before;
-  EXPECT_EQ(D.count(SpanKind::Explore), 0u);
-  EXPECT_EQ(D.count(SpanKind::Step), 0u);
-}
-
-TEST(SpanTest, DetailSpansFireOnlyWhenEnabled) {
-  ObsConfigGuard Guard;
-  ObsOptions O;
-  O.Timing = true;
-  O.DetailedSpans = false;
-  ObsConfig::set(O);
-  SpanSnapshot Before = SpanTable::global().snapshot();
-  {
-    DetailSpan DS(SpanKind::Step);
-  }
-  SpanSnapshot D1 = SpanTable::global().snapshot() - Before;
-  EXPECT_EQ(D1.count(SpanKind::Step), 0u);
-  ObsConfig::setDetailedSpans(true);
-  {
-    DetailSpan DS(SpanKind::Step);
-  }
-  SpanSnapshot D2 = SpanTable::global().snapshot() - Before;
-  EXPECT_EQ(D2.count(SpanKind::Step), 1u);
 }
 
 //===----------------------------------------------------------------------===//

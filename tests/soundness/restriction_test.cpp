@@ -6,17 +6,15 @@
 //
 // The whole suite is TYPED over the symbolic memory model: the axioms are
 // properties of SymbolicState<M> for *any* M, so they run against every
-// model generation — the three language models (While, MJS, MC), the
-// linear-memory instantiation, and the raw memlib combinators (PMap and a
-// Product composition) the models are built from. Per-model knowledge
-// (how to seed two may-aliasing entries and which action branches over
-// them) lives in the ModelTraits specialisations.
+// model — the three language models (While, MJS, MC) and the
+// linear-memory instantiation. Per-model knowledge (how to seed two
+// may-aliasing entries and which action branches over them) lives in the
+// ModelTraits specialisations.
 //
 //===----------------------------------------------------------------------===//
 
 #include "engine/state.h"
 
-#include "engine/memlib/memlib.h"
 #include "gil/parser.h"
 #include "linear/memory.h"
 #include "mc/memory.h"
@@ -105,37 +103,6 @@ template <> struct ModelTraits<linear::LinearSMem> {
   static constexpr size_t MinBranches = 2;
 };
 
-using KitPMap = memlib::PMap<>::Symbolic;
-template <> struct ModelTraits<KitPMap> {
-  static constexpr const char *Name = "KitPMap";
-  static constexpr const char *PCSetup = "typeof(#l) == ^Sym";
-  static void seed(KitPMap &M) {
-    M.set(Expr::lit(Value::symV("$a")),
-          memlib::ExprCell::Symbolic(Expr::intE(1)));
-    M.set(Expr::lit(Value::symV("$b")),
-          memlib::ExprCell::Symbolic(Expr::intE(2)));
-  }
-  static InternedString action() { return memlib::actMapGet(); }
-  static Expr arg() { return Expr::list({Expr::lvar("#l")}); }
-  static constexpr size_t MinBranches = 2;
-};
-
-using KitProduct =
-    memlib::Product<memlib::PMap<>, memlib::ExprCell>::Symbolic;
-template <> struct ModelTraits<KitProduct> {
-  static constexpr const char *Name = "KitProduct";
-  static constexpr const char *PCSetup = "typeof(#l) == ^Sym";
-  static void seed(KitProduct &M) {
-    M.first().set(Expr::lit(Value::symV("$a")),
-                  memlib::ExprCell::Symbolic(Expr::intE(1)));
-    M.first().set(Expr::lit(Value::symV("$b")),
-                  memlib::ExprCell::Symbolic(Expr::intE(2)));
-  }
-  static InternedString action() { return memlib::actMapGet(); }
-  static Expr arg() { return Expr::list({Expr::lvar("#l")}); }
-  static constexpr size_t MinBranches = 2;
-};
-
 template <typename M> class RestrictionTest : public ::testing::Test {
 protected:
   using St = SymbolicState<M>;
@@ -163,7 +130,7 @@ struct ModelNames {
 
 using AllModels =
     ::testing::Types<whilelang::WhileSMem, mjs::MjsSMem, mc::McSMem,
-                     linear::LinearSMem, KitPMap, KitProduct>;
+                     linear::LinearSMem>;
 TYPED_TEST_SUITE(RestrictionTest, AllModels, ModelNames);
 
 } // namespace
@@ -245,9 +212,8 @@ TYPED_TEST(RestrictionTest, MonotoneUnderAssume) {
 
 TYPED_TEST(RestrictionTest, MonotoneUnderMemoryActions) {
   // A branching memory action strengthens each branch with its condition
-  // — for every model, concrete or combinator-built: the seeded memory
-  // holds two entries the queried variable may alias, so the action runs
-  // the alias loop and splits.
+  // — for every model: the seeded memory holds two entries the queried
+  // variable may alias, so the action runs the alias loop and splits.
   using Traits = ModelTraits<TypeParam>;
   auto S = this->stateWithPC({Traits::PCSetup});
   Traits::seed(S.memory());
