@@ -20,7 +20,7 @@
 ///                               (and re-seed it after every coldStart()),
 ///                               save the cache back at exit
 ///   --serve=HOST:PORT           start the live introspection HTTP server
-///                               (/metrics /stats /trace /progress
+///                               (/metrics /trace /tree /progress
 ///                               /healthz); PORT 0 binds an ephemeral port,
 ///                               announced on stderr for CI discovery.
 ///                               A long run is watched by polling

@@ -8,11 +8,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <mutex>
 #include <tuple>
 #include <vector>
 
@@ -138,26 +135,6 @@ bool gillian::obs::writeChromeTrace(const std::string &Path) {
     return false;
   Out << Json << "\n";
   return static_cast<bool>(Out);
-}
-
-void gillian::obs::maybeEnableEnvTrace() {
-  static std::once_flag Once;
-  std::call_once(Once, [] {
-    const char *Path = std::getenv("GILLIAN_TRACE_OUT");
-    if (!Path || !*Path)
-      return;
-    journal::setEnabled(true);
-    static std::string Out;
-    Out = Path;
-    std::atexit([] {
-      if (writeChromeTrace(Out))
-        std::fprintf(stderr, "[obs] wrote chrome trace to %s\n",
-                     Out.c_str());
-      else
-        std::fprintf(stderr, "[obs] failed to write chrome trace to %s\n",
-                     Out.c_str());
-    });
-  });
 }
 
 std::string gillian::obs::obsStatsJson(const SpanSnapshot &Spans) {

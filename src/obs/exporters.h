@@ -43,12 +43,6 @@ std::string chromeTraceJson(const journal::JournalData &D);
 /// Returns false on I/O failure.
 bool writeChromeTrace(const std::string &Path);
 
-/// GILLIAN_TRACE_OUT=path: enables the journal now and registers an
-/// atexit writer for the chrome trace — the env-var twin of the bench
-/// drivers' --trace-out=, for processes without a CLI (ctest suite runs,
-/// like GILLIAN_SERVE). Checked once per process.
-void maybeEnableEnvTrace();
-
 /// The unified observability object: {"spans":{...},"actions":{...},
 /// "scheduler":{...}}. \p Spans is typically a delta between two
 /// SpanTable snapshots (one bench row) or a full snapshot (whole run).

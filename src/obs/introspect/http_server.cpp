@@ -1,23 +1,28 @@
 //===- obs/introspect/http_server.cpp -------------------------------------===//
 
 #include "obs/introspect/http_server.h"
+#include "obs/introspect/introspect_server.h"
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
-#include <cstring>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 using namespace gillian::obs;
 
 namespace {
+
+/// Read and write timeout of one connection: a client that connects and
+/// stalls holds the serving thread for at most about this long.
+constexpr time_t IoTimeoutSec = 1;
+/// Nobody sends 64 KiB of GET; a longer head drops the connection.
+constexpr size_t MaxHeadBytes = 64 * 1024;
 
 uint64_t nowNs() {
   return static_cast<uint64_t>(
@@ -41,11 +46,6 @@ std::string_view trim(std::string_view S) {
                         S.back() == '\r'))
     S.remove_suffix(1);
   return S;
-}
-
-bool setNonBlocking(int Fd) {
-  int Flags = fcntl(Fd, F_GETFL, 0);
-  return Flags >= 0 && fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) == 0;
 }
 
 const char *statusText(int Status) {
@@ -130,67 +130,11 @@ bool gillian::obs::parseHttpRequest(std::string_view Raw, HttpRequest &Out) {
   if (!Out.header("transfer-encoding").empty())
     return false;
 
-  std::string ConnVal = toLower(Out.header("connection"));
-  if (Out.Version == "HTTP/1.1")
-    Out.KeepAlive = ConnVal.find("close") == std::string::npos;
-  else
-    Out.KeepAlive = ConnVal.find("keep-alive") != std::string::npos;
   return true;
 }
 
-namespace {
-std::string renderResponse(const HttpResponse &R, bool KeepAlive) {
-  std::string Out;
-  Out.reserve(R.Body.size() + 160);
-  Out += "HTTP/1.1 ";
-  Out += std::to_string(R.Status);
-  Out += ' ';
-  Out += statusText(R.Status);
-  Out += "\r\nContent-Type: ";
-  Out += R.ContentType;
-  Out += "\r\nContent-Length: ";
-  Out += std::to_string(R.Body.size());
-  Out += "\r\nConnection: ";
-  Out += KeepAlive ? "keep-alive" : "close";
-  Out += "\r\n\r\n";
-  Out += R.Body;
-  return Out;
-}
-
-/// Writes the whole buffer, riding out EAGAIN with a short poll; a client
-/// that stops reading for >2s forfeits the response.
-bool writeAll(int Fd, std::string_view Buf) {
-  size_t Off = 0;
-  int SpinsLeft = 200; // 200 * 10ms = 2s budget
-  while (Off < Buf.size()) {
-    ssize_t N = ::send(Fd, Buf.data() + Off, Buf.size() - Off, MSG_NOSIGNAL);
-    if (N > 0) {
-      Off += static_cast<size_t>(N);
-      continue;
-    }
-    if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (--SpinsLeft <= 0)
-        return false;
-      pollfd P{Fd, POLLOUT, 0};
-      ::poll(&P, 1, 10);
-      continue;
-    }
-    if (N < 0 && errno == EINTR)
-      continue;
-    return false;
-  }
-  return true;
-}
-} // namespace
-
-struct HttpServer::Conn {
-  int Fd = -1;
-  std::string Buf; ///< bytes read but not yet parsed
-};
-
-uint16_t HttpServer::start(const std::string &Host, uint16_t Port,
-                           Handler H) {
-  if (Running.load(std::memory_order_acquire))
+uint16_t IntrospectServer::start(const std::string &Host, uint16_t Port) {
+  if (running())
     return 0;
 
   sockaddr_in Addr{};
@@ -204,30 +148,18 @@ uint16_t HttpServer::start(const std::string &Host, uint16_t Port,
     return 0;
   int One = 1;
   ::setsockopt(Fd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof(One));
-  if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0 ||
-      ::listen(Fd, 16) != 0 || !setNonBlocking(Fd)) {
-    ::close(Fd);
-    return 0;
-  }
-
   // Recover the actually-bound port (Port may have been 0 = ephemeral).
   sockaddr_in Bound{};
   socklen_t Len = sizeof(Bound);
-  if (::getsockname(Fd, reinterpret_cast<sockaddr *>(&Bound), &Len) != 0) {
+  if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0 ||
+      ::listen(Fd, 16) != 0 ||
+      ::getsockname(Fd, reinterpret_cast<sockaddr *>(&Bound), &Len) != 0) {
     ::close(Fd);
     return 0;
   }
-
-  if (::pipe(WakePipe) != 0) {
-    ::close(Fd);
-    return 0;
-  }
-  setNonBlocking(WakePipe[0]);
-  setNonBlocking(WakePipe[1]);
 
   ListenFd = Fd;
   BoundPort = ntohs(Bound.sin_port);
-  Handle = std::move(H);
   Served.store(0, std::memory_order_relaxed);
   LastRequestNs.store(0, std::memory_order_relaxed);
   Running.store(true, std::memory_order_release);
@@ -235,133 +167,81 @@ uint16_t HttpServer::start(const std::string &Host, uint16_t Port,
   return BoundPort;
 }
 
-void HttpServer::stop() {
-  if (!Running.exchange(false, std::memory_order_acq_rel)) {
-    if (Thread.joinable())
-      Thread.join();
+void IntrospectServer::stop() {
+  if (!Running.exchange(false, std::memory_order_acq_rel))
     return;
-  }
-  char B = 1;
-  [[maybe_unused]] ssize_t N = ::write(WakePipe[1], &B, 1);
-  if (Thread.joinable())
-    Thread.join();
-  if (ListenFd >= 0)
-    ::close(ListenFd);
-  for (int &P : WakePipe)
-    if (P >= 0)
-      ::close(P);
+  ::shutdown(ListenFd, SHUT_RDWR); // fails the blocked accept()
+  Thread.join();
+  ::close(ListenFd);
   ListenFd = -1;
-  WakePipe[0] = WakePipe[1] = -1;
   BoundPort = 0;
 }
 
-bool HttpServer::handleReadable(Conn &C) {
-  char Tmp[4096];
+void IntrospectServer::serveLoop() {
   for (;;) {
-    ssize_t N = ::recv(C.Fd, Tmp, sizeof(Tmp), 0);
-    if (N > 0) {
-      C.Buf.append(Tmp, static_cast<size_t>(N));
-      if (C.Buf.size() > 64 * 1024)
-        return false; // nobody sends 64 KiB of GET; drop the connection
-      continue;
-    }
-    if (N == 0)
-      return false; // peer closed
-    if (errno == EAGAIN || errno == EWOULDBLOCK)
-      break;
-    if (errno == EINTR)
-      continue;
-    return false;
-  }
-
-  // Serve every complete request currently buffered.
-  for (;;) {
-    size_t HdrEnd = C.Buf.find("\r\n\r\n");
-    size_t Skip = 4;
-    if (HdrEnd == std::string::npos) {
-      HdrEnd = C.Buf.find("\n\n"); // bare-LF tolerance
-      Skip = 2;
-    }
-    if (HdrEnd == std::string::npos)
-      return true; // need more bytes
-
-    std::string RawReq = C.Buf.substr(0, HdrEnd + Skip);
-    C.Buf.erase(0, HdrEnd + Skip);
-
-    HttpRequest Req;
-    HttpResponse Resp;
-    bool KeepAlive = false;
-    if (!parseHttpRequest(RawReq, Req)) {
-      Resp.Status = 400;
-      Resp.Body = "bad request\n";
-    } else if (Req.Method != "GET" && Req.Method != "HEAD") {
-      Resp.Status = 405;
-      Resp.Body = "method not allowed\n";
-      KeepAlive = Req.KeepAlive;
-    } else {
-      Resp = Handle(Req);
-      KeepAlive = Req.KeepAlive;
-      if (Req.Method == "HEAD")
-        Resp.Body.clear();
-    }
-
-    Served.fetch_add(1, std::memory_order_relaxed);
-    LastRequestNs.store(nowNs(), std::memory_order_relaxed);
-    if (!writeAll(C.Fd, renderResponse(Resp, KeepAlive)))
-      return false;
-    if (!KeepAlive || Resp.Status == 400)
-      return false;
+    int Fd = ::accept(ListenFd, nullptr, nullptr);
+    if (Fd >= 0)
+      serveConnection(Fd);
+    else if (errno != EINTR && errno != ECONNABORTED)
+      return; // stop() shut the listener down
   }
 }
 
-void HttpServer::serveLoop() {
-  std::vector<Conn> Conns;
-  std::vector<pollfd> Pfds;
+void IntrospectServer::serveConnection(int Fd) {
+  timeval Timeout{IoTimeoutSec, 0};
+  ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+  ::setsockopt(Fd, SOL_SOCKET, SO_SNDTIMEO, &Timeout, sizeof(Timeout));
+  const auto Deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(IoTimeoutSec);
 
-  while (Running.load(std::memory_order_acquire)) {
-    Pfds.clear();
-    Pfds.push_back({WakePipe[0], POLLIN, 0});
-    Pfds.push_back({ListenFd, POLLIN, 0});
-    for (const Conn &C : Conns)
-      Pfds.push_back({C.Fd, POLLIN, 0});
-
-    int N = ::poll(Pfds.data(), Pfds.size(), 500);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
+  // Read up to the blank line ending the head (bare-LF tolerant); the
+  // parser ignores whatever follows it. A peer that closes, stalls past
+  // the deadline or sends an oversized head gets no answer.
+  std::string Head;
+  while (Head.find("\r\n\r\n") == std::string::npos &&
+         Head.find("\n\n") == std::string::npos) {
+    char Buf[4096];
+    ssize_t N = ::recv(Fd, Buf, sizeof(Buf), 0);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0 || Head.size() + static_cast<size_t>(N) > MaxHeadBytes ||
+        std::chrono::steady_clock::now() > Deadline) {
+      ::close(Fd);
+      return;
     }
-    if (!Running.load(std::memory_order_acquire))
-      break;
-
-    if (Pfds[1].revents & POLLIN) {
-      for (;;) {
-        int Fd = ::accept(ListenFd, nullptr, nullptr);
-        if (Fd < 0)
-          break;
-        if (!setNonBlocking(Fd) || Conns.size() >= 64) {
-          ::close(Fd); // cap concurrent connections; scrapers reconnect
-          continue;
-        }
-        int One = 1;
-        ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-        Conns.push_back(Conn{Fd, {}});
-      }
-    }
-
-    // Walk connection pollfds (offset 2) back to front so erase is safe.
-    for (size_t I = Pfds.size(); I-- > 2;) {
-      if (!(Pfds[I].revents & (POLLIN | POLLERR | POLLHUP)))
-        continue;
-      Conn &C = Conns[I - 2];
-      bool Keep = (Pfds[I].revents & POLLIN) && handleReadable(C);
-      if (!Keep) {
-        ::close(C.Fd);
-        Conns.erase(Conns.begin() + static_cast<ptrdiff_t>(I - 2));
-      }
-    }
+    Head.append(Buf, static_cast<size_t>(N));
   }
 
-  for (Conn &C : Conns)
-    ::close(C.Fd);
+  HttpRequest Req;
+  HttpResponse Resp;
+  if (!parseHttpRequest(Head, Req)) {
+    Resp.Status = 400;
+    Resp.Body = "bad request\n";
+  } else if (Req.Method != "GET" && Req.Method != "HEAD") {
+    Resp.Status = 405;
+    Resp.Body = "method not allowed\n";
+  } else {
+    Resp = route(Req);
+    if (Req.Method == "HEAD")
+      Resp.Body.clear();
+  }
+  Served.fetch_add(1, std::memory_order_relaxed);
+  LastRequestNs.store(nowNs(), std::memory_order_relaxed);
+
+  std::string Out = "HTTP/1.1 " + std::to_string(Resp.Status) + " " +
+                    statusText(Resp.Status) +
+                    "\r\nContent-Type: " + Resp.ContentType +
+                    "\r\nContent-Length: " +
+                    std::to_string(Resp.Body.size()) +
+                    "\r\nConnection: close\r\n\r\n";
+  Out += Resp.Body;
+  for (size_t Off = 0; Off < Out.size();) {
+    ssize_t N = ::send(Fd, Out.data() + Off, Out.size() - Off, MSG_NOSIGNAL);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      break; // timed out, or the peer went away
+    Off += static_cast<size_t>(N);
+  }
+  ::close(Fd);
 }

@@ -1,26 +1,22 @@
-//===- obs/introspect/http_server.h - Minimal HTTP/1.1 server --*- C++ -*-===//
+//===- obs/introspect/http_server.h - Minimal HTTP/1.1 ---------*- C++ -*-===//
 //
 // Part of the Gillian-C++ reproduction of "Gillian, Part I" (PLDI 2020).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A dependency-free, poll(2)-based HTTP/1.1 server — just enough protocol
-/// for the live-introspection endpoints (DESIGN.md §4d): GET requests,
-/// keep-alive, 400 on malformed input, one background thread multiplexing
-/// every connection. POSIX sockets only; no third-party library, per the
-/// repo's no-new-dependencies rule.
+/// Just enough HTTP/1.1 for the live-introspection endpoints (DESIGN.md
+/// §4d): GET and HEAD, one request per connection, 400 on malformed
+/// input. POSIX sockets only; no third-party library, per the repo's
+/// no-new-dependencies rule.
 ///
-/// Scope is deliberately tiny: no TLS, no request bodies, no chunked
-/// encoding, no pipelining beyond what a serial keep-alive connection
-/// gives. The consumers are `curl` loops, Prometheus scrapers, and the
-/// repo's own tests — all well-behaved GET clients. Malformed or oversized
-/// requests get a 400 and the connection closed; a stuck client cannot
-/// stall the server (poll() multiplexes, reads never block).
-///
-/// Shutdown uses the self-pipe trick: stop() writes one byte into a pipe
-/// the poll set always contains, so the server thread wakes immediately
-/// instead of riding out a poll timeout.
+/// http_server.cpp holds the request parser and the socket side of
+/// IntrospectServer: one thread accepts a connection, reads one request
+/// head of at most 64 KiB, answers it with `Connection: close` and closes
+/// — every client (`curl`, Prometheus, the tests) sends one request per
+/// connection. Reads and writes block with a fixed 1 s timeout, so a
+/// client that connects and stalls holds the server for at most that
+/// long. No TLS, no request bodies, no keep-alive.
 ///
 /// parseHttpRequest() is exposed separately so the unit tests can feed it
 /// malformed byte strings without a socket in sight.
@@ -30,12 +26,8 @@
 #ifndef GILLIAN_OBS_INTROSPECT_HTTP_SERVER_H
 #define GILLIAN_OBS_INTROSPECT_HTTP_SERVER_H
 
-#include <atomic>
-#include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -49,7 +41,6 @@ struct HttpRequest {
   std::string Query;   ///< query string without '?', may be empty
   std::string Version; ///< e.g. "HTTP/1.1"
   std::vector<std::pair<std::string, std::string>> Headers; ///< lower-case keys
-  bool KeepAlive = false; ///< from Connection / HTTP version defaults
 
   /// First value of header \p Key (lower-case), or "" if absent.
   std::string_view header(std::string_view Key) const;
@@ -63,66 +54,12 @@ struct HttpRequest {
 /// netcat do).
 bool parseHttpRequest(std::string_view Raw, HttpRequest &Out);
 
-/// A response the handler fills in. writeTo() (internal) adds the status
-/// line, Content-Length, Connection, and Content-Type headers.
+/// A response a route fills in; the server adds the status line and the
+/// Content-Type, Content-Length and `Connection: close` headers.
 struct HttpResponse {
   int Status = 200;
   std::string ContentType = "text/plain; charset=utf-8";
   std::string Body;
-};
-
-/// The server: bind + listen on start(), one background thread polling the
-/// listener and every open connection, handler invoked synchronously on
-/// that thread (the endpoints render snapshots in microseconds; a second
-/// thread would buy nothing but races).
-class HttpServer {
-public:
-  using Handler = std::function<HttpResponse(const HttpRequest &)>;
-
-  HttpServer() = default;
-  ~HttpServer() { stop(); }
-
-  HttpServer(const HttpServer &) = delete;
-  HttpServer &operator=(const HttpServer &) = delete;
-
-  /// Binds \p Host:\p Port (port 0 = ephemeral), starts the serving
-  /// thread, and returns the actually-bound port; 0 on failure (address
-  /// in use, bad host, ...). \p H handles every well-formed request.
-  uint16_t start(const std::string &Host, uint16_t Port, Handler H);
-
-  /// Stops the serving thread and closes every socket. Idempotent.
-  void stop();
-
-  bool running() const { return Running.load(std::memory_order_acquire); }
-  uint16_t port() const { return BoundPort; }
-
-  /// Total well-formed requests answered (any status). Monotone; used by
-  /// the drivers' --serve-linger-ms logic and the tests.
-  uint64_t requestsServed() const {
-    return Served.load(std::memory_order_relaxed);
-  }
-  /// Steady-clock ns timestamp of the most recent answered request
-  /// (0 = none yet).
-  uint64_t lastRequestNs() const {
-    return LastRequestNs.load(std::memory_order_relaxed);
-  }
-
-private:
-  struct Conn; // per-connection read buffer + fd
-
-  void serveLoop();
-  /// Consumes complete requests from \p C's buffer; returns false when the
-  /// connection should close (error, malformed, or Connection: close).
-  bool handleReadable(Conn &C);
-
-  Handler Handle;
-  std::thread Thread;
-  std::atomic<bool> Running{false};
-  std::atomic<uint64_t> Served{0};
-  std::atomic<uint64_t> LastRequestNs{0};
-  int ListenFd = -1;
-  int WakePipe[2] = {-1, -1}; ///< self-pipe: [0] in poll set, [1] written by stop()
-  uint16_t BoundPort = 0;
 };
 
 } // namespace gillian::obs

@@ -13,10 +13,14 @@
 #include "obs/sched_counters.h"
 #include "obs/span.h"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
+#include <string_view>
 
 using namespace gillian::obs;
 
@@ -26,6 +30,21 @@ uint64_t nowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// The value of key \p Key in query string \p Query ("a=1&depth=2"):
+/// "" for a bare key, nullopt when the key is absent.
+std::optional<std::string_view> queryValue(std::string_view Query,
+                                           std::string_view Key) {
+  while (!Query.empty()) {
+    std::string_view Pair = Query.substr(0, Query.find('&'));
+    Query.remove_prefix(std::min(Query.size(), Pair.size() + 1));
+    size_t Eq = Pair.find('=');
+    if (Pair.substr(0, Eq) == Key)
+      return Eq == std::string_view::npos ? std::string_view()
+                                          : Pair.substr(Eq + 1);
+  }
+  return std::nullopt;
 }
 } // namespace
 
@@ -174,10 +193,6 @@ HttpResponse IntrospectServer::route(const HttpRequest &Req) {
   } else if (Req.Target == "/metrics") {
     R.ContentType = "text/plain; version=0.0.4; charset=utf-8";
     R.Body = metricsExposition();
-  } else if (Req.Target == "/stats") {
-    R.ContentType = "application/json";
-    R.Body = obsStatsJson(SpanTable::global().snapshot());
-    R.Body += '\n';
   } else if (Req.Target == "/trace") {
     // The journal's chrome view; empty while the journal is off.
     R.ContentType = "application/json";
@@ -189,14 +204,15 @@ HttpResponse IntrospectServer::route(const HttpRequest &Req) {
     R.Body = progressJson(Rates);
     R.Body += '\n';
   } else if (Req.Target == "/tree") {
-    // Live path tree from the in-process journal: /tree?depth=N (default
-    // 4). {"enabled":false,...} when the journal is off.
+    // Live path tree from the in-process journal: /tree?depth=N, N a
+    // count (default 4, 0 = roots only). {"enabled":false,...} when the
+    // journal is off.
     size_t Depth = 4;
-    size_t Q = Req.Query.find("depth=");
-    if (Q != std::string::npos) {
-      unsigned long V = std::strtoul(Req.Query.c_str() + Q + 6, nullptr, 10);
-      if (V > 0)
-        Depth = V;
+    if (std::optional<std::string_view> V = queryValue(Req.Query, "depth")) {
+      const char *End = V->data() + V->size();
+      auto [Stop, Ec] = std::from_chars(V->data(), End, Depth);
+      if (Ec != std::errc() || Stop != End)
+        return {400, R.ContentType, "depth is not a count\n"};
     }
     R.ContentType = "application/json";
     R.Body = journal::liveTreeJson(Depth);
@@ -206,19 +222,6 @@ HttpResponse IntrospectServer::route(const HttpRequest &Req) {
     R.Body = "not found\n";
   }
   return R;
-}
-
-uint16_t IntrospectServer::start(const std::string &Host, uint16_t Port) {
-  return Server.start(Host, Port,
-                      [this](const HttpRequest &Req) { return route(Req); });
-}
-
-uint16_t IntrospectServer::start(const std::string &Spec) {
-  std::string Host;
-  uint16_t Port = 0;
-  if (!parseHostPort(Spec, Host, Port))
-    return 0;
-  return start(Host, Port);
 }
 
 IntrospectServer &gillian::obs::processIntrospectServer() {
@@ -247,13 +250,4 @@ uint16_t gillian::obs::startProcessIntrospection(const std::string &Spec) {
                "[obs] introspection server listening on http://%s:%u\n",
                Host.c_str(), static_cast<unsigned>(Bound));
   return Bound;
-}
-
-void gillian::obs::maybeStartEnvIntrospection() {
-  static std::once_flag Once;
-  std::call_once(Once, [] {
-    if (const char *Spec = std::getenv("GILLIAN_SERVE"))
-      if (*Spec)
-        startProcessIntrospection(Spec);
-  });
 }

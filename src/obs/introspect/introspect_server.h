@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The live-introspection endpoint set (DESIGN.md §4d), one router over
-/// the embedded HttpServer:
+/// The live-introspection endpoint set (DESIGN.md §4d): one server, one
+/// router, five routes, one view each:
 ///
 ///   /metrics  — Prometheus text exposition, generated generically from
 ///               the counter registry (scheduler counters + gauges,
@@ -16,17 +16,19 @@
 ///               solver sites (while the journal records), branch
 ///               coverage, and every currently-registered live
 ///               MetricsRegistry source.
-///   /stats    — the unified obsStatsJson object (spans/actions/scheduler).
 ///   /trace    — the execution journal so far as chrome://tracing JSON
 ///               (a snapshot: nothing is consumed); `{"traceEvents":[]}`
 ///               while the journal is off.
+///   /tree     — the journal's path forest, `/tree?depth=N` (N >= 0,
+///               default 4, 0 = roots only; anything else is a 400).
 ///   /progress — paths finished, frontier size, per-worker queue depths,
 ///               rolling paths/s and queries/s over a ~10 s window.
 ///   /healthz  — "ok", 200 (liveness for CI and load balancers).
 ///
 /// Everything rendered is a relaxed-atomic or shard-locked snapshot, so
 /// scraping mid-exploration is safe by construction — that is the entire
-/// point of the feature.
+/// point of the feature. The socket side (one request per connection)
+/// lives in http_server.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,10 +37,12 @@
 
 #include "obs/introspect/http_server.h"
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
+#include <thread>
 
 namespace gillian::obs {
 
@@ -85,32 +89,57 @@ std::string progressJson(RateTracker &Rates);
 bool parseHostPort(const std::string &Spec, std::string &Host,
                    uint16_t &Port);
 
-/// The assembled server: HttpServer + router + rate tracker. One instance
-/// per process is the intended shape (the underlying stats are global),
-/// but nothing enforces it — tests run several.
+/// The assembled server: listening socket, serving thread, router and
+/// rate tracker. One instance per process is the intended shape (the
+/// underlying stats are global), but nothing enforces it — tests run
+/// several.
 class IntrospectServer {
 public:
-  /// Binds and serves; returns the bound port (0 on failure). Port 0
-  /// requests an ephemeral port — read the result.
-  uint16_t start(const std::string &Host, uint16_t Port);
-  /// As above from a "host:port" spec.
-  uint16_t start(const std::string &Spec);
-  void stop() { Server.stop(); }
+  IntrospectServer() = default;
+  ~IntrospectServer() { stop(); }
 
-  bool running() const { return Server.running(); }
-  uint16_t port() const { return Server.port(); }
-  uint64_t requestsServed() const { return Server.requestsServed(); }
-  uint64_t lastRequestNs() const { return Server.lastRequestNs(); }
+  IntrospectServer(const IntrospectServer &) = delete;
+  IntrospectServer &operator=(const IntrospectServer &) = delete;
+
+  /// Binds \p Host:\p Port (port 0 = ephemeral), starts the serving
+  /// thread and returns the bound port; 0 on failure (already running,
+  /// address in use, bad host, ...).
+  uint16_t start(const std::string &Host, uint16_t Port);
+
+  /// Shuts the listening socket down, joins the serving thread (at most
+  /// the rest of one connection's timeout) and closes. Idempotent.
+  void stop();
+
+  bool running() const { return Running.load(std::memory_order_acquire); }
+  uint16_t port() const { return BoundPort; }
+
+  /// Total requests answered (any status). Monotone; used by the drivers'
+  /// --serve-linger-ms logic and the tests.
+  uint64_t requestsServed() const {
+    return Served.load(std::memory_order_relaxed);
+  }
+  /// Steady-clock ns timestamp of the most recent answered request
+  /// (0 = none yet).
+  uint64_t lastRequestNs() const {
+    return LastRequestNs.load(std::memory_order_relaxed);
+  }
 
 private:
+  void serveLoop();
+  /// Reads one request from \p Fd, answers it and closes \p Fd.
+  void serveConnection(int Fd);
   HttpResponse route(const HttpRequest &Req);
 
-  HttpServer Server;
   RateTracker Rates;
+  std::thread Thread;
+  std::atomic<bool> Running{false};
+  std::atomic<uint64_t> Served{0};
+  std::atomic<uint64_t> LastRequestNs{0};
+  int ListenFd = -1;
+  uint16_t BoundPort = 0;
 };
 
-/// The process-wide server instance the drivers and the GILLIAN_SERVE
-/// hook share (so --serve and the env var cannot double-bind).
+/// The process-wide server instance --serve starts.
 IntrospectServer &processIntrospectServer();
 
 /// Starts the process-wide server on \p Spec ("host:port", port 0 =
@@ -120,11 +149,6 @@ IntrospectServer &processIntrospectServer();
 /// port; 0 on failure. If the server is already
 /// running, returns its port without rebinding.
 uint16_t startProcessIntrospection(const std::string &Spec);
-
-/// startProcessIntrospection($GILLIAN_SERVE) if the variable is set —
-/// the hook that gives the *test runner* (the suite/symbolic-test layer,
-/// which has no CLI of its own) a serve switch. Checked once per process.
-void maybeStartEnvIntrospection();
 
 } // namespace gillian::obs
 

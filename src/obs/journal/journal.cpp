@@ -3,13 +3,10 @@
 #include "obs/journal/journal.h"
 
 #include "obs/json_writer.h"
-#include "obs/journal/journal_io.h"
 
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -30,12 +27,8 @@ const char *verdictLayerName(VerdictLayer L) {
     return "cache";
   case VerdictLayer::Syntactic:
     return "syntactic";
-  case VerdictLayer::Incremental:
-    return "incremental";
   case VerdictLayer::Z3:
     return "z3";
-  case VerdictLayer::Async:
-    return "async";
   }
   return "?";
 }
@@ -222,42 +215,6 @@ std::string statsJson() {
   W.field("files_written", journalStats().FilesWritten.load());
   W.endObject();
   return W.take();
-}
-
-namespace {
-
-std::string &envJournalPath() {
-  static std::string Path;
-  return Path;
-}
-
-void writeEnvJournalAtExit() {
-  const std::string &Path = envJournalPath();
-  if (Path.empty())
-    return;
-  uint64_t Bytes = 0;
-  std::string Err;
-  if (!writeJournalFile(capture(), Path, &Bytes, &Err)) {
-    std::fprintf(stderr, "[obs] journal write failed: %s\n", Err.c_str());
-    return;
-  }
-  std::fprintf(stderr, "[obs] wrote journal to %s (%llu events, %llu bytes)\n",
-               Path.c_str(), static_cast<unsigned long long>(eventsEmitted()),
-               static_cast<unsigned long long>(Bytes));
-}
-
-} // namespace
-
-void maybeEnableEnvJournal() {
-  static std::once_flag Once;
-  std::call_once(Once, [] {
-    const char *Env = std::getenv("GILLIAN_JOURNAL");
-    if (!Env || !*Env)
-      return;
-    envJournalPath() = Env;
-    setEnabled(true);
-    std::atexit(writeEnvJournalAtExit);
-  });
 }
 
 } // namespace gillian::obs::journal

@@ -55,8 +55,7 @@ enum class EventKind : uint8_t {
   Root = 0,    ///< a fresh exploration root (one per makeInitialConfig)
   Branch = 1,  ///< one side of a branch decision (IfGoto / action)
   Action = 2,  ///< one memory-action execution
-  // 3 recorded summary-cache replays and 4 frontier spawns in earlier
-  // builds; the reader drops both.
+  // 3 and 4 name no kind; the reader rejects them.
   PathEnd = 5, ///< a path termination (outcome + budget kind)
 };
 
@@ -67,18 +66,13 @@ enum class VerdictLayer : uint8_t {
   Trivial = 1,
   Cache = 2,
   Syntactic = 3,
-  // 4 marked the native theory layer in earlier builds; nothing writes it.
-  /// Marked the incremental Z3 sessions in earlier builds; nothing writes
-  /// it, and verdictLayerName still names it for their journals.
-  Incremental = 5,
+  // 4 and 5 name no layer; the reader rejects them.
   Z3 = 6, ///< every Z3 verdict
-  /// Marked queries of the async solver service in earlier builds; nothing
-  /// writes it, and verdictLayerName still names it for their journals.
-  Async = 7,
 };
-/// Layer nibbles a journal may hold; the reader rejects any other.
+/// Bound of the layer nibble: the analyses index per-layer arrays by it.
+/// The reader rejects every nibble that names no layer.
 inline constexpr size_t NumVerdictLayers =
-    static_cast<size_t>(VerdictLayer::Async) + 1;
+    static_cast<size_t>(VerdictLayer::Z3) + 1;
 
 const char *verdictLayerName(VerdictLayer L);
 
@@ -299,11 +293,6 @@ inline void noteLayer(VerdictLayer L) {
 /// bytes_written/files_written) as a JSON object string — the `journal`
 /// block of every bench JSON.
 std::string statsJson();
-
-/// GILLIAN_JOURNAL=path: enables the journal now and registers an atexit
-/// writer, so ctest suite runs can capture journals the way GILLIAN_SERVE
-/// starts the introspection server. Checked once per process.
-void maybeEnableEnvJournal();
 
 } // namespace gillian::obs::journal
 

@@ -19,11 +19,6 @@ constexpr uint64_t FormatVersion = 1;
 /// bound the claimed event count against the remaining input.
 constexpr size_t MinEventBytes = 11;
 
-/// Earlier builds recorded summary-cache replays as kind 3 and frontier
-/// spawns as kind 4. Their files still load, without those records.
-constexpr uint8_t RetiredSummaryKind = 3;
-constexpr uint8_t RetiredSpawnKind = 4;
-
 void putVarint(std::string &Out, uint64_t V) {
   while (V >= 0x80) {
     Out += static_cast<char>((V & 0x7f) | 0x80);
@@ -148,12 +143,14 @@ bool parseJournal(std::string_view Bytes, JournalData &Out,
     E.A = static_cast<uint8_t>(Bytes[I++]);
     E.B = static_cast<uint8_t>(Bytes[I++]);
     E.C = static_cast<uint8_t>(Bytes[I++]);
-    if (E.Kind > static_cast<uint8_t>(EventKind::PathEnd)) {
+    EventKind K = static_cast<EventKind>(E.Kind);
+    if (K > EventKind::Action && K != EventKind::PathEnd) {
       Err = "unknown event kind";
       return false;
     }
-    if (E.Kind == static_cast<uint8_t>(EventKind::Branch) &&
-        (static_cast<size_t>(layerOf(E)) >= NumVerdictLayers ||
+    VerdictLayer L = layerOf(E);
+    if (K == EventKind::Branch &&
+        ((L > VerdictLayer::Syntactic && L != VerdictLayer::Z3) ||
          verdictOf(E) > Verdict::Unknown)) {
       Err = "unknown verdict layer or verdict";
       return false;
@@ -166,24 +163,20 @@ bool parseJournal(std::string_view Bytes, JournalData &Out,
       Err = "truncated event stream";
       return false;
     }
-    if (E.Kind == RetiredSummaryKind || E.Kind == RetiredSpawnKind)
-      continue;
     if (Step > UINT32_MAX || Proc > UINT32_MAX || Cmd > UINT32_MAX ||
         X > UINT32_MAX) {
       Err = "event field out of range";
       return false;
     }
     if (Proc >= Out.Strings.size() ||
-        (E.Kind == static_cast<uint8_t>(EventKind::Action) &&
-         X >= Out.Strings.size())) {
+        (K == EventKind::Action && X >= Out.Strings.size())) {
       Err = "string-table index out of range";
       return false;
     }
     // A step allocates its children's ids after its own node exists, and
     // ids only grow: a taken Branch whose child is its own node or an
     // earlier one would make the path tree cyclic.
-    if (E.Kind == static_cast<uint8_t>(EventKind::Branch) && E.B != 0 &&
-        Aux != 0 && Aux <= Path) {
+    if (K == EventKind::Branch && E.B != 0 && Aux != 0 && Aux <= Path) {
       Err = "branch child id not after its node";
       return false;
     }

@@ -58,8 +58,8 @@ std::string serializeJournal(const JournalData &D);
 
 /// Parses \p Bytes; returns false (with \p Err set) on bad magic, bad
 /// version, truncation, varint overflow, out-of-range string-table
-/// indices, a Branch event whose layer or verdict nibble names none, or a
-/// taken Branch event whose child id is not above its node's.
+/// indices, an event kind or a Branch layer or verdict nibble that names
+/// none, or a taken Branch event whose child id is not above its node's.
 /// On success the re-serialization of \p Out is byte-identical to the
 /// writer's output for the same data.
 bool parseJournal(std::string_view Bytes, JournalData &Out, std::string &Err);

@@ -16,10 +16,7 @@
 #define GILLIAN_TARGETS_SUITE_RUNNER_H
 
 #include "engine/test_runner.h"
-#include "obs/exporters.h"
-#include "obs/introspect/introspect_server.h"
 #include "obs/introspect/metrics_registry.h"
-#include "obs/journal/journal.h"
 #include "solver/solver_cache.h"
 
 #include <string>
@@ -58,16 +55,6 @@ SuiteResult runSuite(std::string_view Name, const Prog &P,
                      const EngineOptions &Opts) {
   SuiteResult R;
   R.Name = std::string(Name);
-  // GILLIAN_SERVE=host:port turns on live introspection for any process
-  // that runs a suite (the test runner has no CLI of its own).
-  obs::maybeStartEnvIntrospection();
-  // GILLIAN_TRACE_OUT=path enables the execution journal and writes its
-  // chrome://tracing view at process exit — the --trace-out= of processes
-  // without a CLI, like GILLIAN_SERVE above.
-  obs::maybeEnableEnvTrace();
-  // GILLIAN_JOURNAL=path likewise enables the lossless execution journal
-  // and writes the binary journal file at process exit.
-  obs::journal::maybeEnableEnvJournal();
   // The query cache is the process-wide shared instance: canonical path
   // conditions are program-independent facts, so warm re-runs of a suite
   // (and parallel workers within one) reuse each other's verdicts. Tests

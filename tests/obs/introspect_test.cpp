@@ -5,9 +5,9 @@
 // text-exposition writer (TYPE lines, counter suffixing, label escaping),
 // the /metrics exposition's format and monotonicity across scrapes, the
 // serve-spec parser, the rolling rate tracker behind /progress, the
-// live-source registry, a real loopback round-trip through
-// the poll-based server, and the journal views it serves (/trace and the
-// hot-site series of /metrics).
+// live-source registry, real loopback requests to the server (one per
+// connection, a stalled client bounded by the timeout), and the journal
+// views it serves (/trace, /tree and the hot-site series of /metrics).
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +26,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -56,19 +57,6 @@ TEST(HttpParseTest, ParsesGetWithQueryAndHeaders) {
   EXPECT_EQ(R.header("host"), "localhost:9090");
   EXPECT_EQ(R.header("accept"), "*/*");
   EXPECT_EQ(R.header("absent"), "");
-  EXPECT_TRUE(R.KeepAlive); // HTTP/1.1 defaults to keep-alive
-}
-
-TEST(HttpParseTest, KeepAliveFollowsVersionAndConnectionHeader) {
-  HttpRequest R;
-  ASSERT_TRUE(parseHttpRequest("GET / HTTP/1.1\r\nConnection: close\r\n\r\n",
-                               R));
-  EXPECT_FALSE(R.KeepAlive);
-  ASSERT_TRUE(parseHttpRequest("GET / HTTP/1.0\r\n\r\n", R));
-  EXPECT_FALSE(R.KeepAlive); // HTTP/1.0 defaults to close
-  ASSERT_TRUE(parseHttpRequest(
-      "GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n", R));
-  EXPECT_TRUE(R.KeepAlive);
 }
 
 TEST(HttpParseTest, ToleratesBareLfLineEndings) {
@@ -321,106 +309,124 @@ TEST(MetricsRegistryTest, ScopedSourceAppearsOnlyWhileAlive) {
 // Live server round-trips (loopback)
 //===----------------------------------------------------------------------===//
 
-/// Connects to 127.0.0.1:\p Port, sends \p Req, reads until the peer
-/// closes or \p MaxMs elapses; returns everything read. When \p Fd is
-/// non-null the connection is kept open and its fd returned for reuse.
+/// A socket connected to 127.0.0.1:\p Port, or -1.
+int connectTo(uint16_t Port) {
+  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (Fd < 0)
+    return -1;
+  sockaddr_in Addr{};
+  Addr.sin_family = AF_INET;
+  Addr.sin_port = htons(Port);
+  ::inet_pton(AF_INET, "127.0.0.1", &Addr.sin_addr);
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
+      0) {
+    ::close(Fd);
+    return -1;
+  }
+  return Fd;
+}
+
+/// Connects to 127.0.0.1:\p Port, sends \p Req and reads until the peer
+/// closes. Returns everything read, or "" when the peer has not closed
+/// within \p MaxMs: the server ends every connection after one answer.
 std::string httpExchange(uint16_t Port, const std::string &Req,
-                         int *KeepFd = nullptr, int MaxMs = 2000) {
-  int Fd = KeepFd && *KeepFd >= 0 ? *KeepFd
-                                  : ::socket(AF_INET, SOCK_STREAM, 0);
+                         int MaxMs = 2000) {
+  int Fd = connectTo(Port);
   if (Fd < 0)
     return {};
-  if (!KeepFd || *KeepFd < 0) {
-    sockaddr_in Addr{};
-    Addr.sin_family = AF_INET;
-    Addr.sin_port = htons(Port);
-    ::inet_pton(AF_INET, "127.0.0.1", &Addr.sin_addr);
-    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                  sizeof(Addr)) != 0) {
-      ::close(Fd);
-      return {};
-    }
-  }
   (void)::send(Fd, Req.data(), Req.size(), MSG_NOSIGNAL);
-
   std::string Out;
-  size_t BodyStart = std::string::npos, Want = std::string::npos;
-  for (int Waited = 0; Waited < MaxMs;) {
+  bool Closed = false;
+  for (int Waited = 0; Waited < MaxMs && !Closed;) {
     pollfd P{Fd, POLLIN, 0};
-    int N = ::poll(&P, 1, 50);
-    if (N == 0) {
+    if (::poll(&P, 1, 50) <= 0) {
       Waited += 50;
-      // A complete framed response is enough when keeping the conn open.
-      if (Want != std::string::npos && Out.size() >= BodyStart + Want)
-        break;
       continue;
     }
     char Buf[4096];
     ssize_t R = ::recv(Fd, Buf, sizeof(Buf), 0);
-    if (R <= 0)
-      break;
-    Out.append(Buf, static_cast<size_t>(R));
-    if (BodyStart == std::string::npos) {
-      size_t H = Out.find("\r\n\r\n");
-      if (H != std::string::npos) {
-        BodyStart = H + 4;
-        size_t CL = Out.find("Content-Length: ");
-        if (CL != std::string::npos && CL < H)
-          Want = std::strtoull(Out.c_str() + CL + 16, nullptr, 10);
-      }
-    }
-    if (Want != std::string::npos && Out.size() >= BodyStart + Want &&
-        KeepFd)
-      break;
+    if (R > 0)
+      Out.append(Buf, static_cast<size_t>(R));
+    else
+      Closed = true;
   }
-  if (KeepFd)
-    *KeepFd = Fd;
-  else
-    ::close(Fd);
-  return Out;
+  ::close(Fd);
+  return Closed ? Out : std::string();
 }
 
-TEST(HttpServerTest, ServesKeepAliveThenRejectsBadInput) {
-  HttpServer S;
-  uint16_t Port = S.start("127.0.0.1", 0, [](const HttpRequest &Req) {
-    HttpResponse R;
-    R.Body = "echo:" + Req.Target + "\n";
-    return R;
-  });
+std::string body(const std::string &Resp) {
+  size_t H = Resp.find("\r\n\r\n");
+  return H == std::string::npos ? std::string() : Resp.substr(H + 4);
+}
+
+TEST(IntrospectServerTest, AnswersOneRequestPerConnection) {
+  IntrospectServer S;
+  uint16_t Port = S.start("127.0.0.1", 0);
   ASSERT_NE(Port, 0);
   EXPECT_TRUE(S.running());
+  EXPECT_EQ(S.requestsServed(), 0u);
+  EXPECT_EQ(S.lastRequestNs(), 0u);
 
-  // Two requests on one keep-alive connection.
-  int Fd = -1;
+  // No Connection header: the answer says close, and the server closes
+  // right after the body (httpExchange returns "" otherwise).
   std::string R1 =
-      httpExchange(Port, "GET /a HTTP/1.1\r\nHost: t\r\n\r\n", &Fd);
+      httpExchange(Port, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
   EXPECT_NE(R1.find("HTTP/1.1 200 OK"), std::string::npos);
-  EXPECT_NE(R1.find("echo:/a\n"), std::string::npos);
-  EXPECT_NE(R1.find("Connection: keep-alive"), std::string::npos);
-  std::string R2 =
-      httpExchange(Port, "GET /b HTTP/1.1\r\nHost: t\r\n\r\n", &Fd);
-  EXPECT_NE(R2.find("echo:/b\n"), std::string::npos);
-  ::close(Fd);
+  EXPECT_NE(R1.find("\r\nConnection: close\r\n"), std::string::npos);
+  EXPECT_EQ(body(R1), "ok\n");
+  EXPECT_EQ(S.requestsServed(), 1u);
+  uint64_t First = S.lastRequestNs();
+  EXPECT_NE(First, 0u);
 
-  // Non-GET gets 405; garbage gets 400 and the connection closed.
-  std::string R3 = httpExchange(
-      Port, "POST /a HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
-  EXPECT_NE(R3.find("HTTP/1.1 405"), std::string::npos);
-  std::string R4 = httpExchange(Port, "utter nonsense\r\n\r\n");
-  EXPECT_NE(R4.find("HTTP/1.1 400"), std::string::npos);
-  EXPECT_NE(R4.find("Connection: close"), std::string::npos);
+  // Non-GET gets 405; garbage gets 400.
+  std::string R2 =
+      httpExchange(Port, "POST /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+  EXPECT_NE(R2.find("HTTP/1.1 405"), std::string::npos);
+  std::string R3 = httpExchange(Port, "utter nonsense\r\n\r\n");
+  EXPECT_NE(R3.find("HTTP/1.1 400"), std::string::npos);
+  EXPECT_NE(R3.find("Connection: close"), std::string::npos);
 
   // HEAD returns headers only.
-  std::string R5 = httpExchange(
-      Port, "HEAD /a HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
-  EXPECT_NE(R5.find("HTTP/1.1 200"), std::string::npos);
-  EXPECT_EQ(R5.find("echo:"), std::string::npos);
+  std::string R4 =
+      httpExchange(Port, "HEAD /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+  EXPECT_NE(R4.find("HTTP/1.1 200"), std::string::npos);
+  EXPECT_NE(R4.find("Content-Length: 0\r\n"), std::string::npos);
+  EXPECT_EQ(body(R4), "");
 
-  EXPECT_GE(S.requestsServed(), 5u);
-  EXPECT_NE(S.lastRequestNs(), 0u);
+  EXPECT_EQ(S.requestsServed(), 4u);
+  EXPECT_GT(S.lastRequestNs(), First);
   S.stop();
   EXPECT_FALSE(S.running());
   S.stop(); // idempotent
+}
+
+TEST(IntrospectServerTest, StalledClientDelaysOthersAtMostTheTimeout) {
+  IntrospectServer S;
+  uint16_t Port = S.start("127.0.0.1", 0);
+  ASSERT_NE(Port, 0);
+
+  // A client that connects and sends nothing holds the one serving
+  // thread until the read timeout; the next connection is answered then.
+  int Silent = connectTo(Port);
+  ASSERT_GE(Silent, 0);
+  auto T0 = std::chrono::steady_clock::now();
+  std::string R = httpExchange(
+      Port, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", /*MaxMs=*/5000);
+  EXPECT_NE(R.find("HTTP/1.1 200 OK"), std::string::npos);
+  EXPECT_LT(std::chrono::steady_clock::now() - T0, std::chrono::seconds(5));
+  // The stalled connection was closed unanswered.
+  char Byte;
+  EXPECT_EQ(::recv(Silent, &Byte, 1, MSG_DONTWAIT), 0);
+
+  // stop() with another silent client connected returns as promptly.
+  int Silent2 = connectTo(Port);
+  ASSERT_GE(Silent2, 0);
+  auto T1 = std::chrono::steady_clock::now();
+  S.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - T1, std::chrono::seconds(5));
+  EXPECT_FALSE(S.running());
+  ::close(Silent);
+  ::close(Silent2);
 }
 
 TEST(IntrospectServerTest, RoutesAllEndpoints) {
@@ -434,16 +440,12 @@ TEST(IntrospectServerTest, RoutesAllEndpoints) {
                                   " HTTP/1.1\r\nHost: t\r\n"
                                   "Connection: close\r\n\r\n");
   };
-  auto body = [](const std::string &Resp) {
-    size_t H = Resp.find("\r\n\r\n");
-    return H == std::string::npos ? std::string() : Resp.substr(H + 4);
-  };
 
   EXPECT_EQ(body(get("/healthz")), "ok\n");
   std::string Metrics = get("/metrics");
   EXPECT_NE(Metrics.find("text/plain; version=0.0.4"), std::string::npos);
   EXPECT_NE(Metrics.find("# TYPE "), std::string::npos);
-  EXPECT_TRUE(validateJson(body(get("/stats"))));
+  EXPECT_NE(get("/stats").find("HTTP/1.1 404"), std::string::npos);
   EXPECT_TRUE(validateJson(body(get("/trace"))));
   std::string Progress = body(get("/progress"));
   EXPECT_TRUE(validateJson(Progress)) << Progress;
@@ -456,6 +458,57 @@ TEST(IntrospectServerTest, RoutesAllEndpoints) {
   EXPECT_NE(Tree.find("\"roots\""), std::string::npos);
   EXPECT_NE(get("/nope").find("HTTP/1.1 404"), std::string::npos);
   S.stop();
+}
+
+TEST(IntrospectServerTest, TreeDepthIsTheExactQueryParameter) {
+  // A root that branches in two: depth 0 collapses it, any other depth
+  // lists its children.
+  journal::reset();
+  journal::setEnabled(true);
+  uint32_t Proc = InternedString::get("test_tree").id();
+  uint64_t Root = journal::allocPathIds(1);
+  journal::emitRoot(Root, Proc);
+  uint64_t Kids = journal::allocPathIds(2);
+  for (uint8_t Side = 0; Side < 2; ++Side) {
+    journal::emitBranch(Root, 1, Proc, 3, Side, /*Taken=*/true,
+                        journal::Verdict::Sat,
+                        journal::VerdictLayer::Syntactic, 1, 0, Kids + Side);
+    journal::emitPathEnd(Kids + Side, 2, Proc, 5,
+                         static_cast<uint8_t>(journal::PathOutcome::Return),
+                         journal::BudgetKind::None);
+  }
+
+  IntrospectServer S;
+  uint16_t Port = S.start("127.0.0.1", 0);
+  ASSERT_NE(Port, 0);
+  auto tree = [&](const std::string &Query) {
+    return httpExchange(Port, "GET /tree" + Query +
+                                  " HTTP/1.1\r\nHost: t\r\n\r\n");
+  };
+  const std::pair<std::string, std::string> Served[] = {
+      {"", "4"},           {"?depth=0", "0"},     {"?depth=1", "1"},
+      {"?maxdepth=1", "4"}, {"?x=1&depth=2", "2"}, {"?depth=7&x", "7"}};
+  for (const auto &[Query, Depth] : Served) {
+    SCOPED_TRACE("/tree" + Query);
+    std::string R = tree(Query);
+    EXPECT_NE(R.find("HTTP/1.1 200"), std::string::npos) << R;
+    std::string Tree = body(R);
+    EXPECT_TRUE(validateJson(Tree)) << Tree;
+    EXPECT_NE(Tree.find("\"depth\":" + Depth + ","), std::string::npos)
+        << Tree;
+    EXPECT_EQ(Tree.find("\"collapsed\":true") != std::string::npos,
+              Depth == "0")
+        << Tree;
+  }
+  for (const char *Bad : {"?depth=-1", "?depth=abc", "?depth=", "?depth",
+                          "?depth=2x", "?depth=+2",
+                          "?depth=99999999999999999999999"}) {
+    SCOPED_TRACE(std::string("/tree") + Bad);
+    EXPECT_NE(tree(Bad).find("HTTP/1.1 400"), std::string::npos);
+  }
+  S.stop();
+  journal::setEnabled(false);
+  journal::reset();
 }
 
 TEST(IntrospectServerTest, TraceAndHotSitesAreJournalViews) {

@@ -248,75 +248,38 @@ TEST(JournalIoTest, RejectsGarbageAndBadFields) {
       break;
     }
   }
-}
-
-/// A file holding one record of the retired event kind \p Kind still
-/// loads, without that record.
-void expectRetiredKindDropped(uint8_t Kind) {
-  JournalData D = tinyJournal(static_cast<uint8_t>(VerdictLayer::Z3), false);
-  JournalData Old = D;
-  Event Retired;
-  Retired.Kind = Kind;
-  Retired.Path = 2;
-  Retired.Step = 4;
-  Retired.Proc = 1;
-  Retired.Cmd = 7;
-  Old.Events.insert(Old.Events.begin() + 3, Retired);
-  std::string Bytes = serializeJournal(Old);
-  ASSERT_EQ(Bytes.compare(0, 4, "GJL1"), 0);
-  JournalData Back;
-  std::string Err;
-  ASSERT_TRUE(parseJournal(Bytes, Back, Err)) << Err;
-  EXPECT_EQ(Back.Events.size(), D.Events.size());
-  EXPECT_EQ(serializeJournal(Back), serializeJournal(D));
-}
-
-TEST(JournalIoTest, ReaderDropsRetiredSpawnRecords) {
-  // Earlier builds recorded each frontier spawn as a kind-4 event.
-  expectRetiredKindDropped(4);
-}
-
-TEST(JournalIoTest, ReaderDropsRetiredSummaryRecords) {
-  // Earlier builds recorded each summary-cache replay as a kind-3 event.
-  expectRetiredKindDropped(3);
-}
-
-TEST(JournalIoTest, ReaderLoadsRetiredLayerByte) {
-  // Earlier builds marked verdicts of the native theory layer with layer
-  // byte 4, those of the incremental Z3 sessions with byte 5 and those of
-  // the async solver service with byte 7. A Branch event carrying any of
-  // them still loads, byte for byte.
-  for (uint8_t RetiredLayer : {uint8_t{4}, uint8_t{5}, uint8_t{7}}) {
-    JournalData D = tinyJournal(RetiredLayer, /*TruePruned=*/false);
-    std::string Bytes = serializeJournal(D);
-    ASSERT_EQ(Bytes.compare(0, 4, "GJL1"), 0);
-    JournalData Back;
-    std::string Err;
-    ASSERT_TRUE(parseJournal(Bytes, Back, Err)) << Err;
-    ASSERT_EQ(Back.Events.size(), D.Events.size());
-    EXPECT_EQ(serializeJournal(Back), Bytes);
-    size_t Retired = 0;
-    for (const Event &E : Back.Events)
-      if (E.Kind == static_cast<uint8_t>(EventKind::Branch) &&
-          static_cast<uint8_t>(layerOf(E)) == RetiredLayer)
-        ++Retired;
-    EXPECT_EQ(Retired, 1u) << "layer byte " << int(RetiredLayer);
-    EXPECT_TRUE(obs::validateJson(treeJson(Back, 4)));
+  // Kinds 3 and 4 name no event: a record of either is rejected, not
+  // dropped.
+  for (uint8_t Kind : {uint8_t{3}, uint8_t{4}}) {
+    SCOPED_TRACE("event kind " + std::to_string(Kind));
+    JournalData WithKind = D;
+    Event E;
+    E.Kind = Kind;
+    E.Path = 2;
+    E.Step = 4;
+    E.Proc = 1;
+    E.Cmd = 7;
+    WithKind.Events.insert(WithKind.Events.begin() + 3, E);
+    JournalData B3;
+    std::string E3;
+    EXPECT_FALSE(parseJournal(serializeJournal(WithKind), B3, E3));
+    EXPECT_FALSE(E3.empty());
   }
 }
 
 TEST(JournalIoTest, ReaderRejectsUnknownVerdictLayer) {
-  // A Branch event packs verdict << 4 | layer into C. A layer nibble past
-  // the last layer would index past SiteProfile::LayerCount in the
-  // analyses, and a verdict nibble above Unknown names no verdict, so the
-  // reader refuses both.
+  // A Branch event packs verdict << 4 | layer into C. Layer nibbles 4, 5
+  // and 7 and up name no layer (past the last one they would index past
+  // SiteProfile::LayerCount in the analyses), and a verdict nibble above
+  // Unknown names no verdict, so the reader refuses all of them.
   auto ExpectRejected = [](const JournalData &D) {
     JournalData Back;
     std::string Err;
     EXPECT_FALSE(parseJournal(serializeJournal(D), Back, Err));
     EXPECT_FALSE(Err.empty());
   };
-  for (uint8_t Layer : {uint8_t{8}, uint8_t{15}}) {
+  for (uint8_t Layer :
+       {uint8_t{4}, uint8_t{5}, uint8_t{7}, uint8_t{8}, uint8_t{15}}) {
     SCOPED_TRACE("layer nibble " + std::to_string(Layer));
     ExpectRejected(tinyJournal(Layer, /*TruePruned=*/false));
   }

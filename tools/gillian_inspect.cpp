@@ -11,20 +11,20 @@
 ///   gillian-inspect why  <journal> <path-id|branch-trace>
 ///   gillian-inspect diff <a> <b> [--json] [--top=N]
 ///
-/// Journals come from `--journal-out=` on any bench driver or from
-/// GILLIAN_JOURNAL=path on a ctest suite run. A branch trace is
-/// "<entry-proc>[#k][:i.j.k]" — the worker-count invariant path name.
-/// `tree` ends with the --top=N sites that spent the most solver wall;
-/// `diff` caps each of its sections at N.
+/// Journals come from `--journal-out=` on any bench driver. A branch
+/// trace is "<entry-proc>[#k][:i.j.k]" — the worker-count invariant path
+/// name. `tree` ends with the --top=N sites that spent the most solver
+/// wall; `diff` caps each of its sections at N. --depth and --top take a
+/// count (decimal, 0 and up); any other value exits 2 with the usage.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "obs/journal/analysis.h"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace gillian::obs::journal;
@@ -39,6 +39,12 @@ int usage() {
       "       gillian-inspect why  <journal> <path-id|branch-trace>\n"
       "       gillian-inspect diff <a> <b> [--json] [--top=N]\n");
   return 2;
+}
+
+/// Reads all of \p S as a decimal count into \p Out.
+bool parseCount(std::string_view S, size_t &Out) {
+  auto [Stop, Ec] = std::from_chars(S.data(), S.data() + S.size(), Out);
+  return Ec == std::errc() && Stop == S.data() + S.size();
 }
 
 bool load(const char *Path, JournalData &D) {
@@ -63,11 +69,14 @@ int main(int Argc, char **Argv) {
     std::string A = Argv[I];
     if (A == "--json")
       Json = true;
-    else if (A.rfind("--depth=", 0) == 0)
-      Depth = std::strtoull(A.c_str() + 8, nullptr, 10);
-    else if (A.rfind("--top=", 0) == 0)
-      Top = std::strtoull(A.c_str() + 6, nullptr, 10);
-    else if (A.rfind("--", 0) == 0) {
+    else if (A.rfind("--depth=", 0) == 0 || A.rfind("--top=", 0) == 0) {
+      std::string_view Value = std::string_view(A).substr(A.find('=') + 1);
+      if (!parseCount(Value, A[2] == 'd' ? Depth : Top)) {
+        std::fprintf(stderr, "gillian-inspect: %s is not a count\n",
+                     A.c_str());
+        return usage();
+      }
+    } else if (A.rfind("--", 0) == 0) {
       std::fprintf(stderr, "gillian-inspect: unknown flag %s\n", A.c_str());
       return usage();
     } else
